@@ -1,0 +1,32 @@
+"""Capacity-distortion-cost tradeoffs of state-dependent memoryless channels.
+
+Modules:
+  channel    -- probability primitives, channel specs, JSON I/O
+  estimator  -- optimal symbol-wise state estimator, D_min/D_trivial
+  solver     -- conditional mutual information, modified Blahut-Arimoto,
+                frontier sweeps, baselines, no-tradeoff certification
+  bcregions  -- broadcast-channel regions (degraded, outer bound, closed forms)
+  verify     -- Monte-Carlo and brute-force oracles
+  examples   -- paper-style example builders (binary, erasure, Dueck, Gaussian)
+  cli        -- command-line interface
+"""
+
+from .channel import (MappingTable, QuadraticDistortion, SdmbcSpec, SdmcSpec,
+                      load_spec, dump_spec, marginal_y_given_xs,
+                      marginal_z_given_xs, merge_bc_to_sdmc, validate)
+from .estimator import (EstimatorTable, build_bc_estimators, build_estimator,
+                        d_min, d_trivial, expected_distortion, posterior_state)
+from .solver import (BaConfig, TradeoffPoint, baseline_ts,
+                     conditional_mutual_information, no_tradeoff_check,
+                     p_update, q_update, solve_fixed_mu, sweep_frontier)
+from .bcregions import (RegionSample, binary_bc_region, degraded_region,
+                        dueck_capacity_and_distortion_regions, dueck_dmin,
+                        dueck_distortion, dueck_inner, dueck_outer,
+                        erasure_bc_distortion_region, flipped_bc_region,
+                        is_physically_degraded, outer_bound_samples,
+                        pareto_front, product_region_check, upper_concave_hull)
+from .verify import (TrialReport, brute_force_tradeoff,
+                     exhaustive_estimator_search, simulate_distortion)
+from . import errors, examples
+
+__version__ = "0.1.0"

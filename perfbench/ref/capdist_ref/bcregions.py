@@ -1,0 +1,433 @@
+"""Broadcast-channel region computation.
+
+Covers: the physically-degraded region (auxiliary-grid sweep of the
+superposition bounds), the general outer bound, the product-region
+(no-tradeoff) certification, and the closed-form regions of the binary and
+Dueck broadcast examples, including the upper concave hull the Dueck inner
+bound requires.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from math import comb
+
+import numpy as np
+
+from . import channel, estimator, solver
+from .channel import SdmbcSpec, merge_bc_to_sdmc
+from .errors import InstanceTooLarge
+
+
+def binary_entropy(p):
+    p = np.asarray(p, dtype=float)
+    out = np.zeros_like(p)
+    for v in (p, 1.0 - p):
+        out -= np.where((v > 0) & (v < 1), v * np.log2(np.where(v > 0, v, 1.0)), 0.0)
+    return out if out.ndim else float(out)
+
+
+@dataclass
+class RegionSample:
+    r0: float
+    r1: float
+    r2: float
+    d1: float
+    d2: float
+    params: dict = field(default_factory=dict)
+
+
+# ---------------------------------------------------------------------------
+# marginal channels of a broadcast spec
+# ---------------------------------------------------------------------------
+
+def _receiver_marginal(bc, k):
+    """P(y_k | x, s_k) with shape (X, Sk, Yk), averaging the other state."""
+    law_y = bc.law.sum(axis=5)                    # (S1,S2,X,Y1,Y2)
+    js = bc.joint_state_pmf
+    if k == 1:
+        lk = law_y.sum(axis=4)                    # (S1,S2,X,Y1)
+        p_k = js.sum(axis=1)
+        cond = np.where(p_k[:, None] > 0, js / np.where(p_k[:, None] > 0, p_k[:, None], 1.0),
+                        1.0 / js.shape[1])
+        out = np.einsum("ab,abxy->xay", cond, lk)
+    else:
+        lk = law_y.sum(axis=3)                    # (S1,S2,X,Y2)
+        p_k = js.sum(axis=0)
+        cond = np.where(p_k[None, :] > 0, js / np.where(p_k[None, :] > 0, p_k[None, :], 1.0),
+                        1.0 / js.shape[0])
+        out = np.einsum("ab,abxy->xby", cond, lk)
+    return out, p_k
+
+
+def _batch_cmi(p_batch, law, state_pmf):
+    """I(X;Y|S) for a batch of input pmfs; law has shape (X, S, Y)."""
+    nx = law.shape[0]
+    law_flat = law.reshape(nx, -1)
+    ps_rep = np.repeat(state_pmf, law.shape[2])
+    a = solver._xlog2x(law).reshape(nx, -1) @ ps_rep
+    pys = p_batch @ law_flat
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = np.where(pys > 0, pys * np.log2(np.where(pys > 0, pys, 1.0)), 0.0)
+    return p_batch @ a - ent @ ps_rep
+
+
+def _aux_mi(p_u, cond_xu, law, state_pmf):
+    """I(U;Y|S) where U has pmf p_u and X|U=u ~ cond_xu[u], batched over
+    samples: p_u (N,U), cond_xu (N,U,X)."""
+    nx = law.shape[0]
+    law_flat = law.reshape(nx, -1)
+    ps_rep = np.repeat(state_pmf, law.shape[2])
+    py_us = cond_xu @ law_flat                     # (N, U, S*Y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent_u = np.where(py_us > 0, py_us * np.log2(np.where(py_us > 0, py_us, 1.0)), 0.0)
+    h_yu = np.einsum("nu,nuc,c->n", p_u, ent_u, ps_rep)
+    py_s = np.einsum("nu,nuc->nc", p_u, py_us)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent_s = np.where(py_s > 0, py_s * np.log2(np.where(py_s > 0, py_s, 1.0)), 0.0)
+    return h_yu - ent_s @ ps_rep
+
+
+# ---------------------------------------------------------------------------
+# physically degraded test and region
+# ---------------------------------------------------------------------------
+
+def is_physically_degraded(bc, tol=1e-9, trial_pmfs=None, seed=0):
+    """Test X - (S1,Y1) - (S2,Y2) over a panel of input pmfs.
+
+    Returns (verdict, worst_violation, witness).  The conditional
+    P(s2,y2 | x, s1, y1) must be constant in x wherever defined.
+    """
+    if trial_pmfs is None:
+        trial_pmfs = solver._trial_pmf_panel(bc.input_size, seed=seed, n_random=10)
+    law_y = bc.law.sum(axis=5)                    # (S1,S2,X,Y1,Y2)
+    worst = 0.0
+    witness = None
+    for p_x in trial_pmfs:
+        joint = np.einsum("ab,x,abxcd->xacbd", bc.joint_state_pmf,
+                          np.asarray(p_x, float), law_y)   # (X,S1,Y1,S2,Y2)
+        marg = joint.sum(axis=(3, 4))                       # (X,S1,Y1)
+        defined = marg > 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cond = joint / np.where(defined, marg, 1.0)[:, :, :, None, None]
+        mask = np.broadcast_to(defined[:, :, :, None, None], cond.shape)
+        hi = np.where(mask, cond, -np.inf).max(axis=0)
+        lo = np.where(mask, cond, np.inf).min(axis=0)
+        dev = np.maximum(hi - lo, 0.0)      # cells defined for <= 1 input: 0
+        m = float(dev.max())
+        if m > worst:
+            worst = m
+            witness = tuple(int(i) for i in np.unravel_index(np.argmax(dev), dev.shape))
+    return worst <= tol, worst, witness
+
+
+def _compositions(dims, total):
+    """All integer vectors of length `dims` summing to `total`, lexicographic."""
+    if dims == 1:
+        return np.array([[total]], dtype=np.int64)
+    rows = []
+    for head in range(total + 1):
+        tail = _compositions(dims - 1, total - head)
+        rows.append(np.concatenate(
+            [np.full((tail.shape[0], 1), head, dtype=np.int64), tail], axis=1))
+    return np.concatenate(rows, axis=0)
+
+
+def degraded_region(bc, u_size=None, resolution=32, max_samples=5_000_000):
+    """Sample the physically-degraded region by sweeping P_UX on a simplex grid.
+
+    Per sample emits r1 = I(X;Y1|U,S1), r2 = I(U;Y2|S2) (the R0+R2 cap) and
+    the two expected distortions; r0 is reported as 0.  Downstream consumers
+    take Pareto fronts.
+    """
+    nx = bc.input_size
+    if u_size is None:
+        u_size = nx + 1
+    dims = u_size * nx
+    n = comb(resolution + dims - 1, dims - 1)
+    if n > max_samples:
+        raise InstanceTooLarge(f"{n} grid points for |U|*|X|={dims} at 1/{resolution}")
+    grid = _compositions(dims, resolution) / resolution
+    p_ux = grid.reshape(-1, u_size, nx)           # (N, U, X)
+    nsamp = p_ux.shape[0]
+
+    law1, ps1 = _receiver_marginal(bc, 1)
+    law2, ps2 = _receiver_marginal(bc, 2)
+    est1, est2 = estimator.build_bc_estimators(bc)
+    # c_k(x): fold the pair-state cost back to per-input cost (it already is)
+    p_x = p_ux.sum(axis=1)                        # (N, X)
+    d1 = p_x @ est1.cost
+    d2 = p_x @ est2.cost
+
+    p_u = p_ux.sum(axis=2)                        # (N, U)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cond_xu = np.where(p_u[:, :, None] > 0,
+                           p_ux / np.where(p_u[:, :, None] > 0, p_u[:, :, None], 1.0),
+                           1.0 / nx)
+    rows = cond_xu.reshape(-1, nx)
+    r1 = np.einsum("nu,nu->n", p_u,
+                   _batch_cmi(rows, law1, ps1).reshape(nsamp, u_size))
+    r2 = _aux_mi(p_u, cond_xu, law2, ps2)
+    samples = []
+    for i in range(nsamp):
+        samples.append(RegionSample(
+            r0=0.0, r1=float(r1[i]), r2=float(r2[i]),
+            d1=float(d1[i]), d2=float(d2[i]),
+            params={"p_ux": tuple(np.round(p_ux[i].ravel(), 12))}))
+    return samples
+
+
+def outer_bound_samples(bc, resolution=32, u_size=None, n_random_aux=10, seed=0):
+    """Grid evaluation of the general outer bound.
+
+    Per sample: r0 carries the sum-rate cap I(X;Y1Y2|S1S2), r1/r2 carry the
+    per-receiver caps I(Uk;Yk|Sk) (bounds on R0+Rk), d1/d2 the estimator
+    distortions.  Auxiliary channels P(U|X) come from a deterministic panel
+    (U=X, U constant) plus seeded random rows.
+    """
+    nx = bc.input_size
+    if u_size is None:
+        u_size = nx + 1
+    merged = merge_bc_to_sdmc(bc, receiver=None)
+    grid = _compositions(nx, resolution) / resolution
+    sum_rate = _batch_cmi(grid, channel.marginal_y_given_xs(merged),
+                          merged.state_pmf)
+    est1, est2 = estimator.build_bc_estimators(bc)
+    d1 = grid @ est1.cost
+    d2 = grid @ est2.cost
+    law1, ps1 = _receiver_marginal(bc, 1)
+    law2, ps2 = _receiver_marginal(bc, 2)
+
+    aux_panel = []
+    ident = np.zeros((nx, u_size))
+    ident[np.arange(nx), np.arange(nx)] = 1.0
+    aux_panel.append(("identity", ident))
+    const = np.zeros((nx, u_size))
+    const[:, 0] = 1.0
+    aux_panel.append(("constant", const))
+    rng = np.random.default_rng(seed)
+    for j in range(n_random_aux):
+        aux_panel.append((f"random{j}", rng.dirichlet(np.ones(u_size), size=nx)))
+
+    samples = []
+    for name, aux in aux_panel:
+        joint = grid[:, :, None] * aux[None, :, :]     # (N, X, U)
+        p_u = joint.sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cond_xu = np.where(p_u[:, None, :] > 0,
+                               joint / np.where(p_u[:, None, :] > 0, p_u[:, None, :], 1.0),
+                               1.0 / nx).transpose(0, 2, 1)   # (N, U, X)
+        b1 = _aux_mi(p_u, cond_xu, law1, ps1)
+        b2 = _aux_mi(p_u, cond_xu, law2, ps2)
+        for i in range(grid.shape[0]):
+            samples.append(RegionSample(
+                r0=float(sum_rate[i]), r1=float(b1[i]), r2=float(b2[i]),
+                d1=float(d1[i]), d2=float(d2[i]),
+                params={"p_x": tuple(np.round(grid[i], 12)), "aux": name}))
+    return samples
+
+
+# ---------------------------------------------------------------------------
+# product-region (no-tradeoff) certification
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ProductRegionReport:
+    passed: bool
+    worst_independence: tuple
+    worst_markov: tuple
+    tol: float
+
+
+def product_region_check(bc, psi1, psi2, trial_pmfs=None, tol=1e-9, seed=0):
+    """Per-receiver factorization tests certifying CD = C x D."""
+    if trial_pmfs is None:
+        trial_pmfs = solver._trial_pmf_panel(bc.input_size, seed=seed)
+    law_z = bc.law.sum(axis=(3, 4))               # (S1,S2,X,Z)
+    worst1 = [0.0, 0.0]
+    worst2 = [0.0, 0.0]
+    for k, psi in ((1, psi1), (2, psi2)):
+        if k == 1:
+            w = np.einsum("ab,abxz->xaz", bc.joint_state_pmf, law_z)
+        else:
+            w = np.einsum("ab,abxz->xbz", bc.joint_state_pmf, law_z)
+        for p_x in trial_pmfs:
+            joint = np.asarray(p_x, float)[:, None, None] * w
+            dev1, dev2 = solver.factorization_deviations(
+                joint, psi.table, psi.codomain_size)
+            worst1[k - 1] = max(worst1[k - 1], dev1)
+            worst2[k - 1] = max(worst2[k - 1], dev2)
+    passed = max(worst1) <= tol and max(worst2) <= tol
+    return ProductRegionReport(passed=passed, worst_independence=tuple(worst1),
+                               worst_markov=tuple(worst2), tol=tol)
+
+
+def erasure_bc_distortion_region(p_e1s1, p_e2s2):
+    """Distortion floors (D1, D2) for the erasure BC with noisy feedback,
+    given the independent pair pmfs P(e_k, s_k) as 2x2 arrays [e][s]."""
+    p1 = np.asarray(p_e1s1, float)
+    p2 = np.asarray(p_e2s2, float)
+    return float(p1[1, 0]), float(p2[1, 0])
+
+
+# ---------------------------------------------------------------------------
+# closed-form binary BC regions
+# ---------------------------------------------------------------------------
+
+def _default_grid(n=33):
+    return np.linspace(0.0, 1.0, n)
+
+
+def binary_bc_region(q, gamma, p_grid=None, r_grid=None):
+    """Boundary samples of the degraded binary BC region: per (p, r) emits
+    the caps R0+R1, R0+R2 and the distortions."""
+    p_grid = _default_grid() if p_grid is None else np.asarray(p_grid, float)
+    r_grid = _default_grid() if r_grid is None else np.asarray(r_grid, float)
+    samples = []
+    for p in p_grid:
+        hb = binary_entropy(p)
+        for r in r_grid:
+            samples.append(RegionSample(
+                r0=0.0, r1=float(q * hb * r), r2=float(gamma * q * hb * (1 - r)),
+                d1=float(p * min(q, 1 - q)),
+                d2=float(p * min(gamma * q, 1 - gamma * q)),
+                params={"p": float(p), "r": float(r)}))
+    return samples
+
+
+def flipped_bc_region(q, gamma, p_grid=None, r_grid=None):
+    """Boundary samples of the flipped-input binary BC region (r1 is the R1
+    cap, r2 the R0+R2 cap)."""
+    p_grid = _default_grid() if p_grid is None else np.asarray(p_grid, float)
+    r_grid = _default_grid() if r_grid is None else np.asarray(r_grid, float)
+    samples = []
+    for p in p_grid:
+        hb = binary_entropy(p)
+        for r in r_grid:
+            samples.append(RegionSample(
+                r0=0.0, r1=float(q * hb * r), r2=float(gamma * q * hb * (1 - r)),
+                d1=float(p * min(q * (1 - gamma), 1 - q)),
+                d2=float((1 - p) * q * min(gamma, 1 - gamma)),
+                params={"p": float(p), "r": float(r)}))
+    return samples
+
+
+# ---------------------------------------------------------------------------
+# Dueck broadcast example (closed forms)
+# ---------------------------------------------------------------------------
+
+def dueck_distortion(q, t):
+    """Expected per-receiver distortion of the optimal estimators at input
+    antipodality t = P(X1 != X2)."""
+    return (0.5 * t * q * (min(q, 1 - q) + (1 - q))
+            + 0.5 * (1 - t) * min(q, (1 - q) * (2 - q)))
+
+
+def dueck_dmin(q):
+    """Minimum per-receiver distortion; attained at t=1 for q in [1/2, 2/3]
+    and t=0 for q >= 2/3 (constant in t below 1/2)."""
+    return min(dueck_distortion(q, 0.0), dueck_distortion(q, 1.0))
+
+
+def dueck_outer(q, t_grid=None):
+    """Outer-bound curve samples: per t the sum-rate cap and distortions."""
+    t_grid = _default_grid() if t_grid is None else np.asarray(t_grid, float)
+    samples = []
+    for t in t_grid:
+        sr = 1.0 + q * q * binary_entropy(t)
+        d = dueck_distortion(q, t)
+        samples.append(RegionSample(r0=float(sr), r1=1.0, r2=1.0,
+                                    d1=float(d), d2=float(d),
+                                    params={"t": float(t)}))
+    return samples
+
+
+def dueck_inner(q, t_grid=None):
+    """Inner-bound curve samples plus their upper concave hull in
+    (distortion, sum-rate), including the rate-1 point at D_min that the
+    hull construction mixes in."""
+    t_grid = _default_grid() if t_grid is None else np.asarray(t_grid, float)
+    samples = []
+    for t in t_grid:
+        sr = 1.0 + q * binary_entropy(t) - q * (1 - q)
+        d = dueck_distortion(q, t)
+        samples.append(RegionSample(r0=float(sr), r1=1.0, r2=1.0,
+                                    d1=float(d), d2=float(d),
+                                    params={"t": float(t)}))
+    pts = [(s.d1, s.r0) for s in samples]
+    pts.append((dueck_dmin(q), 1.0))
+    hull = upper_concave_hull(pts)
+    return samples, hull
+
+
+def dueck_capacity_and_distortion_regions(q):
+    """Capacity caps, distortion floor and the no-tradeoff certificate."""
+    return {"r1_cap": 1.0, "r2_cap": 1.0, "sum_cap": 1.0 + q * q,
+            "d_floor": dueck_dmin(q), "product_certified": q <= 0.5}
+
+
+# ---------------------------------------------------------------------------
+# Pareto fronts and hulls
+# ---------------------------------------------------------------------------
+
+def pareto_front(samples, eps=1e-9):
+    """Samples not eps-dominated in (maximize r1, r2; minimize d1, d2)."""
+    if not samples:
+        return []
+    arr = np.array([[s.r1, s.r2, -s.d1, -s.d2] for s in samples])
+    n = arr.shape[0]
+    keep = np.ones(n, dtype=bool)
+    order = np.argsort(-arr[:, 0], kind="stable")
+    arr_sorted = arr[order]
+    for ii in range(n):
+        if not keep[order[ii]]:
+            continue
+        a = arr_sorted[ii]
+        # only earlier rows (r1 >= current) can dominate
+        block = arr_sorted[:ii]
+        if block.size:
+            dom = np.all(block >= a - eps, axis=1) & np.any(block > a + eps, axis=1)
+            if np.any(dom):
+                keep[order[ii]] = False
+    return [samples[i] for i in range(n) if keep[i]]
+
+
+def upper_concave_hull(points):
+    """Upper concave hull of 2-D (x, y) points by monotone chain; returns
+    hull vertices sorted by x."""
+    best = {}
+    for x, y in points:
+        x, y = float(x), float(y)
+        if x not in best or y > best[x]:
+            best[x] = y
+    pts = sorted(best.items())
+    if len(pts) <= 2:
+        return pts
+    hull = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            cross = (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1)
+            if cross >= 0:          # middle point is not above the chord
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def envelope_value(points, d_query):
+    """Best rate at distortion <= d_query on the piecewise-linear envelope of
+    (d, rate) points; flat extension beyond the last vertex (larger
+    distortion budgets cannot hurt)."""
+    pts = upper_concave_hull(points)
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+    if d_query <= xs[0]:
+        return float(ys[0]) if abs(d_query - xs[0]) < 1e-12 else -np.inf
+    if d_query >= xs[-1]:
+        return float(np.max(ys))
+    v = float(np.interp(d_query, xs, ys))
+    # the envelope is the running max of the hull interpolant
+    prior = float(np.max(ys[xs <= d_query]))
+    return max(v, prior)

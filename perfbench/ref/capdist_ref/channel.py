@@ -1,0 +1,481 @@
+"""Finite-alphabet probability primitives and channel-specification model.
+
+Alphabets are index-based (0..n-1); optional string labels are carried only
+for I/O.  All tensors are dense float64 and are frozen (read-only) after
+construction so that specs can be shared across concurrent solver instances.
+
+A single-receiver spec (SdmcSpec) stores the channel law either as the joint
+tensor P(y,z|x,s) indexed (x,s,y,z), or -- for large instances where the
+joint would not fit in memory -- as the pair of marginals P(y|x,s) and
+P(z|x,s).  Every consumer in this package only ever needs the two marginals,
+so the factored form is exact for everything we compute.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
+
+from .errors import SpecValidationError
+
+PMF_ATOL = 1e-9        # normalization tolerance on validated pmfs
+RENORM_ATOL = 1e-6     # parser renormalizes rows off by at most this much
+
+
+def _freeze(a):
+    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    a.setflags(write=False)
+    return a
+
+
+def check_pmf(p, name="pmf", atol=PMF_ATOL):
+    """Validate a 1-D probability vector; returns it as a frozen array."""
+    p = _freeze(p)
+    if p.ndim != 1:
+        raise SpecValidationError(f"{name}: expected 1-D vector, got shape {p.shape}")
+    if np.any(p < 0):
+        i = int(np.argmin(p))
+        raise SpecValidationError(f"{name}: negative entry {p[i]} at index {i}")
+    s = p.sum()
+    if abs(s - 1.0) > atol:
+        raise SpecValidationError(f"{name}: sums to {s}, not 1 within {atol}")
+    return p
+
+
+def renormalize_rows(t, name="law", atol=RENORM_ATOL):
+    """Renormalize the last axis of `t` to sum to 1.
+
+    Rows whose sums deviate from 1 by more than `atol` are rejected: that is
+    a modeling error, not text-format rounding.
+    """
+    t = np.asarray(t, dtype=float)
+    sums = t.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > atol
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise SpecValidationError(
+            f"{name}: row {idx} sums to {sums[bad].flat[0]}, off by more than {atol}")
+    return t / sums[..., None]
+
+
+@dataclass(frozen=True)
+class QuadraticDistortion:
+    """d(s, shat) = (state_values[s] - estimate_values[shat])**2.
+
+    Used when a dense |S| x |Shat| matrix would be wasteful (the quantized
+    Gaussian example has 16000 states).  estimate_values must be sorted
+    ascending; the estimator module exploits this for a posterior-mean
+    fast path.
+    """
+    state_values: np.ndarray
+    estimate_values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "state_values", _freeze(self.state_values))
+        object.__setattr__(self, "estimate_values", _freeze(self.estimate_values))
+        if np.any(np.diff(self.estimate_values) < 0):
+            raise SpecValidationError("quadratic distortion: estimate_values must be sorted ascending")
+
+    @property
+    def shape(self):
+        return (self.state_values.size, self.estimate_values.size)
+
+    def max_value(self):
+        lo = min(self.state_values.min(), self.estimate_values.min())
+        hi = max(self.state_values.max(), self.estimate_values.max())
+        return (hi - lo) ** 2
+
+    def lookup(self, s_idx, shat_idx):
+        """Vectorized d(s, shat) for index arrays."""
+        return (self.state_values[s_idx] - self.estimate_values[shat_idx]) ** 2
+
+    def as_matrix(self):
+        sv, ev = self.state_values, self.estimate_values
+        return (sv[:, None] - ev[None, :]) ** 2
+
+
+def distortion_shape(d):
+    return d.shape
+
+
+def distortion_max(d):
+    if isinstance(d, QuadraticDistortion):
+        return d.max_value()
+    return float(np.max(d))
+
+
+def distortion_lookup(d, s_idx, shat_idx):
+    if isinstance(d, QuadraticDistortion):
+        return d.lookup(s_idx, shat_idx)
+    return np.asarray(d)[s_idx, shat_idx]
+
+
+@dataclass(frozen=True)
+class MappingTable:
+    """A total function psi: X x Z -> T, stored as an integer table."""
+    table: np.ndarray
+    codomain_size: int
+
+    def __post_init__(self):
+        t = np.ascontiguousarray(np.asarray(self.table, dtype=np.int64))
+        t.setflags(write=False)
+        object.__setattr__(self, "table", t)
+        if t.ndim != 2:
+            raise SpecValidationError("mapping table must be 2-D (X x Z)")
+        if t.size and (t.min() < 0 or t.max() >= self.codomain_size):
+            raise SpecValidationError("mapping table image outside codomain")
+
+
+@dataclass(frozen=True)
+class SdmcSpec:
+    """Single-receiver state-dependent memoryless channel.
+
+    Exactly one of `law` (joint, indexed (x,s,y,z)) or the pair
+    `law_y` (x,s,y) / `law_z` (x,s,z) must be given.  `distortion` is either
+    a dense (|S|, |Shat|) matrix or a QuadraticDistortion.  `cost` defaults
+    to all-zero.
+    """
+    state_pmf: np.ndarray
+    law: Optional[np.ndarray] = None
+    law_y: Optional[np.ndarray] = None
+    law_z: Optional[np.ndarray] = None
+    distortion: object = None
+    cost: Optional[np.ndarray] = None
+    labels: Optional[dict] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "state_pmf", _freeze(self.state_pmf))
+        if self.law is not None:
+            object.__setattr__(self, "law", _freeze(self.law))
+        if self.law_y is not None:
+            object.__setattr__(self, "law_y", _freeze(self.law_y))
+        if self.law_z is not None:
+            object.__setattr__(self, "law_z", _freeze(self.law_z))
+        if self.law is None and (self.law_y is None or self.law_z is None):
+            raise SpecValidationError("spec needs either a joint law or both marginal laws")
+        if self.cost is None:
+            object.__setattr__(self, "cost", _freeze(np.zeros(self.input_size)))
+        else:
+            object.__setattr__(self, "cost", _freeze(self.cost))
+        if self.distortion is None:
+            raise SpecValidationError("spec needs a distortion")
+        if not isinstance(self.distortion, QuadraticDistortion):
+            object.__setattr__(self, "distortion", _freeze(self.distortion))
+
+    # -- sizes ----------------------------------------------------------
+    @property
+    def input_size(self):
+        return (self.law if self.law is not None else self.law_y).shape[0]
+
+    @property
+    def state_size(self):
+        return self.state_pmf.size
+
+    @property
+    def output_size(self):
+        return self.law.shape[2] if self.law is not None else self.law_y.shape[2]
+
+    @property
+    def feedback_size(self):
+        return self.law.shape[3] if self.law is not None else self.law_z.shape[2]
+
+    @property
+    def estimate_size(self):
+        return distortion_shape(self.distortion)[1]
+
+
+@dataclass(frozen=True)
+class SdmbcSpec:
+    """Two-receiver broadcast channel with joint state pmf P(s1,s2) and law
+    P(y1,y2,z | s1,s2,x) indexed (s1,s2,x,y1,y2,z)."""
+    joint_state_pmf: np.ndarray          # (S1, S2)
+    law: np.ndarray                      # (S1, S2, X, Y1, Y2, Z)
+    distortion_1: np.ndarray             # (S1, Shat1)
+    distortion_2: np.ndarray             # (S2, Shat2)
+    labels: Optional[dict] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "joint_state_pmf", _freeze(self.joint_state_pmf))
+        object.__setattr__(self, "law", _freeze(self.law))
+        object.__setattr__(self, "distortion_1", _freeze(self.distortion_1))
+        object.__setattr__(self, "distortion_2", _freeze(self.distortion_2))
+
+    @property
+    def state1_size(self):
+        return self.joint_state_pmf.shape[0]
+
+    @property
+    def state2_size(self):
+        return self.joint_state_pmf.shape[1]
+
+    @property
+    def input_size(self):
+        return self.law.shape[2]
+
+    @property
+    def output1_size(self):
+        return self.law.shape[3]
+
+    @property
+    def output2_size(self):
+        return self.law.shape[4]
+
+    @property
+    def feedback_size(self):
+        return self.law.shape[5]
+
+
+# ---------------------------------------------------------------------------
+# validation
+# ---------------------------------------------------------------------------
+
+def validate(spec):
+    """Check all structural invariants; raises SpecValidationError on the
+    first violated one, with index coordinates in the message."""
+    if isinstance(spec, SdmcSpec):
+        _validate_sdmc(spec)
+    elif isinstance(spec, SdmbcSpec):
+        _validate_sdmbc(spec)
+    else:
+        raise SpecValidationError(f"not a channel spec: {type(spec)!r}")
+
+
+def _check_rows(t, name, atol=PMF_ATOL):
+    if np.any(t < 0):
+        idx = tuple(int(i) for i in np.argwhere(t < 0)[0])
+        raise SpecValidationError(f"{name}: negative probability at {idx}")
+    sums = t.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > atol
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise SpecValidationError(
+            f"{name}: row {idx} sums to {float(sums[tuple(idx)]):.12g}, not 1 within {atol}")
+
+
+def _check_distortion(d, name):
+    if isinstance(d, QuadraticDistortion):
+        if not (np.all(np.isfinite(d.state_values)) and np.all(np.isfinite(d.estimate_values))):
+            raise SpecValidationError(f"{name}: non-finite value grid")
+        return
+    d = np.asarray(d)
+    if d.ndim != 2:
+        raise SpecValidationError(f"{name}: expected a 2-D matrix, got shape {d.shape}")
+    if not np.all(np.isfinite(d)):
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(d))[0])
+        raise SpecValidationError(f"{name}: non-finite entry at {idx}")
+    if np.any(d < 0):
+        idx = tuple(int(i) for i in np.argwhere(d < 0)[0])
+        raise SpecValidationError(f"{name}: negative distortion at {idx}")
+
+
+def _validate_sdmc(spec):
+    check_pmf(spec.state_pmf, "state_pmf")
+    if spec.law is not None:
+        if spec.law.ndim != 4:
+            raise SpecValidationError(f"law: expected 4-D (x,s,y,z), got shape {spec.law.shape}")
+        if spec.law.shape[1] != spec.state_size:
+            raise SpecValidationError("law: state axis does not match state_pmf")
+        flat = spec.law.reshape(spec.law.shape[0], spec.law.shape[1], -1)
+        _check_rows(flat, "law row (x,s)")
+    else:
+        for t, name in ((spec.law_y, "law_y"), (spec.law_z, "law_z")):
+            if t.ndim != 3:
+                raise SpecValidationError(f"{name}: expected 3-D (x,s,·), got shape {t.shape}")
+            if t.shape[1] != spec.state_size:
+                raise SpecValidationError(f"{name}: state axis does not match state_pmf")
+            _check_rows(t, f"{name} row (x,s)")
+        if spec.law_y.shape[:2] != spec.law_z.shape[:2]:
+            raise SpecValidationError("law_y and law_z disagree on (x,s) shape")
+    _check_distortion(spec.distortion, "distortion")
+    sdim = distortion_shape(spec.distortion)[0]
+    if sdim != spec.state_size:
+        raise SpecValidationError(
+            f"distortion: state axis {sdim} does not match state_pmf size {spec.state_size}")
+    cost = np.asarray(spec.cost)
+    if cost.shape != (spec.input_size,):
+        raise SpecValidationError("cost: wrong shape")
+    if np.any(cost < 0):
+        i = int(np.argmin(cost))
+        raise SpecValidationError(f"cost: negative entry at x={i}")
+
+
+def _validate_sdmbc(spec):
+    js = spec.joint_state_pmf
+    if js.ndim != 2:
+        raise SpecValidationError("joint_state_pmf must be 2-D (s1,s2)")
+    check_pmf(js.ravel(), "joint_state_pmf")
+    if spec.law.ndim != 6:
+        raise SpecValidationError(
+            f"law: expected 6-D (s1,s2,x,y1,y2,z), got shape {spec.law.shape}")
+    if spec.law.shape[0] != js.shape[0] or spec.law.shape[1] != js.shape[1]:
+        raise SpecValidationError("law: state axes do not match joint_state_pmf")
+    flat = spec.law.reshape(spec.law.shape[0], spec.law.shape[1], spec.law.shape[2], -1)
+    _check_rows(flat, "law row (s1,s2,x)")
+    _check_distortion(spec.distortion_1, "distortion_1")
+    _check_distortion(spec.distortion_2, "distortion_2")
+    if distortion_shape(spec.distortion_1)[0] != spec.state1_size:
+        raise SpecValidationError("distortion_1: state axis does not match S1")
+    if distortion_shape(spec.distortion_2)[0] != spec.state2_size:
+        raise SpecValidationError("distortion_2: state axis does not match S2")
+
+
+# ---------------------------------------------------------------------------
+# marginalization
+# ---------------------------------------------------------------------------
+
+def marginal_y_given_xs(spec):
+    """P(y|x,s) with shape (X, S, Y)."""
+    if spec.law_y is not None:
+        return spec.law_y
+    return spec.law.sum(axis=3)
+
+
+def marginal_z_given_xs(spec):
+    """P(z|x,s) with shape (X, S, Z)."""
+    if spec.law_z is not None:
+        return spec.law_z
+    return spec.law.sum(axis=2)
+
+
+def merge_bc_to_sdmc(bc, receiver=None):
+    """Collapse an SdmbcSpec into a single-user SdmcSpec.
+
+    States become the flat pair s = s1*|S2| + s2, outputs the flat pair
+    y = y1*|Y2| + y2, feedback is unchanged.  If `receiver` is 1 or 2 the
+    distortion is the corresponding d_k lifted to the pair state (rows
+    repeat along the other receiver's state); with receiver=None a zero
+    distortion is attached (rate-only usage).  Total probability is
+    preserved exactly.
+    """
+    s1, s2, nx, y1, y2, nz = bc.law.shape
+    law = bc.law.transpose(2, 0, 1, 3, 4, 5).reshape(nx, s1 * s2, y1 * y2, nz)
+    state_pmf = bc.joint_state_pmf.ravel()
+    if receiver == 1:
+        d = np.repeat(np.asarray(bc.distortion_1), s2, axis=0)
+    elif receiver == 2:
+        d = np.tile(np.asarray(bc.distortion_2), (s1, 1))
+    elif receiver is None:
+        d = np.zeros((s1 * s2, 1))
+    else:
+        raise ValueError("receiver must be 1, 2 or None")
+    return SdmcSpec(state_pmf=state_pmf, law=law, distortion=d,
+                    cost=np.zeros(nx))
+
+
+# ---------------------------------------------------------------------------
+# JSON I/O
+# ---------------------------------------------------------------------------
+
+_SDMC_FIELDS = {"kind", "state_pmf", "law", "law_y", "law_z", "distortion",
+                "cost", "labels"}
+_SDMBC_FIELDS = {"kind", "joint_state_pmf", "law", "distortion_1",
+                 "distortion_2", "labels"}
+
+
+def _parse_distortion(obj, name):
+    if isinstance(obj, dict):
+        extra = set(obj) - {"kind", "state_values", "estimate_values"}
+        if extra:
+            raise SpecValidationError(f"{name}: unknown fields {sorted(extra)}")
+        if obj.get("kind") != "quadratic":
+            raise SpecValidationError(f"{name}: unknown distortion kind {obj.get('kind')!r}")
+        return QuadraticDistortion(np.asarray(obj["state_values"], float),
+                                   np.asarray(obj["estimate_values"], float))
+    return np.asarray(obj, dtype=float)
+
+
+def spec_from_dict(doc):
+    """Build a validated spec from a parsed JSON document.
+
+    Law rows off-normalized by at most 1e-6 are renormalized; unknown
+    fields are rejected.
+    """
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise SpecValidationError("spec document must be an object with a 'kind' field")
+    kind = doc["kind"]
+    if kind == "sdmc":
+        extra = set(doc) - _SDMC_FIELDS
+        if extra:
+            raise SpecValidationError(f"unknown spec fields: {sorted(extra)}")
+        law = law_y = law_z = None
+        if "law" in doc:
+            raw = np.asarray(doc["law"], float)
+            law = renormalize_rows(raw.reshape(raw.shape[:2] + (-1,)),
+                                   "law").reshape(raw.shape)
+        else:
+            law_y = renormalize_rows(np.asarray(doc["law_y"], float), "law_y")
+            law_z = renormalize_rows(np.asarray(doc["law_z"], float), "law_z")
+        pmf = np.asarray(doc["state_pmf"], float)
+        if abs(pmf.sum() - 1.0) <= RENORM_ATOL:
+            pmf = pmf / pmf.sum()
+        spec = SdmcSpec(state_pmf=pmf, law=law, law_y=law_y, law_z=law_z,
+                        distortion=_parse_distortion(doc["distortion"], "distortion"),
+                        cost=np.asarray(doc["cost"], float) if "cost" in doc else None,
+                        labels=doc.get("labels"))
+    elif kind == "sdmbc":
+        extra = set(doc) - _SDMBC_FIELDS
+        if extra:
+            raise SpecValidationError(f"unknown spec fields: {sorted(extra)}")
+        raw = np.asarray(doc["law"], float)
+        law = renormalize_rows(raw.reshape(raw.shape[:3] + (-1,)), "law").reshape(raw.shape)
+        pmf = np.asarray(doc["joint_state_pmf"], float)
+        if abs(pmf.sum() - 1.0) <= RENORM_ATOL:
+            pmf = pmf / pmf.sum()
+        spec = SdmbcSpec(joint_state_pmf=pmf, law=law,
+                         distortion_1=np.asarray(doc["distortion_1"], float),
+                         distortion_2=np.asarray(doc["distortion_2"], float),
+                         labels=doc.get("labels"))
+    else:
+        raise SpecValidationError(f"unknown spec kind {kind!r}")
+    validate(spec)
+    return spec
+
+
+def load_spec(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise SpecValidationError(f"invalid JSON in {path}: {e}") from e
+    return spec_from_dict(doc)
+
+
+def spec_to_dict(spec):
+    """Serialize a spec back to the JSON document format."""
+    if isinstance(spec, SdmcSpec):
+        doc = {"kind": "sdmc", "state_pmf": spec.state_pmf.tolist()}
+        if spec.law is not None:
+            doc["law"] = spec.law.tolist()
+        else:
+            doc["law_y"] = spec.law_y.tolist()
+            doc["law_z"] = spec.law_z.tolist()
+        if isinstance(spec.distortion, QuadraticDistortion):
+            doc["distortion"] = {"kind": "quadratic",
+                                 "state_values": spec.distortion.state_values.tolist(),
+                                 "estimate_values": spec.distortion.estimate_values.tolist()}
+        else:
+            doc["distortion"] = np.asarray(spec.distortion).tolist()
+        if np.any(spec.cost != 0):
+            doc["cost"] = spec.cost.tolist()
+        if spec.labels:
+            doc["labels"] = spec.labels
+        return doc
+    if isinstance(spec, SdmbcSpec):
+        doc = {"kind": "sdmbc",
+               "joint_state_pmf": spec.joint_state_pmf.tolist(),
+               "law": spec.law.tolist(),
+               "distortion_1": np.asarray(spec.distortion_1).tolist(),
+               "distortion_2": np.asarray(spec.distortion_2).tolist()}
+        if spec.labels:
+            doc["labels"] = spec.labels
+        return doc
+    raise SpecValidationError(f"not a channel spec: {type(spec)!r}")
+
+
+def dump_spec(spec, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spec_to_dict(spec), fh)
+        fh.write("\n")

@@ -1,0 +1,501 @@
+"""Command-line interface.
+
+Subcommands
+  gen        write a built-in channel spec as JSON
+  tradeoff   sweep the rate-distortion-cost frontier (CSV + manifest)
+  baselines  time-sharing baseline anchors and segments (CSV + manifest)
+  bc         broadcast-channel regions and closed-form curves (CSV + manifest)
+  verify     run an independent oracle check (JSON report; exit 1 on failure)
+
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 numerical
+failure (no converged point).  Identical invocations produce byte-identical
+output files; every output CSV is paired with a `<out>.manifest.json` that
+records a sha256 digest of the input spec.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import hashlib
+import json
+import sys
+
+import numpy as np
+
+from . import bcregions, channel, estimator, examples, solver, verify
+from .errors import CapdistError
+
+EXIT_OK = 0
+EXIT_VERIFY_FAIL = 1
+EXIT_INPUT = 2
+EXIT_NUMERICAL = 3
+
+
+# ---------------------------------------------------------------------------
+# builtin registry
+# ---------------------------------------------------------------------------
+
+def _builtin_binary(q=0.4):
+    return examples.binary_multiplicative_spec(q)
+
+
+def _builtin_erasure(p_s=0.5):
+    return examples.erasure_spec(p_s)
+
+
+def _builtin_gaussian(**kv):
+    cfg = examples.GaussianQuantConfig(**{k: (int(v) if k.endswith("points") else v)
+                                          for k, v in kv.items()})
+    return examples.gaussian_quantized_spec(cfg)
+
+
+def _builtin_gaussian_reduced(**kv):
+    base = dict(pam_points=8, noise_points=25, state_points=500,
+                output_spacing_factor=1.0)
+    base.update(kv)
+    return _builtin_gaussian(**base)
+
+
+def _builtin_dueck_reduction(q=0.75, receiver=1):
+    return examples.dueck_reduction_spec(q, receiver=int(receiver))
+
+
+def _builtin_binary_bc(q=0.6, gamma=0.5):
+    return examples.binary_bc_spec(q, gamma)
+
+
+def _builtin_flipped_bc(q=0.6, gamma=0.5):
+    return examples.flipped_bc_spec(q, gamma)
+
+
+def _builtin_dueck(q=0.75):
+    return examples.dueck_bc_spec(q)
+
+
+def _builtin_erasure_bc(e1=0.2, s1=0.12, e2=0.4, s2=0.3):
+    p1 = np.outer([1.0 - e1, e1], [1.0 - s1, s1])
+    p2 = np.outer([1.0 - e2, e2], [1.0 - s2, s2])
+    return examples.erasure_bc_spec(p1, p2)
+
+
+BUILTINS = {
+    "binary": _builtin_binary,
+    "erasure": _builtin_erasure,
+    "gaussian": _builtin_gaussian,
+    "gaussian-reduced": _builtin_gaussian_reduced,
+    "dueck-reduction": _builtin_dueck_reduction,
+    "binary-bc": _builtin_binary_bc,
+    "flipped-bc": _builtin_flipped_bc,
+    "dueck": _builtin_dueck,
+    "erasure-bc": _builtin_erasure_bc,
+}
+
+
+class CliInputError(Exception):
+    pass
+
+
+def _load_instance(args):
+    """Resolve --spec/--builtin into (spec, digest, source description)."""
+    if getattr(args, "spec", None):
+        try:
+            with open(args.spec, "rb") as fh:
+                raw = fh.read()
+            spec = channel.spec_from_dict(json.loads(raw.decode("utf-8")))
+        except OSError as exc:
+            raise CliInputError(f"cannot read spec file: {exc}")
+        except (json.JSONDecodeError, CapdistError, ValueError) as exc:
+            raise CliInputError(f"invalid spec file: {exc}")
+        return spec, hashlib.sha256(raw).hexdigest(), args.spec
+    if getattr(args, "builtin", None):
+        name, params = _parse_builtin(args.builtin)
+        try:
+            spec = BUILTINS[name](**params)
+        except (CapdistError, TypeError, ValueError) as exc:
+            raise CliInputError(f"builtin '{args.builtin}': {exc}")
+        return spec, _spec_digest(spec), f"builtin:{args.builtin}"
+    raise CliInputError("one of --spec or --builtin is required")
+
+
+def _parse_builtin(text):
+    parts = text.split(",")
+    name = parts[0]
+    if name not in BUILTINS:
+        raise CliInputError(
+            f"unknown builtin '{name}'; choose from {sorted(BUILTINS)}")
+    params = {}
+    for tok in parts[1:]:
+        if "=" not in tok:
+            raise CliInputError(f"builtin parameter '{tok}' is not k=v")
+        k, v = tok.split("=", 1)
+        try:
+            params[k.replace("-", "_")] = float(v)
+        except ValueError:
+            raise CliInputError(f"builtin parameter '{tok}' is not numeric")
+    return name, params
+
+
+def _spec_digest(spec):
+    blob = json.dumps(channel.spec_to_dict(spec), sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# output helpers
+# ---------------------------------------------------------------------------
+
+def _fmt(v):
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))            # shortest round-trip decimal
+    return str(v)
+
+
+def _write_rows(path, header, rows, fmt):
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    if fmt == "json":
+        payload = [dict(zip(header, [_json_val(v) for v in row])) for row in rows]
+        text = json.dumps(payload, indent=1) + "\n"
+    else:
+        text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _json_val(v):
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    return str(v)
+
+
+def _write_manifest(out_path, command, digest, config):
+    if not out_path:
+        return
+    manifest = {
+        "command": command,
+        "spec_digest_sha256": digest,
+        "config": config,
+        "version": _version(),
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=1)
+        fh.write("\n")
+
+
+def _version():
+    from . import __version__
+    return __version__
+
+
+def _parse_mu_grid(text):
+    if text == "auto":
+        return [0.0] + list(np.logspace(-3.0, 3.0, 40))
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise CliInputError("--mu-grid must be 'auto' or 'a:b:n'")
+    try:
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise CliInputError(f"bad --mu-grid '{text}'")
+    if n < 1:
+        raise CliInputError("--mu-grid needs n >= 1")
+    return list(np.linspace(a, b, n))
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def cmd_gen(args):
+    spec, digest, _ = _load_instance(args)
+    text = json.dumps(channel.spec_to_dict(spec), indent=1) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _write_manifest(args.out, "gen", digest, {"builtin": args.builtin})
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
+def cmd_tradeoff(args):
+    spec, digest, source = _load_instance(args)
+    if isinstance(spec, channel.SdmbcSpec):
+        raise CliInputError("tradeoff expects a single-receiver spec")
+    mu_grid = _parse_mu_grid(args.mu_grid)
+    points = solver.sweep_frontier(spec, args.budget, mu_grid,
+                                   threads=args.threads)
+    finite = [p for p in points if np.isfinite(p.mu)]
+    if finite and not any(p.converged for p in finite):
+        print("error: no converged point on the sweep", file=sys.stderr)
+        return EXIT_NUMERICAL
+    header = ["mu", "rate_bits", "distortion", "cost", "iterations", "converged"]
+    rows = [(p.mu, p.rate, p.distortion, p.cost, p.iterations, p.converged)
+            for p in points]
+    _write_rows(args.out, header, rows, args.format)
+    _write_manifest(args.out, "tradeoff", digest,
+                    {"source": source, "budget": args.budget,
+                     "mu_grid": args.mu_grid, "threads": args.threads})
+    return EXIT_OK
+
+
+def cmd_baselines(args):
+    spec, digest, source = _load_instance(args)
+    if isinstance(spec, channel.SdmbcSpec):
+        raise CliInputError("baselines expects a single-receiver spec")
+    base = solver.baseline_ts(spec, budget=args.budget)
+    header = ["name", "rate_bits", "distortion"]
+    rows = [
+        ("d_min_point", base["r_min"], base["d_min"]),
+        ("capacity_point", base["c_noest"], base["d_max"]),
+        ("d_trivial_point", base["c_noest"], base["d_trivial"]),
+        ("basic_ts_start", base["basic"][0][0], base["basic"][0][1]),
+        ("basic_ts_end", base["basic"][1][0], base["basic"][1][1]),
+        ("improved_ts_start", base["improved"][0][0], base["improved"][0][1]),
+        ("improved_ts_end", base["improved"][1][0], base["improved"][1][1]),
+    ]
+    _write_rows(args.out, header, rows, args.format)
+    _write_manifest(args.out, "baselines", digest,
+                    {"source": source, "budget": args.budget})
+    return EXIT_OK
+
+
+def _region_rows(samples):
+    header = ["r0", "r1", "r2", "d1", "d2", "params"]
+    rows = []
+    for s in samples:
+        params = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(s.params.items())
+                          if np.isscalar(v))
+        rows.append((s.r0, s.r1, s.r2, s.d1, s.d2, params))
+    return header, rows
+
+
+def cmd_bc(args):
+    sub = args.region
+    if sub in ("degraded", "outer"):
+        spec, digest, source = _load_instance(args)
+        if not isinstance(spec, channel.SdmbcSpec):
+            raise CliInputError(f"bc {sub} expects a broadcast spec")
+        if sub == "degraded":
+            ok, worst, _ = bcregions.is_physically_degraded(spec)
+            if not ok:
+                print(f"warning: spec is not physically degraded "
+                      f"(worst conditional deviation {worst:.3g}); "
+                      f"the emitted region is not exact", file=sys.stderr)
+            samples = bcregions.degraded_region(spec, resolution=args.resolution)
+        else:
+            samples = bcregions.outer_bound_samples(spec,
+                                                    resolution=args.resolution,
+                                                    seed=args.seed)
+        config = {"source": source, "resolution": args.resolution}
+    elif sub == "binary":
+        samples = bcregions.binary_bc_region(args.q, args.gamma,
+                                             _grid(args.resolution),
+                                             _grid(args.resolution))
+        digest, config = "", {"q": args.q, "gamma": args.gamma}
+    elif sub == "flipped":
+        samples = bcregions.flipped_bc_region(args.q, args.gamma,
+                                              _grid(args.resolution),
+                                              _grid(args.resolution))
+        digest, config = "", {"q": args.q, "gamma": args.gamma}
+    elif sub in ("dueck-inner", "dueck-outer"):
+        t_grid = np.linspace(0.0, 1.0, args.resolution + 1)
+        if sub == "dueck-outer":
+            samples = bcregions.dueck_outer(args.q, t_grid)
+        else:
+            samples, hull = bcregions.dueck_inner(args.q, t_grid)
+            header = ["distortion", "sum_rate"]
+            _write_rows(args.out, header, [tuple(v) for v in hull], args.format)
+            _write_manifest(args.out, "bc dueck-inner", "",
+                            {"q": args.q, "resolution": args.resolution})
+            return EXIT_OK
+        digest, config = "", {"q": args.q, "resolution": args.resolution}
+    elif sub == "erasure":
+        p1 = np.outer([1.0 - args.e1, args.e1], [1.0 - args.s1, args.s1])
+        p2 = np.outer([1.0 - args.e2, args.e2], [1.0 - args.s2, args.s2])
+        t1, t2 = bcregions.erasure_bc_distortion_region(p1, p2)
+        _write_rows(args.out, ["d1_threshold", "d2_threshold"], [(t1, t2)],
+                    args.format)
+        _write_manifest(args.out, "bc erasure", "",
+                        {"e1": args.e1, "s1": args.s1,
+                         "e2": args.e2, "s2": args.s2})
+        return EXIT_OK
+    else:                                    # pragma: no cover
+        raise CliInputError(f"unknown bc subcommand {sub}")
+    header, rows = _region_rows(samples)
+    _write_rows(args.out, header, rows, args.format)
+    _write_manifest(args.out, f"bc {sub}", digest, config)
+    return EXIT_OK
+
+
+def _grid(resolution):
+    return np.linspace(0.0, 1.0, resolution + 1)
+
+
+def cmd_verify(args):
+    spec, digest, source = _load_instance(args)
+    check = args.check
+    report = {"check": check, "source": source, "spec_digest_sha256": digest}
+    if check == "estimator":
+        if isinstance(spec, channel.SdmbcSpec):
+            raise CliInputError("estimator check expects a single-receiver spec")
+        p_x = np.full(spec.input_size, 1.0 / spec.input_size)
+        est = estimator.build_estimator(spec)
+        analytic = estimator.expected_distortion(est, p_x)
+        _, oracle = verify.exhaustive_estimator_search(spec, p_x)
+        gap = abs(analytic - oracle)
+        report.update(analytic=analytic, oracle=oracle, gap=gap,
+                      passed=bool(gap <= 1e-12))
+    elif check == "frontier":
+        if isinstance(spec, channel.SdmbcSpec):
+            raise CliInputError("frontier check expects a single-receiver spec")
+        est = estimator.build_estimator(spec)
+        dmin, _ = estimator.d_min(spec, args.budget, est=est)
+        dmax = estimator.d_trivial(spec)
+        worst = 0.0
+        mu_grid = [0.0] + list(np.logspace(-3, 3, 120))
+        points = solver.sweep_frontier(spec, args.budget, mu_grid)
+        curve = bcregions.upper_concave_hull(
+            [(p.distortion, p.rate) for p in points])
+        for frac in (0.25, 0.5, 1.0):
+            d_cap = dmin + frac * (dmax - dmin)
+            oracle, _ = verify.brute_force_tradeoff(spec, d_cap, args.budget,
+                                                    1e-2)
+            ours = bcregions.envelope_value(curve, d_cap)
+            worst = max(worst, abs(ours - oracle))
+        report.update(worst_gap=worst, passed=bool(worst <= 2e-3))
+    elif check == "distortion-mc":
+        if isinstance(spec, channel.SdmbcSpec):
+            raise CliInputError("distortion-mc expects a single-receiver spec")
+        p_x = np.full(spec.input_size, 1.0 / spec.input_size)
+        trial = verify.simulate_distortion(spec, p_x, args.samples, args.seed)
+        report.update(empirical=trial.empirical_value,
+                      analytic=trial.analytic_value, z_score=trial.z_score,
+                      passed=trial.passed)
+    elif check == "no-tradeoff":
+        if args.psi:
+            with open(args.psi, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            psi = channel.MappingTable(np.asarray(data["table"], dtype=np.int64),
+                                       int(data["codomain_size"]))
+        elif getattr(args, "builtin", "") and args.builtin.startswith("erasure"):
+            psi = examples.erasure_psi()
+        else:
+            raise CliInputError("no-tradeoff needs --psi TABLE.json "
+                                "(or the erasure builtin)")
+        if isinstance(spec, channel.SdmbcSpec):
+            raise CliInputError("no-tradeoff expects a single-receiver spec; "
+                                "use the library product_region_check for BCs")
+        rep = solver.no_tradeoff_check(spec, psi, seed=args.seed)
+        report.update(worst_independence=rep.worst_independence,
+                      worst_markov=rep.worst_markov, tol=rep.tol,
+                      n_pmfs=rep.n_pmfs, passed=rep.passed)
+    else:                                    # pragma: no cover
+        raise CliInputError(f"unknown check {check}")
+    text = json.dumps(report, indent=1, default=_json_val) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    print("PASS" if report["passed"] else "FAIL", file=sys.stderr)
+    return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+def _add_instance_args(p):
+    p.add_argument("--spec", help="channel spec JSON file")
+    p.add_argument("--builtin", help="builtin name, e.g. 'binary,q=0.4'")
+
+
+def build_parser():
+    ap = argparse.ArgumentParser(prog="capdist",
+                                 description=__doc__.splitlines()[0])
+    ap.add_argument("--version", action="version", version=_version())
+    sub = ap.add_subparsers(dest="cmd", required=True)
+
+    p = sub.add_parser("gen", help="write a builtin spec as JSON")
+    _add_instance_args(p)
+    p.add_argument("--out")
+    p.set_defaults(fn=cmd_gen)
+
+    p = sub.add_parser("tradeoff", help="sweep the C(D,B) frontier")
+    _add_instance_args(p)
+    p.add_argument("--budget", type=float, default=np.inf)
+    p.add_argument("--mu-grid", default="auto")
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(fn=cmd_tradeoff)
+
+    p = sub.add_parser("baselines", help="time-sharing baselines")
+    _add_instance_args(p)
+    p.add_argument("--budget", type=float, default=np.inf)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(fn=cmd_baselines)
+
+    p = sub.add_parser("bc", help="broadcast-channel regions")
+    p.add_argument("region", choices=("degraded", "outer", "binary", "flipped",
+                                      "dueck-inner", "dueck-outer", "erasure"))
+    _add_instance_args(p)
+    p.add_argument("--q", type=float, default=0.75)
+    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--e1", type=float, default=0.2)
+    p.add_argument("--s1", type=float, default=0.12)
+    p.add_argument("--e2", type=float, default=0.4)
+    p.add_argument("--s2", type=float, default=0.3)
+    p.add_argument("--resolution", type=int, default=32)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(fn=cmd_bc)
+
+    p = sub.add_parser("verify", help="independent oracle checks")
+    p.add_argument("check", choices=("estimator", "frontier", "distortion-mc",
+                                     "no-tradeoff"))
+    _add_instance_args(p)
+    p.add_argument("--budget", type=float, default=np.inf)
+    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--psi", help="JSON file {table: [[...]], codomain_size: n}")
+    p.add_argument("--out")
+    p.set_defaults(fn=cmd_verify)
+    return ap
+
+
+def main(argv=None):
+    ap = build_parser()
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad arguments already; normalize others
+        raise
+    try:
+        return args.fn(args)
+    except CliInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except CapdistError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+
+
+if __name__ == "__main__":                   # pragma: no cover
+    sys.exit(main())
