@@ -19,12 +19,13 @@ from .estimator import (EstimatorTable, build_bc_estimators, build_estimator,
 from .solver import (BaConfig, TradeoffPoint, baseline_ts,
                      conditional_mutual_information, no_tradeoff_check,
                      p_update, q_update, solve_fixed_mu, sweep_frontier)
-from .bcregions import (RegionSample, binary_bc_region, degraded_region,
+from .bcregions import (binary_bc_region, degraded_region,
                         dueck_capacity_and_distortion_regions, dueck_dmin,
                         dueck_distortion, dueck_inner, dueck_outer,
                         erasure_bc_distortion_region, flipped_bc_region,
                         is_physically_degraded, outer_bound_samples,
-                        pareto_front, product_region_check, upper_concave_hull)
+                        pareto_front, product_region_check, region_samples,
+                        upper_concave_hull)
 from .verify import (TrialReport, brute_force_tradeoff,
                      exhaustive_estimator_search, simulate_distortion)
 from . import errors, examples

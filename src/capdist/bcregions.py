@@ -5,18 +5,19 @@ superposition bounds), the general outer bound, the product-region
 (no-tradeoff) certification, and the closed-form regions of the binary and
 Dueck broadcast examples, including the upper concave hull the Dueck inner
 bound requires.
+
+Region samples are record arrays (see `region_samples`): one row per
+sample, with columns r0, r1, r2, d1, d2 and the parameters that produced it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, estimator, solver
 from .channel import SdmbcSpec, merge_bc_to_sdmc
-from .errors import InstanceTooLarge
 
 
 def binary_entropy(p):
@@ -27,14 +28,22 @@ def binary_entropy(p):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class RegionSample:
-    r0: float
-    r1: float
-    r2: float
-    d1: float
-    d2: float
-    params: dict = field(default_factory=dict)
+def region_samples(r0, r1, r2, d1, d2, **params):
+    """Region samples as an np.recarray with fields r0, r1, r2, d1, d2 and
+    then the parameter columns in keyword order.
+
+    Every argument is a per-sample column: a scalar (repeated on every row),
+    a 1-D array of N values (numbers or strings) or an (N, k) array (a
+    vector per sample, such as a pmf).
+    """
+    cols = {name: np.asarray(v) for name, v in
+            dict(r0=r0, r1=r1, r2=r2, d1=d1, d2=d2, **params).items()}
+    n = max(len(v) for v in cols.values() if v.ndim)
+    out = np.recarray(n, dtype=[(name, v.dtype, v.shape[1:])
+                                for name, v in cols.items()])
+    for name, v in cols.items():
+        out[name] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -121,33 +130,17 @@ def is_physically_degraded(bc, tol=1e-9, trial_pmfs=None, seed=0):
     return worst <= tol, worst, witness
 
 
-def _compositions(dims, total):
-    """All integer vectors of length `dims` summing to `total`, lexicographic."""
-    if dims == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for head in range(total + 1):
-        tail = _compositions(dims - 1, total - head)
-        rows.append(np.concatenate(
-            [np.full((tail.shape[0], 1), head, dtype=np.int64), tail], axis=1))
-    return np.concatenate(rows, axis=0)
-
-
-def degraded_region(bc, u_size=None, resolution=32, max_samples=5_000_000):
+def degraded_region(bc, u_size=None, resolution=32):
     """Sample the physically-degraded region by sweeping P_UX on a simplex grid.
 
     Per sample emits r1 = I(X;Y1|U,S1), r2 = I(U;Y2|S2) (the R0+R2 cap) and
-    the two expected distortions; r0 is reported as 0.  Downstream consumers
-    take Pareto fronts.
+    the two expected distortions; r0 is reported as 0.  The p_ux column holds
+    the flattened (U, X) pmf.  Downstream consumers take Pareto fronts.
     """
     nx = bc.input_size
     if u_size is None:
         u_size = nx + 1
-    dims = u_size * nx
-    n = comb(resolution + dims - 1, dims - 1)
-    if n > max_samples:
-        raise InstanceTooLarge(f"{n} grid points for |U|*|X|={dims} at 1/{resolution}")
-    grid = _compositions(dims, resolution) / resolution
+    grid = channel.simplex_lattice(u_size * nx, resolution)
     p_ux = grid.reshape(-1, u_size, nx)           # (N, U, X)
     nsamp = p_ux.shape[0]
 
@@ -168,13 +161,7 @@ def degraded_region(bc, u_size=None, resolution=32, max_samples=5_000_000):
     r1 = np.einsum("nu,nu->n", p_u,
                    _batch_cmi(rows, law1, ps1).reshape(nsamp, u_size))
     r2 = _aux_mi(p_u, cond_xu, law2, ps2)
-    samples = []
-    for i in range(nsamp):
-        samples.append(RegionSample(
-            r0=0.0, r1=float(r1[i]), r2=float(r2[i]),
-            d1=float(d1[i]), d2=float(d2[i]),
-            params={"p_ux": tuple(np.round(p_ux[i].ravel(), 12))}))
-    return samples
+    return region_samples(0.0, r1, r2, d1, d2, p_ux=grid)
 
 
 def outer_bound_samples(bc, resolution=32, u_size=None, n_random_aux=10, seed=0):
@@ -183,13 +170,14 @@ def outer_bound_samples(bc, resolution=32, u_size=None, n_random_aux=10, seed=0)
     Per sample: r0 carries the sum-rate cap I(X;Y1Y2|S1S2), r1/r2 carry the
     per-receiver caps I(Uk;Yk|Sk) (bounds on R0+Rk), d1/d2 the estimator
     distortions.  Auxiliary channels P(U|X) come from a deterministic panel
-    (U=X, U constant) plus seeded random rows.
+    (U=X, U constant) plus seeded random rows; the rows run through the
+    input grid once per auxiliary channel, named in the aux column.
     """
     nx = bc.input_size
     if u_size is None:
         u_size = nx + 1
     merged = merge_bc_to_sdmc(bc, receiver=None)
-    grid = _compositions(nx, resolution) / resolution
+    grid = channel.simplex_lattice(nx, resolution)
     sum_rate = _batch_cmi(grid, channel.marginal_y_given_xs(merged),
                           merged.state_pmf)
     est1, est2 = estimator.build_bc_estimators(bc)
@@ -198,33 +186,32 @@ def outer_bound_samples(bc, resolution=32, u_size=None, n_random_aux=10, seed=0)
     law1, ps1 = _receiver_marginal(bc, 1)
     law2, ps2 = _receiver_marginal(bc, 2)
 
-    aux_panel = []
     ident = np.zeros((nx, u_size))
     ident[np.arange(nx), np.arange(nx)] = 1.0
-    aux_panel.append(("identity", ident))
     const = np.zeros((nx, u_size))
     const[:, 0] = 1.0
-    aux_panel.append(("constant", const))
     rng = np.random.default_rng(seed)
-    for j in range(n_random_aux):
-        aux_panel.append((f"random{j}", rng.dirichlet(np.ones(u_size), size=nx)))
+    aux_panel = [ident, const] + [rng.dirichlet(np.ones(u_size), size=nx)
+                                  for _ in range(n_random_aux)]
+    names = ["identity", "constant"] + [f"random{j}" for j in range(n_random_aux)]
 
-    samples = []
-    for name, aux in aux_panel:
+    # one batch per auxiliary channel: the BLAS reductions in _aux_mi round
+    # differently with the batch size
+    caps = []
+    for aux in aux_panel:
         joint = grid[:, :, None] * aux[None, :, :]     # (N, X, U)
         p_u = joint.sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             cond_xu = np.where(p_u[:, None, :] > 0,
                                joint / np.where(p_u[:, None, :] > 0, p_u[:, None, :], 1.0),
                                1.0 / nx).transpose(0, 2, 1)   # (N, U, X)
-        b1 = _aux_mi(p_u, cond_xu, law1, ps1)
-        b2 = _aux_mi(p_u, cond_xu, law2, ps2)
-        for i in range(grid.shape[0]):
-            samples.append(RegionSample(
-                r0=float(sum_rate[i]), r1=float(b1[i]), r2=float(b2[i]),
-                d1=float(d1[i]), d2=float(d2[i]),
-                params={"p_x": tuple(np.round(grid[i], 12)), "aux": name}))
-    return samples
+        caps.append((_aux_mi(p_u, cond_xu, law1, ps1), _aux_mi(p_u, cond_xu, law2, ps2)))
+    b1, b2 = (np.concatenate(c) for c in zip(*caps))
+    n_aux = len(aux_panel)
+    return region_samples(np.tile(sum_rate, n_aux), b1, b2,
+                          np.tile(d1, n_aux), np.tile(d2, n_aux),
+                          p_x=np.tile(grid, (n_aux, 1)),
+                          aux=np.repeat(names, grid.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,38 +265,33 @@ def _default_grid(n=33):
     return np.linspace(0.0, 1.0, n)
 
 
+def _binary_bc_samples(q, gamma, p_grid, r_grid, distortions):
+    """Rows (p, r) over p_grid x r_grid, p-major, of the rate caps
+    q h(p) r and gamma q h(p) (1 - r); distortions(p) gives (d1, d2)."""
+    p_grid = _default_grid() if p_grid is None else np.asarray(p_grid, float)
+    r_grid = _default_grid() if r_grid is None else np.asarray(r_grid, float)
+    p, r = (a.ravel() for a in np.meshgrid(p_grid, r_grid, indexing="ij"))
+    hb = binary_entropy(p)
+    d1, d2 = distortions(p)
+    return region_samples(0.0, q * hb * r, gamma * q * hb * (1 - r), d1, d2,
+                          p=p, r=r)
+
+
 def binary_bc_region(q, gamma, p_grid=None, r_grid=None):
     """Boundary samples of the degraded binary BC region: per (p, r) emits
     the caps R0+R1, R0+R2 and the distortions."""
-    p_grid = _default_grid() if p_grid is None else np.asarray(p_grid, float)
-    r_grid = _default_grid() if r_grid is None else np.asarray(r_grid, float)
-    samples = []
-    for p in p_grid:
-        hb = binary_entropy(p)
-        for r in r_grid:
-            samples.append(RegionSample(
-                r0=0.0, r1=float(q * hb * r), r2=float(gamma * q * hb * (1 - r)),
-                d1=float(p * min(q, 1 - q)),
-                d2=float(p * min(gamma * q, 1 - gamma * q)),
-                params={"p": float(p), "r": float(r)}))
-    return samples
+    return _binary_bc_samples(
+        q, gamma, p_grid, r_grid,
+        lambda p: (p * min(q, 1 - q), p * min(gamma * q, 1 - gamma * q)))
 
 
 def flipped_bc_region(q, gamma, p_grid=None, r_grid=None):
     """Boundary samples of the flipped-input binary BC region (r1 is the R1
     cap, r2 the R0+R2 cap)."""
-    p_grid = _default_grid() if p_grid is None else np.asarray(p_grid, float)
-    r_grid = _default_grid() if r_grid is None else np.asarray(r_grid, float)
-    samples = []
-    for p in p_grid:
-        hb = binary_entropy(p)
-        for r in r_grid:
-            samples.append(RegionSample(
-                r0=0.0, r1=float(q * hb * r), r2=float(gamma * q * hb * (1 - r)),
-                d1=float(p * min(q * (1 - gamma), 1 - q)),
-                d2=float((1 - p) * q * min(gamma, 1 - gamma)),
-                params={"p": float(p), "r": float(r)}))
-    return samples
+    return _binary_bc_samples(
+        q, gamma, p_grid, r_grid,
+        lambda p: (p * min(q * (1 - gamma), 1 - q),
+                   (1 - p) * q * min(gamma, 1 - gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +300,7 @@ def flipped_bc_region(q, gamma, p_grid=None, r_grid=None):
 
 def dueck_distortion(q, t):
     """Expected per-receiver distortion of the optimal estimators at input
-    antipodality t = P(X1 != X2)."""
+    antipodality t = P(X1 != X2) (a number or an array of them)."""
     return (0.5 * t * q * (min(q, 1 - q) + (1 - q))
             + 0.5 * (1 - t) * min(q, (1 - q) * (2 - q)))
 
@@ -331,33 +313,22 @@ def dueck_dmin(q):
 
 def dueck_outer(q, t_grid=None):
     """Outer-bound curve samples: per t the sum-rate cap and distortions."""
-    t_grid = _default_grid() if t_grid is None else np.asarray(t_grid, float)
-    samples = []
-    for t in t_grid:
-        sr = 1.0 + q * q * binary_entropy(t)
-        d = dueck_distortion(q, t)
-        samples.append(RegionSample(r0=float(sr), r1=1.0, r2=1.0,
-                                    d1=float(d), d2=float(d),
-                                    params={"t": float(t)}))
-    return samples
+    t = _default_grid() if t_grid is None else np.asarray(t_grid, float)
+    d = dueck_distortion(q, t)
+    return region_samples(1.0 + q * q * binary_entropy(t), 1.0, 1.0, d, d, t=t)
 
 
 def dueck_inner(q, t_grid=None):
     """Inner-bound curve samples plus their upper concave hull in
     (distortion, sum-rate), including the rate-1 point at D_min that the
     hull construction mixes in."""
-    t_grid = _default_grid() if t_grid is None else np.asarray(t_grid, float)
-    samples = []
-    for t in t_grid:
-        sr = 1.0 + q * binary_entropy(t) - q * (1 - q)
-        d = dueck_distortion(q, t)
-        samples.append(RegionSample(r0=float(sr), r1=1.0, r2=1.0,
-                                    d1=float(d), d2=float(d),
-                                    params={"t": float(t)}))
-    pts = [(s.d1, s.r0) for s in samples]
+    t = _default_grid() if t_grid is None else np.asarray(t_grid, float)
+    d = dueck_distortion(q, t)
+    samples = region_samples(1.0 + q * binary_entropy(t) - q * (1 - q), 1.0, 1.0,
+                             d, d, t=t)
+    pts = list(zip(samples.d1.tolist(), samples.r0.tolist()))
     pts.append((dueck_dmin(q), 1.0))
-    hull = upper_concave_hull(pts)
-    return samples, hull
+    return samples, upper_concave_hull(pts)
 
 
 def dueck_capacity_and_distortion_regions(q):
@@ -371,25 +342,19 @@ def dueck_capacity_and_distortion_regions(q):
 # ---------------------------------------------------------------------------
 
 def pareto_front(samples, eps=1e-9):
-    """Samples not eps-dominated in (maximize r1, r2; minimize d1, d2)."""
-    if not samples:
-        return []
-    arr = np.array([[s.r1, s.r2, -s.d1, -s.d2] for s in samples])
-    n = arr.shape[0]
-    keep = np.ones(n, dtype=bool)
+    """Rows of a region-sample array not eps-dominated in (maximize r1, r2;
+    minimize d1, d2), in their original order."""
+    arr = np.column_stack([samples.r1, samples.r2, -samples.d1, -samples.d2])
+    keep = np.ones(len(samples), dtype=bool)
     order = np.argsort(-arr[:, 0], kind="stable")
     arr_sorted = arr[order]
-    for ii in range(n):
-        if not keep[order[ii]]:
-            continue
+    for ii in range(1, len(samples)):
         a = arr_sorted[ii]
         # only earlier rows (r1 >= current) can dominate
         block = arr_sorted[:ii]
-        if block.size:
-            dom = np.all(block >= a - eps, axis=1) & np.any(block > a + eps, axis=1)
-            if np.any(dom):
-                keep[order[ii]] = False
-    return [samples[i] for i in range(n) if keep[i]]
+        keep[order[ii]] = not np.any(np.all(block >= a - eps, axis=1)
+                                     & np.any(block > a + eps, axis=1))
+    return samples[keep]
 
 
 def upper_concave_hull(points):
@@ -423,11 +388,11 @@ def envelope_value(points, d_query):
     pts = upper_concave_hull(points)
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
-    if d_query <= xs[0]:
-        return float(ys[0]) if abs(d_query - xs[0]) < 1e-12 else -np.inf
-    if d_query >= xs[-1]:
-        return float(np.max(ys))
-    v = float(np.interp(d_query, xs, ys))
+    # a vertex within 1e-12 of the budget counts as reached: solved points
+    # and the D_min anchor can differ in the last bits of their distortion,
+    # and the brute-force oracle gives its D cap the same slack
+    reached = xs <= d_query + 1e-12
+    if not reached.any():
+        return -np.inf
     # the envelope is the running max of the hull interpolant
-    prior = float(np.max(ys[xs <= d_query]))
-    return max(v, prior)
+    return max(float(np.interp(d_query, xs, ys)), float(ys[reached].max()))

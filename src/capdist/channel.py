@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, combinations
+from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .errors import SpecValidationError
+from .errors import InstanceTooLarge, SpecValidationError
 
 PMF_ATOL = 1e-9        # normalization tolerance on validated pmfs
 RENORM_ATOL = 1e-6     # parser renormalizes rows off by at most this much
+MAX_LATTICE_POINTS = 5_000_000
 
 
 def _freeze(a):
@@ -95,10 +98,6 @@ class QuadraticDistortion:
     def as_matrix(self):
         sv, ev = self.state_values, self.estimate_values
         return (sv[:, None] - ev[None, :]) ** 2
-
-
-def distortion_shape(d):
-    return d.shape
 
 
 def distortion_max(d):
@@ -184,7 +183,7 @@ class SdmcSpec:
 
     @property
     def estimate_size(self):
-        return distortion_shape(self.distortion)[1]
+        return self.distortion.shape[1]
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,7 @@ def _validate_sdmc(spec):
         if spec.law_y.shape[:2] != spec.law_z.shape[:2]:
             raise SpecValidationError("law_y and law_z disagree on (x,s) shape")
     _check_distortion(spec.distortion, "distortion")
-    sdim = distortion_shape(spec.distortion)[0]
+    sdim = spec.distortion.shape[0]
     if sdim != spec.state_size:
         raise SpecValidationError(
             f"distortion: state axis {sdim} does not match state_pmf size {spec.state_size}")
@@ -316,10 +315,32 @@ def _validate_sdmbc(spec):
     _check_rows(flat, "law row (s1,s2,x)")
     _check_distortion(spec.distortion_1, "distortion_1")
     _check_distortion(spec.distortion_2, "distortion_2")
-    if distortion_shape(spec.distortion_1)[0] != spec.state1_size:
+    if spec.distortion_1.shape[0] != spec.state1_size:
         raise SpecValidationError("distortion_1: state axis does not match S1")
-    if distortion_shape(spec.distortion_2)[0] != spec.state2_size:
+    if spec.distortion_2.shape[0] != spec.state2_size:
         raise SpecValidationError("distortion_2: state axis does not match S2")
+
+
+# ---------------------------------------------------------------------------
+# simplex lattice
+# ---------------------------------------------------------------------------
+
+def simplex_lattice(n, k):
+    """All pmfs on n symbols whose entries are multiples of 1/k, as an
+    (N, n) array in lexicographic order of the numerators.
+
+    Stars and bars: each choice of n-1 bar positions among n+k-1 slots is
+    one composition of k, and combinations() yields them lexicographically.
+    Raises InstanceTooLarge above MAX_LATTICE_POINTS points.
+    """
+    count = comb(n + k - 1, n - 1)
+    if count > MAX_LATTICE_POINTS:
+        raise InstanceTooLarge(
+            f"{count} simplex lattice points for {n} symbols at 1/{k}")
+    bars = np.fromiter(chain.from_iterable(combinations(range(n + k - 1), n - 1)),
+                       dtype=np.int64, count=count * (n - 1)).reshape(count, n - 1)
+    edges = np.column_stack([np.full(count, -1), bars, np.full(count, n + k - 1)])
+    return (np.diff(edges, axis=1) - 1) / k
 
 
 # ---------------------------------------------------------------------------

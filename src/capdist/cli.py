@@ -274,13 +274,15 @@ def cmd_baselines(args):
 
 
 def _region_rows(samples):
+    """Rows of a region-sample array: the five rate and distortion columns,
+    then its scalar parameter columns as 'k=v;...' sorted by name (vector
+    columns such as pmfs are left out)."""
     header = ["r0", "r1", "r2", "d1", "d2", "params"]
-    rows = []
-    for s in samples:
-        params = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(s.params.items())
-                          if np.isscalar(v))
-        rows.append((s.r0, s.r1, s.r2, s.d1, s.d2, params))
-    return header, rows
+    names = samples.dtype.names
+    scalar = sorted(k for k in names[5:] if samples.dtype[k].ndim == 0)
+    parts = [[f"{k}={_fmt(v)}" for v in samples[k].tolist()] for k in scalar]
+    params = [";".join(p) for p in zip(*parts)] if parts else [""] * len(samples)
+    return header, list(zip(*(samples[k].tolist() for k in names[:5]), params))
 
 
 def cmd_bc(args):
@@ -481,12 +483,7 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad arguments already; normalize others
-        raise
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliInputError as exc:

@@ -6,8 +6,9 @@ For a penalty mu >= 0 the solver maximizes
 
 over input pmfs subject to the cost budget sum_x P_X(x) b(x) <= B, by
 alternating the exact backward-channel update Q(x|y,s) with the exponential
-input update, handling the budget through a projected-subgradient dual
-variable lambda (polished by bisection so the returned point is feasible).
+input update, handling the budget through a dual variable lambda: when the
+budget binds, a bracket on lambda is doubled until E[b] <= B and then
+bisected, so the returned point is feasible.
 Log base 2 throughout; rates in bits.
 
 The per-iteration work is reduced algebraically: with
@@ -92,7 +93,7 @@ class BaConfig:
     budget: float = np.inf
     max_outer_iters: int = 10000
     convergence_eps: float = 1e-10
-    lambda_step: float = 1.0          # alpha_0 of the diminishing step alpha_0/l
+    lambda_step: float = 1.0          # seeds the lambda bracket: hi = max(lam, lambda_step)
     lambda_eps: float = 1e-9          # constraint slack tolerance
     max_dual_iters: int = 100
     initial_pmf: Optional[np.ndarray] = None
@@ -136,10 +137,12 @@ class _BaWork:
 def _dual_adjusted_pmf(base_g, b, budget, lam0, cfg):
     """Input update under the cost constraint.
 
-    Projected subgradient on lambda with diminishing steps alpha_0/l,
-    stopped by complementary slackness, then a monotone bisection polish so
-    the returned pmf satisfies the budget within lambda_eps.  E[b] under the
-    exponential family is non-increasing in lambda, so bisection is exact.
+    If the unconstrained pmf meets the budget within lambda_eps, lambda is 0
+    (complementary slackness).  Otherwise the upper end of a bracket on
+    lambda starts at max(lam0, lambda_step) and doubles until E[b] <= budget,
+    then max_dual_iters bisection steps shrink the bracket and its upper end
+    is returned, so the pmf meets the budget.  E[b] under the exponential
+    family is non-increasing in lambda, so bisection is exact.
     """
     p = _pmf_from_exponents(base_g)
     cost = float(p @ b)

@@ -1,8 +1,10 @@
 """Independent verification oracles.
 
-Nothing here shares logic with the estimator or the solver: the Monte-Carlo
-sampler works on raw channel draws, the tradeoff oracle enumerates a simplex
-lattice, and the estimator oracle enumerates every deterministic table.
+Nothing here shares logic with the solver: the Monte-Carlo sampler works on
+raw channel draws, the tradeoff oracle evaluates I(X;Y|S) directly on every
+point of a simplex lattice, and the estimator oracle enumerates every
+deterministic table.  The first two do use `estimator.build_estimator`
+(its table and per-input costs), the construction the third one checks.
 They exist to catch bugs in the analytic code paths.
 """
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, estimator, solver
+from . import channel, estimator
 from .channel import distortion_lookup
 from .errors import InfeasibleConstraints, InstanceTooLarge
 
@@ -60,39 +62,13 @@ def simulate_distortion(spec, p_x, n, seed):
                        passed=bool(abs(z_score) <= 4.0), seed=seed)
 
 
-def simplex_lattice(n_symbols, k):
-    """All pmfs with entries that are multiples of 1/k, as an (N, n) array."""
-    if n_symbols == 1:
-        return np.ones((1, 1))
-    if n_symbols == 2:
-        i = np.arange(k + 1)
-        return np.stack([i, k - i], axis=1) / k
-    if n_symbols == 3:
-        i, j = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
-        keep = (i + j) <= k
-        i, j = i[keep], j[keep]
-        return np.stack([i, j, k - i - j], axis=1) / k
-    if n_symbols == 4:
-        pts = []
-        for i in range(k + 1):
-            j, l = np.meshgrid(np.arange(k + 1 - i), np.arange(k + 1 - i),
-                               indexing="ij")
-            keep = (j + l) <= k - i
-            j, l = j[keep], l[keep]
-            pts.append(np.stack([np.full(j.size, i), j, l, k - i - j - l], axis=1))
-        return np.concatenate(pts) / k
-    raise InstanceTooLarge(f"simplex lattice not supported for {n_symbols} symbols")
-
-
 def brute_force_tradeoff(spec, distortion_cap, budget, grid_step):
     """Exhaustive maximization of I(X;Y|S) over the constrained simplex lattice."""
     nx = spec.input_size
-    if nx > 4:
-        raise InstanceTooLarge("brute force limited to |X| <= 4")
     if not (0 < grid_step <= 0.5):
         raise ValueError("grid_step must lie in (0, 0.5]")
     k = int(round(1.0 / grid_step))
-    pmfs = simplex_lattice(nx, k)
+    pmfs = channel.simplex_lattice(nx, k)
     est = estimator.build_estimator(spec)
     b = np.asarray(spec.cost, float)
     slack = 1e-12
@@ -101,9 +77,11 @@ def brute_force_tradeoff(spec, distortion_cap, budget, grid_step):
         raise InfeasibleConstraints("no lattice pmf satisfies the D/B constraints")
     pmfs = pmfs[feas]
     law = channel.marginal_y_given_xs(spec)
-    a = solver._xlog2x(law).reshape(nx, -1) @ np.repeat(spec.state_pmf, law.shape[2])
+    log_law = np.zeros_like(law)
+    np.log2(law, out=log_law, where=law > 0)
     law_flat = law.reshape(nx, -1)
     ps_rep = np.repeat(spec.state_pmf, law.shape[2])
+    a = (law * log_law).reshape(nx, -1) @ ps_rep
     best_val = -np.inf
     best_pmf = None
     chunk = 200000

@@ -181,6 +181,39 @@ def test_bc_degraded_runs_on_builtin(capsys):
     assert len(out.strip().splitlines()) > 1
 
 
+def test_bc_region_csv_formats_are_pinned(capsys):
+    def lines(*argv):
+        code, out, _ = run(capsys, "bc", *argv)
+        assert code == 0
+        return out.splitlines()
+
+    head = "r0,r1,r2,d1,d2,params"
+    binary = ["--q", "0.6", "--gamma", "0.5", "--resolution", "1"]
+    assert lines("binary", *binary) == [
+        head,
+        "0.0,0.0,0.0,0.0,0.0,p=0.0;r=0.0",
+        "0.0,0.0,0.0,0.0,0.0,p=0.0;r=1.0",
+        "0.0,0.0,0.0,0.4,0.3,p=1.0;r=0.0",
+        "0.0,0.0,0.0,0.4,0.3,p=1.0;r=1.0"]
+    assert lines("flipped", *binary) == [
+        head,
+        "0.0,0.0,0.0,0.0,0.3,p=0.0;r=0.0",
+        "0.0,0.0,0.0,0.0,0.3,p=0.0;r=1.0",
+        "0.0,0.0,0.0,0.3,0.0,p=1.0;r=0.0",
+        "0.0,0.0,0.0,0.3,0.0,p=1.0;r=1.0"]
+    assert lines("dueck-outer", "--q", "0.75", "--resolution", "1") == [
+        head,
+        "1.0,1.0,1.0,0.15625,0.15625,t=0.0",
+        "1.0,1.0,1.0,0.1875,0.1875,t=1.0"]
+    # vector parameters (the pmfs) are left out of the params column
+    outer = lines("outer", "--builtin", "binary-bc", "--resolution", "1")
+    names = ["identity", "constant"] + [f"random{j}" for j in range(10)]
+    assert [row.split(",")[5] for row in outer[1:]] == [
+        f"aux={name}" for name in names for _ in range(2)]
+    degraded = lines("degraded", "--builtin", "binary-bc", "--resolution", "1")
+    assert [row.split(",")[5] for row in degraded[1:]] == [""] * 6
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

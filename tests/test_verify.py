@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from capdist import examples, estimator, verify
-from capdist.channel import SdmcSpec
+from capdist.channel import MAX_LATTICE_POINTS, SdmcSpec, simplex_lattice
 from capdist.errors import InfeasibleConstraints, InstanceTooLarge
 from capdist.verify import (brute_force_tradeoff, exhaustive_estimator_search,
-                            simplex_lattice, simulate_distortion)
+                            simulate_distortion)
 
 
 def random_spec(rng, nx=3, ns=3, ny=3, nz=3):
@@ -23,18 +23,25 @@ def random_spec(rng, nx=3, ns=3, ny=3, nz=3):
 
 def test_simplex_lattice_counts_and_normalization():
     import math
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5, 8):
         for k in (1, 3, 5):
             pts = simplex_lattice(n, k)
             assert pts.shape[0] == math.comb(n + k - 1, k)
             assert np.allclose(pts.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(pts >= 0)
             assert np.unique(pts.round(12), axis=0).shape[0] == pts.shape[0]
+            # lexicographic order: region rows and CLI output follow it
+            assert np.array_equal(np.lexsort(pts.T[::-1]), np.arange(len(pts)))
 
 
 def test_simplex_lattice_guard():
+    # the guard counts points, so five symbols pass at 1/10 (1001 points)
+    # and fail at 1/1000 (C(1004, 4) ~ 4.2e10)
+    assert simplex_lattice(5, 10).shape == (1001, 5)
     with pytest.raises(InstanceTooLarge):
-        simplex_lattice(5, 10)
+        simplex_lattice(5, 1000)
+    with pytest.raises(InstanceTooLarge):      # one point over the cap
+        simplex_lattice(2, MAX_LATTICE_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +108,11 @@ def test_brute_force_monotone_in_d_and_b():
 
 def test_brute_force_guards():
     rng = np.random.default_rng(2)
+    five = random_spec(rng, nx=5)
     with pytest.raises(InstanceTooLarge):
-        brute_force_tradeoff(random_spec(rng, nx=5), 1.0, np.inf, 0.5)
+        brute_force_tradeoff(five, 1.0, np.inf, 1e-3)
+    val, pmf = brute_force_tradeoff(five, np.inf, np.inf, 0.5)
+    assert pmf.shape == (5,) and val >= 0.0
     spec = random_spec(rng)
     with pytest.raises(InfeasibleConstraints):
         brute_force_tradeoff(spec, -1.0, np.inf, 0.5)
