@@ -6,7 +6,7 @@ Modules:
   solver     -- conditional mutual information, modified Blahut-Arimoto,
                 frontier sweeps, baselines, no-tradeoff certification
   bcregions  -- broadcast-channel regions (degraded, outer bound, closed forms)
-  verify     -- Monte-Carlo and brute-force oracles
+  verify     -- Monte-Carlo and brute-force oracles, reference BA updates
   examples   -- paper-style example builders (binary, erasure, Dueck, Gaussian)
   cli        -- command-line interface
 """
@@ -18,7 +18,7 @@ from .estimator import (EstimatorTable, build_bc_estimators, build_estimator,
                         d_min, d_trivial, expected_distortion, posterior_state)
 from .solver import (BaConfig, TradeoffPoint, baseline_ts,
                      conditional_mutual_information, no_tradeoff_check,
-                     p_update, q_update, solve_fixed_mu, sweep_frontier)
+                     solve_fixed_mu, sweep_frontier)
 from .bcregions import (binary_bc_region, degraded_region,
                         dueck_capacity_and_distortion_regions, dueck_dmin,
                         dueck_distortion, dueck_inner, dueck_outer,

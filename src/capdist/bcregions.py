@@ -83,7 +83,8 @@ def _batch_cmi(p_batch, law, state_pmf):
 
 def _aux_mi(p_u, cond_xu, law, state_pmf):
     """I(U;Y|S) where U has pmf p_u and X|U=u ~ cond_xu[u], batched over
-    samples: p_u (N,U), cond_xu (N,U,X)."""
+    samples: p_u (N,U), cond_xu (N,U,X).  Clamped at 0: the difference of
+    the two rounded entropy sums can fall an ulp below it."""
     nx = law.shape[0]
     law_flat = law.reshape(nx, -1)
     ps_rep = np.repeat(state_pmf, law.shape[2])
@@ -94,7 +95,7 @@ def _aux_mi(p_u, cond_xu, law, state_pmf):
     py_s = np.einsum("nu,nuc->nc", p_u, py_us)
     with np.errstate(divide="ignore", invalid="ignore"):
         ent_s = np.where(py_s > 0, py_s * np.log2(np.where(py_s > 0, py_s, 1.0)), 0.0)
-    return h_yu - ent_s @ ps_rep
+    return np.maximum(h_yu - ent_s @ ps_rep, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -156,12 +156,12 @@ def _fmt(v):
 
 
 def _write_rows(path, header, rows, fmt):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
     if fmt == "json":
         payload = [dict(zip(header, [_json_val(v) for v in row])) for row in rows]
         text = json.dumps(payload, indent=1) + "\n"
     else:
+        lines = [",".join(header)]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -441,7 +441,8 @@ def build_parser():
     _add_instance_args(p)
     p.add_argument("--budget", type=float, default=np.inf)
     p.add_argument("--mu-grid", default="auto")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted, ignored (all mu iterate in one batch)")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_tradeoff)

@@ -6,9 +6,7 @@ For a penalty mu >= 0 the solver maximizes
 
 over input pmfs subject to the cost budget sum_x P_X(x) b(x) <= B, by
 alternating the exact backward-channel update Q(x|y,s) with the exponential
-input update, handling the budget through a dual variable lambda: when the
-budget binds, a bracket on lambda is doubled until E[b] <= B and then
-bisected, so the returned point is feasible.
+input update, handling the budget through a dual variable lambda.
 Log base 2 throughout; rates in bits.
 
 The per-iteration work is reduced algebraically: with
@@ -17,9 +15,16 @@ The per-iteration work is reduced algebraically: with
     t(x) = sum_{s,y} P_S(s) P(y|x,s) log2 P(y|s)        (depends on P_X)
 
 the update exponent is g(x) = log2 P_X(x) + a(x) - t(x) - lambda*b(x)
-- mu*c(x), and I(X;Y|S) = sum_x P_X(x) (a(x) - t(x)).  One iteration costs a
-single (X, S*Y) matrix-vector product, which keeps the 16 x 16000-state
-quantized Gaussian instance fast.
+- mu*c(x), and I(X;Y|S) = sum_x P_X(x) (a(x) - t(x)).
+
+One kernel, `_solve_rows`, iterates all penalties of a sweep at once: their
+pmfs are the rows of an (M, X) matrix, each starts from the uniform pmf and
+leaves the active set when its own stopping rule holds.  Active rows pass in
+blocks of at most `_BLOCK_ELEMENTS` // (S*Y) rows through two products with
+the (X, S*Y) law, each taken row by row, so a row's result does not depend on
+its block: a sweep point does not depend on the other mu of the grid.  There
+are no warm starts.  Where the budget binds, `_dual_rows` searches lambda for
+all rows at once and returns feasible pmfs.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ import numpy as np
 from . import channel, estimator
 from .errors import DegenerateUpdate, Infeasible
 
+_BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of each (rows, S*Y) temporary
+_DUAL_POINTS = 63           # interior lambdas per bracket and round of the dual search
+
 
 def _xlog2x(p):
     out = np.zeros_like(p)
@@ -41,50 +49,16 @@ def _xlog2x(p):
 
 def conditional_mutual_information(spec, p_x):
     """I(X;Y|S) in bits for the given input pmf."""
-    law = channel.marginal_y_given_xs(spec)      # (X, S, Y)
-    p_x = np.asarray(p_x, float)
-    pys = np.einsum("x,xsy->sy", p_x, law)
-    with np.errstate(divide="ignore"):
-        log_pys = np.where(pys > 0, np.log2(np.where(pys > 0, pys, 1.0)), 0.0)
-        log_law = np.where(law > 0, np.log2(np.where(law > 0, law, 1.0)), 0.0)
-    per_x = np.einsum("s,xsy,xsy->x", spec.state_pmf, law, log_law - log_pys[None])
-    # x symbols with zero mass can touch pys==0 cells; their contribution is 0
-    return float(np.dot(p_x, np.where(p_x > 0, per_x, 0.0)))
+    return float(_BaWork(spec).rates(np.asarray(p_x, float)[None])[0])
 
 
-def q_update(spec, p_x):
-    """Backward channel Q(x|y,s), shape (X, S, Y).
-
-    Rows (s,y) with zero output probability are set uniform; they never
-    enter the input update because the corresponding channel weight is 0.
-    """
-    law = channel.marginal_y_given_xs(spec)
-    p_x = np.asarray(p_x, float)
-    num = p_x[:, None, None] * law
-    den = num.sum(axis=0)
-    q = np.where(den > 0, num / np.where(den > 0, den, 1.0),
-                 1.0 / law.shape[0])
-    return q
-
-
-def p_update(spec, est, q, mu, lam=0.0):
-    """Exponential input update P*(x) proportional to 2**g(x)."""
-    law = channel.marginal_y_given_xs(spec)
-    with np.errstate(divide="ignore"):
-        log_q = np.log2(q)
-    weighted = np.einsum("s,xsy->xsy", spec.state_pmf, law)
-    with np.errstate(invalid="ignore"):
-        terms = np.where(weighted > 0, weighted * log_q, 0.0)
-    g = terms.sum(axis=(1, 2)) - lam * np.asarray(spec.cost) - mu * est.cost
-    return _pmf_from_exponents(g)
-
-
-def _pmf_from_exponents(g):
-    m = np.max(g)
-    if not np.isfinite(m):
+def _pmfs(g):
+    """Pmfs proportional to 2**g along the last axis."""
+    m = g.max(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(m)):
         raise DegenerateUpdate("all update exponents are -inf")
     e = np.exp2(g - m)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -95,7 +69,7 @@ class BaConfig:
     convergence_eps: float = 1e-10
     lambda_step: float = 1.0          # seeds the lambda bracket: hi = max(lam, lambda_step)
     lambda_eps: float = 1e-9          # constraint slack tolerance
-    max_dual_iters: int = 100
+    max_dual_iters: int = 100         # cap on rounds of the 63-point lambda search
     initial_pmf: Optional[np.ndarray] = None
     record_objective: bool = False
 
@@ -120,114 +94,137 @@ class _BaWork:
         law = channel.marginal_y_given_xs(spec)
         nx = law.shape[0]
         self.law_flat = np.ascontiguousarray(law.reshape(nx, -1))
-        w = spec.state_pmf[None, :, None] * law
-        self.w_flat = np.ascontiguousarray(w.reshape(nx, -1))
-        self.a = _xlog2x(law).reshape(nx, -1) @ np.repeat(
-            spec.state_pmf, law.shape[2])
+        self.ps_rep = np.repeat(spec.state_pmf, law.shape[2])
+        self.a = _xlog2x(self.law_flat) @ self.ps_rep
         self.b = np.asarray(spec.cost, float)
 
-    def t_of(self, p):
-        """t(x) = sum_{s,y} P_S P(y|x,s) log2 P(y|s) at input pmf p."""
-        pys = p @ self.law_flat
-        with np.errstate(divide="ignore"):
-            log_pys = np.where(pys > 0, np.log2(np.where(pys > 0, pys, 1.0)), 0.0)
-        return self.w_flat @ log_pys
+    def per_x(self, p):
+        """a(x) - t(x) for every row of p; P_S is folded into log2 P(y|s)."""
+        law = self.law_flat
+        block = max(1, _BLOCK_ELEMENTS // law.shape[1])
+        out = np.empty_like(p)
+        for lo in range(0, p.shape[0], block):
+            pys = p[lo:lo + block, None, :] @ law            # (rows, 1, S*Y)
+            log_pys = np.zeros_like(pys)
+            np.log2(pys, out=log_pys, where=pys > 0)
+            log_pys *= self.ps_rep
+            out[lo:lo + block] = self.a - (log_pys @ law.T)[:, 0]
+        return out
+
+    def rates(self, p):
+        """I(X;Y|S) at every row of p."""
+        return (p * self.per_x(p)).sum(axis=1)
 
 
-def _dual_adjusted_pmf(base_g, b, budget, lam0, cfg):
-    """Input update under the cost constraint.
+def _dual_rows(base_g, b, budget, lam0, cfg):
+    """Input update under the cost constraint, per row: (pmfs, lambdas).
 
-    If the unconstrained pmf meets the budget within lambda_eps, lambda is 0
-    (complementary slackness).  Otherwise the upper end of a bracket on
-    lambda starts at max(lam0, lambda_step) and doubles until E[b] <= budget,
-    then max_dual_iters bisection steps shrink the bracket and its upper end
-    is returned, so the pmf meets the budget.  E[b] under the exponential
-    family is non-increasing in lambda, so bisection is exact.
+    Rows meeting the budget within lambda_eps get lambda = 0.  For the others
+    the bracket [0, hi] starts at hi = max(lam0, lambda_step), doubles hi
+    until E[b] <= budget, then keeps the sub-bracket where E[b] (monotone in
+    lambda) crosses the budget among 63 interior points per round, until no
+    bracket has a point strictly inside; the feasible upper end is returned.
     """
-    p = _pmf_from_exponents(base_g)
-    cost = float(p @ b)
-    if cost <= budget + cfg.lambda_eps:
-        return p, 0.0, cost
-    # complementary slackness: the constraint binds, so find the smallest
-    # lambda with E[b] <= budget by bisection (E[b] is continuous and
-    # monotone non-increasing in lambda)
-    hi = max(lam0, cfg.lambda_step)
-    for _ in range(200):
-        if float(_pmf_from_exponents(base_g - hi * b) @ b) <= budget:
-            break
-        hi *= 2.0
-        if hi > 1e18:
+    p = _pmfs(base_g)
+    lam = np.zeros(len(p))
+    bind = (p * b).sum(axis=1) > budget + cfg.lambda_eps
+    if not bind.any():
+        return p, lam
+    g = base_g[bind]
+
+    def feasible(g, lams):                  # lams (rows, k) -> (rows, k)
+        return (_pmfs(g[:, None, :] - lams[..., None] * b) * b).sum(axis=-1) <= budget
+
+    hi = np.maximum(lam0[bind], cfg.lambda_step)
+    over = ~feasible(g, hi[:, None])[:, 0]
+    while over.any():
+        hi[over] *= 2.0
+        if hi.max() > 1e18:
             raise Infeasible("cost budget unattainable on the current support")
-    lo = 0.0
+        over[over] = ~feasible(g[over], hi[over, None])[:, 0]
+    lo = np.zeros_like(hi)
+    frac = np.arange(1, _DUAL_POINTS + 1) / (_DUAL_POINTS + 1)
+    rows = np.arange(hi.size)
     for _ in range(cfg.max_dual_iters):
-        mid = 0.5 * (lo + hi)
-        if float(_pmf_from_exponents(base_g - mid * b) @ b) <= budget:
-            hi = mid
+        grid = np.concatenate([lo[:, None], lo[:, None] + (hi - lo)[:, None] * frac,
+                               hi[:, None]], axis=1)
+        if not np.any((grid[:, 1:-1] > lo[:, None]) & (grid[:, 1:-1] < hi[:, None])):
+            break
+        ok = feasible(g, grid[:, 1:-1])
+        first = np.where(ok.any(axis=1), ok.argmax(axis=1), _DUAL_POINTS) + 1
+        lo, hi = grid[rows, first - 1], grid[rows, first]
+    lam[bind] = hi
+    p[bind] = _pmfs(g - hi[:, None] * b)
+    return p, lam
+
+
+def _solve_rows(work, est, mus, budget, cfg, start=None):
+    """One TradeoffPoint per penalty in `mus`, all iterated in lockstep.
+
+    Row i starts at `start` (a pmf, or one per row; uniform if None) and
+    stops when J rises by less than convergence_eps or its pmf is stationary;
+    a row still moving after max_outer_iters passes is unconverged.
+    """
+    b = work.b
+    if budget < b.min():
+        raise Infeasible(f"budget {budget} below min cost {b.min()}")
+    mus = np.asarray(mus, float)
+    m, nx = mus.size, b.size
+    p = np.array(np.broadcast_to(np.full(nx, 1.0 / nx) if start is None
+                                 else np.asarray(start, float), (m, nx)), order="C")
+    need_dual = np.isfinite(budget) and b.max() > budget
+    lam = np.zeros(m)
+    j_prev = np.full(m, -np.inf)
+    iters = np.zeros(m, dtype=int)
+    converged = np.zeros(m, dtype=bool)
+    traces = [[] for _ in range(m)] if cfg.record_objective else None
+    act = np.arange(m)
+    for k in range(1, cfg.max_outer_iters + 1):
+        iters[act] = k
+        pa, mu = p[act], mus[act, None]
+        per_x = work.per_x(pa)
+        j = (pa * per_x).sum(axis=1) - mu[:, 0] * (pa * est.cost).sum(axis=1)
+        if traces is not None:
+            for i, v in zip(act, j.tolist()):
+                traces[i].append(v)
+        with np.errstate(divide="ignore"):
+            base_g = np.where(pa > 0, np.log2(pa) + per_x, -np.inf) - mu * est.cost
+        if need_dual:
+            p_new, lam[act] = _dual_rows(base_g, b, budget, lam[act], cfg)
         else:
-            lo = mid
-    lam = hi
-    p = _pmf_from_exponents(base_g - lam * b)
-    return p, lam, float(p @ b)
+            p_new = _pmfs(base_g)
+        done = (p_new == pa).all(axis=1)
+        if k >= 2:
+            done |= j - j_prev[act] < cfg.convergence_eps
+        p[act], j_prev[act] = p_new, j
+        converged[act[done]] = True
+        act = act[~done]
+        if act.size == 0:
+            break
+    # E[b] summed as the dual search sums it, so a binding row reads <= budget
+    rates, dist, cost = work.rates(p), (p * est.cost).sum(axis=1), (p * b).sum(axis=1)
+    return [TradeoffPoint(mu=float(mus[i]), budget=budget, rate=float(rates[i]),
+                          distortion=float(dist[i]), cost=float(cost[i]),
+                          input_pmf=p[i], iterations=int(iters[i]),
+                          converged=bool(converged[i]),
+                          objective_trace=None if traces is None else traces[i])
+            for i in range(m)]
 
 
 def solve_fixed_mu(spec, config, est=None, work=None):
     """Run the alternating maximization for one penalty value."""
-    if est is None:
-        est = estimator.build_estimator(spec)
-    if work is None:
-        work = _BaWork(spec)
-    b = work.b
-    budget = config.budget
-    if budget < b.min():
-        raise Infeasible(f"budget {budget} below min cost {b.min()}")
-    nx = b.size
-    p = (np.full(nx, 1.0 / nx) if config.initial_pmf is None
-         else np.asarray(config.initial_pmf, float).copy())
-    need_dual = np.isfinite(budget) and b.max() > budget
-    lam = 0.0
-    trace = [] if config.record_objective else None
-    j_prev = -np.inf
-    converged = False
-    iters = 0
-    for k in range(1, config.max_outer_iters + 1):
-        iters = k
-        t = work.t_of(p)
-        per_x = work.a - t
-        j_cur = float(p @ np.where(p > 0, per_x, 0.0)) - config.mu * float(p @ est.cost)
-        if trace is not None:
-            trace.append(j_cur)
-        with np.errstate(divide="ignore"):
-            log_p = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), -np.inf)
-        base_g = log_p + np.where(p > 0, per_x, -np.inf) - config.mu * est.cost
-        if need_dual:
-            p_new, lam, _ = _dual_adjusted_pmf(base_g, b, budget, lam, config)
-        else:
-            p_new = _pmf_from_exponents(base_g)
-        stationary = np.array_equal(p_new, p)
-        p = p_new
-        if stationary or (k >= 2 and j_cur - j_prev < config.convergence_eps):
-            converged = True
-            break
-        j_prev = j_cur
-    t = work.t_of(p)
-    rate = float(p @ np.where(p > 0, work.a - t, 0.0))
-    return TradeoffPoint(mu=config.mu, budget=budget, rate=rate,
-                         distortion=float(p @ est.cost), cost=float(p @ b),
-                         input_pmf=p, iterations=iters, converged=converged,
-                         objective_trace=trace)
+    est = estimator.build_estimator(spec) if est is None else est
+    work = _BaWork(spec) if work is None else work
+    return _solve_rows(work, est, [config.mu], config.budget, config,
+                       start=config.initial_pmf)[0]
 
 
 def sweep_frontier(spec, budget, mu_grid, base_config=None, threads=1):
     """One solve per mu plus the two analytic anchors, sorted by distortion.
 
-    Sequential sweeps warm-start each solve from the previous converged pmf
-    (with a uniform-restart fallback); threaded sweeps disable warm starts so
-    the result is identical regardless of thread count.
-
-    Warm starts are mixed with a little uniform mass before reuse: the
-    alternating update can never repopulate an exactly-zero entry, so a pmf
-    that underflowed to a vertex at one mu would otherwise absorb every
-    later solve in the chain.
+    All mu iterate from the uniform pmf in lockstep, in row blocks (see
+    `_solve_rows`); there are no warm starts.  `threads` is accepted and
+    ignored.
     """
     if base_config is None:
         base_config = BaConfig()
@@ -238,37 +235,14 @@ def sweep_frontier(spec, budget, mu_grid, base_config=None, threads=1):
         raise ValueError("mu_grid must be nonempty")
     if mus[0] > 0.0:
         mus = [0.0] + mus
-    points = []
 
     # mu -> infinity anchor: the d_min point, evaluated analytically
     dm_val, dm_pmf = estimator.d_min(spec, budget, est=est)
-    points.append(TradeoffPoint(
-        mu=np.inf, budget=budget,
-        rate=conditional_mutual_information(spec, dm_pmf),
-        distortion=dm_val, cost=float(dm_pmf @ np.asarray(spec.cost)),
-        input_pmf=dm_pmf, iterations=0, converged=True))
-
-    def solve_one(mu, warm_pmf):
-        cfg = replace(base_config, mu=mu, budget=budget, initial_pmf=warm_pmf)
-        pt = solve_fixed_mu(spec, cfg, est=est, work=work)
-        if not pt.converged and warm_pmf is not None:
-            cfg = replace(cfg, initial_pmf=None)
-            pt = solve_fixed_mu(spec, cfg, est=est, work=work)
-        return pt
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(lambda m: solve_one(m, None), mus))
-    else:
-        warm = None
-        solved = []
-        nx = np.asarray(spec.cost).size
-        for mu in reversed(mus):          # large mu first: near the d_min end
-            pt = solve_one(mu, warm)
-            warm = 0.99 * pt.input_pmf + 0.01 / nx
-            solved.append(pt)
-    points.extend(solved)
+    points = [TradeoffPoint(
+        mu=np.inf, budget=budget, rate=float(work.rates(dm_pmf[None])[0]),
+        distortion=dm_val, cost=float(dm_pmf @ work.b),
+        input_pmf=dm_pmf, iterations=0, converged=True)]
+    points += _solve_rows(work, est, mus, budget, base_config)
     points.sort(key=lambda pt: (pt.distortion, -pt.rate, -pt.mu))
     return points
 
@@ -284,9 +258,11 @@ def baseline_ts(spec, budget=np.inf, config=None):
     if config is None:
         config = BaConfig(convergence_eps=1e-15)
     est = estimator.build_estimator(spec)
+    work = _BaWork(spec)
     dm_val, dm_pmf = estimator.d_min(spec, budget, est=est)
-    r_min = conditional_mutual_information(spec, dm_pmf)
-    cap = solve_fixed_mu(spec, replace(config, mu=0.0, budget=budget), est=est)
+    r_min = float(work.rates(dm_pmf[None])[0])
+    cap = solve_fixed_mu(spec, replace(config, mu=0.0, budget=budget), est=est,
+                         work=work)
     d_max = estimator.expected_distortion(est, cap.input_pmf)
     d_triv = estimator.d_trivial(spec)
     return {

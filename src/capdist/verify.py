@@ -5,7 +5,9 @@ raw channel draws, the tradeoff oracle evaluates I(X;Y|S) directly on every
 point of a simplex lattice, and the estimator oracle enumerates every
 deterministic table.  The first two do use `estimator.build_estimator`
 (its table and per-input costs), the construction the third one checks.
-They exist to catch bugs in the analytic code paths.
+They exist to catch bugs in the analytic code paths.  `q_update` and
+`p_update` are the two Blahut-Arimoto half-steps written out on the full
+(X, S, Y) tensors, the reference for the solver's batched kernel.
 """
 
 from __future__ import annotations
@@ -96,6 +98,23 @@ def brute_force_tradeoff(spec, distortion_cap, budget, grid_step):
             best_val = float(rates[i])
             best_pmf = block[i].copy()
     return best_val, best_pmf
+
+
+def q_update(spec, p_x):
+    """Backward channel Q(x|y,s), shape (X, S, Y); uniform where P(y|s) = 0."""
+    num = np.asarray(p_x, float)[:, None, None] * channel.marginal_y_given_xs(spec)
+    den = num.sum(axis=0)
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0 / num.shape[0])
+
+
+def p_update(spec, est, q, mu, lam=0.0):
+    """Exponential input update P*(x) proportional to 2**g(x)."""
+    w = spec.state_pmf[None, :, None] * channel.marginal_y_given_xs(spec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(w > 0, w * np.log2(q), 0.0).sum(axis=(1, 2))
+    g = g - lam * np.asarray(spec.cost) - mu * est.cost
+    e = np.exp2(g - g.max())
+    return e / e.sum()
 
 
 def exhaustive_estimator_search(spec, p_x):

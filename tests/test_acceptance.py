@@ -243,7 +243,7 @@ def test_criterion_6_random_channels_vs_oracles():
     report(6, "random channels agree with brute-force oracles",
            (worst_est <= 1e-12 and worst_curve <= 2e-3
             and worst_mono <= 1e-10 and worst_concave <= 1e-6
-            and elapsed < 300.0),
+            and elapsed < 60.0),
            f"estimator {worst_est:.1e}, curve {worst_curve:.1e}, "
            f"monotonicity {worst_mono:.1e}, concavity {worst_concave:.1e}, "
            f"{elapsed:.1f}s")

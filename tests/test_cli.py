@@ -181,6 +181,16 @@ def test_bc_degraded_runs_on_builtin(capsys):
     assert len(out.strip().splitlines()) > 1
 
 
+def test_bc_outer_rate_caps_are_nonnegative(capsys):
+    # I(U;Y|S) >= 0; unclamped rounding once wrote -2.2e-16 here
+    code, out, _ = run(capsys, "bc", "outer", "--builtin", "dueck,q=0.75",
+                       "--resolution", "4")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 3960
+    assert min(float(v) for row in rows for v in row[:3]) >= 0.0
+
+
 def test_bc_region_csv_formats_are_pinned(capsys):
     def lines(*argv):
         code, out, _ = run(capsys, "bc", *argv)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capdist import channel, examples, solver
+from capdist import channel, estimator, examples, solver
 from capdist.channel import MappingTable, SdmcSpec
 from capdist.errors import DegenerateUpdate, Infeasible
 from capdist.solver import (BaConfig, baseline_ts,
                             conditional_mutual_information, no_tradeoff_check,
-                            p_update, q_update, solve_fixed_mu, sweep_frontier)
+                            solve_fixed_mu, sweep_frontier)
+from capdist.verify import p_update, q_update
 
 
 def random_spec(rng, nx=3, ns=3, ny=3, nz=3):
@@ -76,15 +79,29 @@ def test_p_update_fixed_point_at_binary_capacity():
     est_cost_free = solve_fixed_mu(spec, BaConfig(mu=0.0))
     p = est_cost_free.input_pmf
     assert np.allclose(p, [0.5, 0.5], atol=1e-9)
-    from capdist.estimator import build_estimator
-    est = build_estimator(spec)
+    est = estimator.build_estimator(spec)
     p_next = p_update(spec, est, q_update(spec, p), mu=0.0)
     assert np.allclose(p_next, p, atol=1e-12)
 
 
+def test_kernel_step_matches_reference_updates():
+    # one pass of the batched kernel is p_update(q_update(p)) on every row
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        spec = random_spec(rng, *rng.integers(2, 4, size=4))
+        est = estimator.build_estimator(spec)
+        mus = np.array([0.0, 0.1, 1.0, 5.0, 30.0])
+        starts = rng.dirichlet(np.ones(spec.input_size), size=mus.size)
+        pts = solver._solve_rows(solver._BaWork(spec), est, mus, np.inf,
+                                 BaConfig(max_outer_iters=1), start=starts)
+        for pt, p, mu in zip(pts, starts, mus):
+            ref = p_update(spec, est, q_update(spec, p), mu)
+            assert np.max(np.abs(pt.input_pmf - ref)) <= 1e-12
+
+
 def test_degenerate_update_raises():
     with pytest.raises(DegenerateUpdate):
-        solver._pmf_from_exponents(np.array([-np.inf, -np.inf]))
+        solver._pmfs(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +133,7 @@ def test_budget_constraint_respected():
                       distortion=spec.distortion, cost=[0.0, 1.0])
     cfg = BaConfig(mu=0.0, budget=0.3)
     pt = solve_fixed_mu(costly, cfg)
-    assert pt.cost <= 0.3 + cfg.lambda_eps
+    assert pt.cost <= 0.3          # the dual search returns the feasible end
     assert pt.rate <= 0.4 + 1e-9
     # the budget binds: unconstrained optimum spends 0.5
     assert pt.cost == pytest.approx(0.3, abs=1e-6)
@@ -155,18 +172,66 @@ def test_sweep_sorted_and_monotone():
     assert np.inf in mus and 0.0 in mus
 
 
+def _frontier(points):
+    return [(p.mu, p.rate, p.distortion, p.cost, p.iterations, p.converged)
+            for p in points]
+
+
 def test_sweep_threads_match_sequential():
+    # `threads` is accepted and ignored: the points are identical
     spec = examples.binary_multiplicative_spec(0.4)
     grid = np.logspace(-1, 1, 6)
     seq = sweep_frontier(spec, np.inf, grid, threads=1)
     par = sweep_frontier(spec, np.inf, grid, threads=4)
-    assert len(seq) == len(par)
-    # warm starts differ between the modes, so agreement is only up to the
-    # flatness of the objective at the optimum
-    for a, b in zip(seq, par):
-        assert a.mu == b.mu
-        assert a.rate == pytest.approx(b.rate, abs=1e-5)
-        assert a.distortion == pytest.approx(b.distortion, abs=1e-4)
+    assert _frontier(seq) == _frontier(par)
+
+
+@pytest.mark.parametrize("quantile", [None, 0.5])
+def test_sweep_rows_match_cold_solves(quantile):
+    rng = np.random.default_rng(23)
+    for _ in range(4):
+        spec = random_spec(rng, *rng.integers(2, 4, size=4))
+        budget = np.inf if quantile is None else float(np.quantile(spec.cost, quantile))
+        for pt in sweep_frontier(spec, budget, np.logspace(-2, 2, 9)):
+            if not np.isfinite(pt.mu):
+                continue
+            cold = solve_fixed_mu(spec, BaConfig(mu=pt.mu, budget=budget))
+            assert pt.converged
+            assert pt.rate == pytest.approx(cold.rate, abs=1e-9)
+            assert pt.distortion == pytest.approx(cold.distortion, abs=1e-9)
+
+
+def test_sweep_row_blocks_do_not_change_results(monkeypatch):
+    rng = np.random.default_rng(29)
+    spec = random_spec(rng)
+    budget = float(np.quantile(spec.cost, 0.5))
+    grid = [0.0] + list(np.logspace(-3, 3, 40))
+    one_block = _frontier(sweep_frontier(spec, budget, grid))
+    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 1)     # one row per block
+    assert _frontier(sweep_frontier(spec, budget, grid)) == one_block
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(sizes=st.tuples(*[st.integers(2, 3)] * 4),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sweep_invariant_under_relabelling(sizes, seed, data):
+    spec = random_spec(np.random.default_rng(seed), *sizes)
+    px, ps, py, pz = (data.draw(st.permutations(range(n))) for n in sizes)
+    law = spec.law[np.ix_(px, ps, py, pz)]
+    relabelled = SdmcSpec(state_pmf=spec.state_pmf[ps], law=law,
+                          distortion=spec.distortion[np.ix_(ps, ps)],
+                          cost=spec.cost[px])
+    budget = float(np.quantile(spec.cost, 0.7))
+    grid = np.logspace(-2, 2, 7)
+
+    def points(s):
+        return {p.mu: (p.rate, p.distortion)
+                for p in sweep_frontier(s, budget, grid) if np.isfinite(p.mu)}
+
+    a, b = points(spec), points(relabelled)
+    assert a.keys() == b.keys()
+    for mu in a:
+        assert a[mu] == pytest.approx(b[mu], abs=1e-8)
 
 
 def test_baselines_binary_closed_form():
