@@ -8,6 +8,10 @@ bound requires.
 
 Region samples are record arrays (see `region_samples`): one row per
 sample, with columns r0, r1, r2, d1, d2 and the parameters that produced it.
+Every rate of the degraded region and the outer bound is a conditional
+mutual information computed by `solver._BaWork.rates` on a receiver's
+(X, S, Y) law; a bound on an auxiliary U uses the chain rule over the Markov
+chain U - X - Y, I(U;Y|S) = I(X;Y|S) - sum_u P_U(u) I(X;Y|S, U=u).
 """
 
 from __future__ import annotations
@@ -69,33 +73,20 @@ def _receiver_marginal(bc, k):
     return out, p_k
 
 
-def _batch_cmi(p_batch, law, state_pmf):
-    """I(X;Y|S) for a batch of input pmfs; law has shape (X, S, Y)."""
-    nx = law.shape[0]
-    law_flat = law.reshape(nx, -1)
-    ps_rep = np.repeat(state_pmf, law.shape[2])
-    a = solver._xlog2x(law).reshape(nx, -1) @ ps_rep
-    pys = p_batch @ law_flat
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.where(pys > 0, pys * np.log2(np.where(pys > 0, pys, 1.0)), 0.0)
-    return p_batch @ a - ent @ ps_rep
+def _cond_rates(work, p_u, cond_xu):
+    """I(X;Y|S,U) = sum_u p_u I(X;Y|S,U=u) per sample, where U has pmf p_u
+    (N,U) and X|U=u ~ cond_xu[:, u] (N,U,X); work holds the (X, S, Y) law."""
+    n, nu, nx = cond_xu.shape
+    return np.einsum("nu,nu->n", p_u,
+                     work.rates(cond_xu.reshape(-1, nx)).reshape(n, nu))
 
 
-def _aux_mi(p_u, cond_xu, law, state_pmf):
-    """I(U;Y|S) where U has pmf p_u and X|U=u ~ cond_xu[u], batched over
-    samples: p_u (N,U), cond_xu (N,U,X).  Clamped at 0: the difference of
-    the two rounded entropy sums can fall an ulp below it."""
-    nx = law.shape[0]
-    law_flat = law.reshape(nx, -1)
-    ps_rep = np.repeat(state_pmf, law.shape[2])
-    py_us = cond_xu @ law_flat                     # (N, U, S*Y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent_u = np.where(py_us > 0, py_us * np.log2(np.where(py_us > 0, py_us, 1.0)), 0.0)
-    h_yu = np.einsum("nu,nuc,c->n", p_u, ent_u, ps_rep)
-    py_s = np.einsum("nu,nuc->nc", p_u, py_us)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent_s = np.where(py_s > 0, py_s * np.log2(np.where(py_s > 0, py_s, 1.0)), 0.0)
-    return np.maximum(h_yu - ent_s @ ps_rep, 0.0)
+def _aux_rates(work, rates_x, p_u, cond_xu):
+    """I(U;Y|S) = I(X;Y|S) - I(X;Y|S,U) per sample (U - X - Y is a Markov
+    chain), given rates_x = I(X;Y|S).  Clamped at 0: the difference is
+    nonnegative by concavity, but where it is 0 its rounding falls an ulp
+    either side."""
+    return np.maximum(rates_x - _cond_rates(work, p_u, cond_xu), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +134,9 @@ def degraded_region(bc, u_size=None, resolution=32):
         u_size = nx + 1
     grid = channel.simplex_lattice(u_size * nx, resolution)
     p_ux = grid.reshape(-1, u_size, nx)           # (N, U, X)
-    nsamp = p_ux.shape[0]
 
-    law1, ps1 = _receiver_marginal(bc, 1)
-    law2, ps2 = _receiver_marginal(bc, 2)
+    work1 = solver._BaWork(*_receiver_marginal(bc, 1))
+    work2 = solver._BaWork(*_receiver_marginal(bc, 2))
     est1, est2 = estimator.build_bc_estimators(bc)
     # c_k(x): fold the pair-state cost back to per-input cost (it already is)
     p_x = p_ux.sum(axis=1)                        # (N, X)
@@ -158,10 +148,8 @@ def degraded_region(bc, u_size=None, resolution=32):
         cond_xu = np.where(p_u[:, :, None] > 0,
                            p_ux / np.where(p_u[:, :, None] > 0, p_u[:, :, None], 1.0),
                            1.0 / nx)
-    rows = cond_xu.reshape(-1, nx)
-    r1 = np.einsum("nu,nu->n", p_u,
-                   _batch_cmi(rows, law1, ps1).reshape(nsamp, u_size))
-    r2 = _aux_mi(p_u, cond_xu, law2, ps2)
+    r1 = _cond_rates(work1, p_u, cond_xu)
+    r2 = _aux_rates(work2, work2.rates(p_x), p_u, cond_xu)
     return region_samples(0.0, r1, r2, d1, d2, p_ux=grid)
 
 
@@ -179,13 +167,13 @@ def outer_bound_samples(bc, resolution=32, u_size=None, n_random_aux=10, seed=0)
         u_size = nx + 1
     merged = merge_bc_to_sdmc(bc, receiver=None)
     grid = channel.simplex_lattice(nx, resolution)
-    sum_rate = _batch_cmi(grid, channel.marginal_y_given_xs(merged),
-                          merged.state_pmf)
+    sum_rate = solver._BaWork(channel.marginal_y_given_xs(merged),
+                              merged.state_pmf).rates(grid)
     est1, est2 = estimator.build_bc_estimators(bc)
     d1 = grid @ est1.cost
     d2 = grid @ est2.cost
-    law1, ps1 = _receiver_marginal(bc, 1)
-    law2, ps2 = _receiver_marginal(bc, 2)
+    works = [solver._BaWork(*_receiver_marginal(bc, k)) for k in (1, 2)]
+    rates_x = [work.rates(grid) for work in works]
 
     ident = np.zeros((nx, u_size))
     ident[np.arange(nx), np.arange(nx)] = 1.0
@@ -196,8 +184,6 @@ def outer_bound_samples(bc, resolution=32, u_size=None, n_random_aux=10, seed=0)
                                   for _ in range(n_random_aux)]
     names = ["identity", "constant"] + [f"random{j}" for j in range(n_random_aux)]
 
-    # one batch per auxiliary channel: the BLAS reductions in _aux_mi round
-    # differently with the batch size
     caps = []
     for aux in aux_panel:
         joint = grid[:, :, None] * aux[None, :, :]     # (N, X, U)
@@ -206,7 +192,8 @@ def outer_bound_samples(bc, resolution=32, u_size=None, n_random_aux=10, seed=0)
             cond_xu = np.where(p_u[:, None, :] > 0,
                                joint / np.where(p_u[:, None, :] > 0, p_u[:, None, :], 1.0),
                                1.0 / nx).transpose(0, 2, 1)   # (N, U, X)
-        caps.append((_aux_mi(p_u, cond_xu, law1, ps1), _aux_mi(p_u, cond_xu, law2, ps2)))
+        caps.append([_aux_rates(work, r, p_u, cond_xu)
+                     for work, r in zip(works, rates_x)])
     b1, b2 = (np.concatenate(c) for c in zip(*caps))
     n_aux = len(aux_panel)
     return region_samples(np.tile(sum_rate, n_aux), b1, b2,
@@ -232,22 +219,13 @@ def product_region_check(bc, psi1, psi2, trial_pmfs=None, tol=1e-9, seed=0):
     if trial_pmfs is None:
         trial_pmfs = solver._trial_pmf_panel(bc.input_size, seed=seed)
     law_z = bc.law.sum(axis=(3, 4))               # (S1,S2,X,Z)
-    worst1 = [0.0, 0.0]
-    worst2 = [0.0, 0.0]
-    for k, psi in ((1, psi1), (2, psi2)):
-        if k == 1:
-            w = np.einsum("ab,abxz->xaz", bc.joint_state_pmf, law_z)
-        else:
-            w = np.einsum("ab,abxz->xbz", bc.joint_state_pmf, law_z)
-        for p_x in trial_pmfs:
-            joint = np.asarray(p_x, float)[:, None, None] * w
-            dev1, dev2 = solver.factorization_deviations(
-                joint, psi.table, psi.codomain_size)
-            worst1[k - 1] = max(worst1[k - 1], dev1)
-            worst2[k - 1] = max(worst2[k - 1], dev2)
+    w1 = np.einsum("ab,abxz->xaz", bc.joint_state_pmf, law_z)   # (X,S1,Z)
+    w2 = np.einsum("ab,abxz->xbz", bc.joint_state_pmf, law_z)   # (X,S2,Z)
+    worst1, worst2 = zip(solver._worst_deviations(w1, psi1, trial_pmfs),
+                         solver._worst_deviations(w2, psi2, trial_pmfs))
     passed = max(worst1) <= tol and max(worst2) <= tol
-    return ProductRegionReport(passed=passed, worst_independence=tuple(worst1),
-                               worst_markov=tuple(worst2), tol=tol)
+    return ProductRegionReport(passed=passed, worst_independence=worst1,
+                               worst_markov=worst2, tol=tol)
 
 
 def erasure_bc_distortion_region(p_e1s1, p_e2s2):

@@ -86,11 +86,6 @@ class QuadraticDistortion:
     def shape(self):
         return (self.state_values.size, self.estimate_values.size)
 
-    def max_value(self):
-        lo = min(self.state_values.min(), self.estimate_values.min())
-        hi = max(self.state_values.max(), self.estimate_values.max())
-        return (hi - lo) ** 2
-
     def lookup(self, s_idx, shat_idx):
         """Vectorized d(s, shat) for index arrays."""
         return (self.state_values[s_idx] - self.estimate_values[shat_idx]) ** 2
@@ -98,12 +93,6 @@ class QuadraticDistortion:
     def as_matrix(self):
         sv, ev = self.state_values, self.estimate_values
         return (sv[:, None] - ev[None, :]) ** 2
-
-
-def distortion_max(d):
-    if isinstance(d, QuadraticDistortion):
-        return d.max_value()
-    return float(np.max(d))
 
 
 def distortion_lookup(d, s_idx, shat_idx):

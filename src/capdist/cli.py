@@ -148,11 +148,7 @@ def _spec_digest(spec):
 def _fmt(v):
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))            # shortest round-trip decimal
-    return str(v)
+    return str(v)                        # str of a float: shortest round-trip decimal
 
 
 def _write_rows(path, header, rows, fmt):

@@ -150,14 +150,10 @@ def d_trivial(spec):
     """Distortion of the best constant (feedback-blind) estimate."""
     d = spec.distortion
     if isinstance(d, QuadraticDistortion):
+        # E (S - e)^2 = E[S^2] - 2 e E[S] + e^2, exact and memory-free
         mean = float(np.dot(spec.state_pmf, d.state_values))
-        risks = np.einsum("s,st->t", spec.state_pmf, d.as_matrix()) \
-            if d.shape[0] * d.shape[1] <= 10**8 else None
-        if risks is None:
-            # E (S - e)^2 = Var-like expansion, exact and memory-free
-            es2 = float(np.dot(spec.state_pmf, d.state_values**2))
-            risks = es2 - 2 * mean * d.estimate_values + d.estimate_values**2
-        return float(risks.min())
+        es2 = float(np.dot(spec.state_pmf, d.state_values**2))
+        return float((es2 - 2 * mean * d.estimate_values + d.estimate_values**2).min())
     return float(np.einsum("s,st->t", spec.state_pmf, np.asarray(d)).min())
 
 

@@ -17,14 +17,22 @@ The per-iteration work is reduced algebraically: with
 the update exponent is g(x) = log2 P_X(x) + a(x) - t(x) - lambda*b(x)
 - mu*c(x), and I(X;Y|S) = sum_x P_X(x) (a(x) - t(x)).
 
+`_BaWork` holds one (X, S, Y) law and state pmf.  Its `rates` evaluates
+I(X;Y|S) = sum_x P_X(x) a(x) - sum_{s,y} P_S(s) P(y|s) log2 P(y|s) for every
+row of a pmf matrix, clamped at 0; it is the library's one I(X;Y|S) code
+outside `verify`: the reported rates and every broadcast-region rate in
+`bcregions` (through the chain rule for the auxiliary-variable bounds) come
+from it.
+
 One kernel, `_solve_rows`, iterates all penalties of a sweep at once: their
 pmfs are the rows of an (M, X) matrix, each starts from the uniform pmf and
 leaves the active set when its own stopping rule holds.  Active rows pass in
 blocks of at most `_BLOCK_ELEMENTS` // (S*Y) rows through two products with
 the (X, S*Y) law, each taken row by row, so a row's result does not depend on
-its block: a sweep point does not depend on the other mu of the grid.  There
-are no warm starts.  Where the budget binds, `_dual_rows` searches lambda for
-all rows at once and returns feasible pmfs.
+its block: a sweep point does not depend on the other mu of the grid, and
+`rates` takes its products the same way.  There are no warm starts.  Where
+the budget binds, `_dual_rows` searches lambda for all rows at once and
+returns feasible pmfs.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ def _xlog2x(p):
 
 def conditional_mutual_information(spec, p_x):
     """I(X;Y|S) in bits for the given input pmf."""
-    return float(_BaWork(spec).rates(np.asarray(p_x, float)[None])[0])
+    work = _BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
+    return float(work.rates(np.asarray(p_x, float)[None])[0])
 
 
 def _pmfs(g):
@@ -70,7 +79,6 @@ class BaConfig:
     lambda_step: float = 1.0          # seeds the lambda bracket: hi = max(lam, lambda_step)
     lambda_eps: float = 1e-9          # constraint slack tolerance
     max_dual_iters: int = 100         # cap on rounds of the 63-point lambda search
-    initial_pmf: Optional[np.ndarray] = None
     record_objective: bool = False
 
 
@@ -88,32 +96,41 @@ class TradeoffPoint:
 
 
 class _BaWork:
-    """Precomputed tensors shared by all iterations of one solve."""
+    """Precomputed tensors of one (X, S, Y) law and state pmf: the BA kernel
+    and I(X;Y|S) at every row of a pmf matrix."""
 
-    def __init__(self, spec):
-        law = channel.marginal_y_given_xs(spec)
+    def __init__(self, law, state_pmf):
         nx = law.shape[0]
         self.law_flat = np.ascontiguousarray(law.reshape(nx, -1))
-        self.ps_rep = np.repeat(spec.state_pmf, law.shape[2])
+        self.ps_rep = np.repeat(state_pmf, law.shape[2])
         self.a = _xlog2x(self.law_flat) @ self.ps_rep
-        self.b = np.asarray(spec.cost, float)
+
+    def _blocks(self, n):
+        """Slices of n rows, at most _BLOCK_ELEMENTS // (S*Y) rows each."""
+        step = max(1, _BLOCK_ELEMENTS // self.law_flat.shape[1])
+        return (slice(lo, lo + step) for lo in range(0, n, step))
 
     def per_x(self, p):
         """a(x) - t(x) for every row of p; P_S is folded into log2 P(y|s)."""
         law = self.law_flat
-        block = max(1, _BLOCK_ELEMENTS // law.shape[1])
         out = np.empty_like(p)
-        for lo in range(0, p.shape[0], block):
-            pys = p[lo:lo + block, None, :] @ law            # (rows, 1, S*Y)
+        for rows in self._blocks(p.shape[0]):
+            pys = p[rows, None, :] @ law                     # (rows, 1, S*Y)
             log_pys = np.zeros_like(pys)
             np.log2(pys, out=log_pys, where=pys > 0)
             log_pys *= self.ps_rep
-            out[lo:lo + block] = self.a - (log_pys @ law.T)[:, 0]
+            out[rows] = self.a - (log_pys @ law.T)[:, 0]
         return out
 
     def rates(self, p):
-        """I(X;Y|S) at every row of p."""
-        return (p * self.per_x(p)).sum(axis=1)
+        """I(X;Y|S) = sum_x p(x) a(x) - sum_{s,y} P_S(s) P(y|s) log2 P(y|s) at
+        every row of p, clamped at 0 (the difference of two rounded sums can
+        fall an ulp below it)."""
+        out = (p[:, None, :] @ self.a)[:, 0]
+        for rows in self._blocks(p.shape[0]):
+            pys = p[rows, None, :] @ self.law_flat
+            out[rows] -= (_xlog2x(pys) @ self.ps_rep)[:, 0]
+        return np.maximum(out, 0.0)
 
 
 def _dual_rows(base_g, b, budget, lam0, cfg):
@@ -158,14 +175,15 @@ def _dual_rows(base_g, b, budget, lam0, cfg):
     return p, lam
 
 
-def _solve_rows(work, est, mus, budget, cfg, start=None):
-    """One TradeoffPoint per penalty in `mus`, all iterated in lockstep.
+def _solve_rows(work, est, b, mus, budget, cfg, start=None):
+    """One TradeoffPoint per penalty in `mus`, all iterated in lockstep; b is
+    the input cost vector the budget bounds.
 
     Row i starts at `start` (a pmf, or one per row; uniform if None) and
     stops when J rises by less than convergence_eps or its pmf is stationary;
     a row still moving after max_outer_iters passes is unconverged.
     """
-    b = work.b
+    b = np.asarray(b, float)
     if budget < b.min():
         raise Infeasible(f"budget {budget} below min cost {b.min()}")
     mus = np.asarray(mus, float)
@@ -214,9 +232,9 @@ def _solve_rows(work, est, mus, budget, cfg, start=None):
 def solve_fixed_mu(spec, config, est=None, work=None):
     """Run the alternating maximization for one penalty value."""
     est = estimator.build_estimator(spec) if est is None else est
-    work = _BaWork(spec) if work is None else work
-    return _solve_rows(work, est, [config.mu], config.budget, config,
-                       start=config.initial_pmf)[0]
+    if work is None:
+        work = _BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
+    return _solve_rows(work, est, spec.cost, [config.mu], config.budget, config)[0]
 
 
 def sweep_frontier(spec, budget, mu_grid, base_config=None, threads=1):
@@ -229,7 +247,7 @@ def sweep_frontier(spec, budget, mu_grid, base_config=None, threads=1):
     if base_config is None:
         base_config = BaConfig()
     est = estimator.build_estimator(spec)
-    work = _BaWork(spec)
+    work = _BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
     mus = sorted(float(m) for m in mu_grid)
     if not mus:
         raise ValueError("mu_grid must be nonempty")
@@ -240,9 +258,9 @@ def sweep_frontier(spec, budget, mu_grid, base_config=None, threads=1):
     dm_val, dm_pmf = estimator.d_min(spec, budget, est=est)
     points = [TradeoffPoint(
         mu=np.inf, budget=budget, rate=float(work.rates(dm_pmf[None])[0]),
-        distortion=dm_val, cost=float(dm_pmf @ work.b),
+        distortion=dm_val, cost=float(dm_pmf @ spec.cost),
         input_pmf=dm_pmf, iterations=0, converged=True)]
-    points += _solve_rows(work, est, mus, budget, base_config)
+    points += _solve_rows(work, est, spec.cost, mus, budget, base_config)
     points.sort(key=lambda pt: (pt.distortion, -pt.rate, -pt.mu))
     return points
 
@@ -258,7 +276,7 @@ def baseline_ts(spec, budget=np.inf, config=None):
     if config is None:
         config = BaConfig(convergence_eps=1e-15)
     est = estimator.build_estimator(spec)
-    work = _BaWork(spec)
+    work = _BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
     dm_val, dm_pmf = estimator.d_min(spec, budget, est=est)
     r_min = float(work.rates(dm_pmf[None])[0])
     cap = solve_fixed_mu(spec, replace(config, mu=0.0, budget=budget), est=est,
@@ -294,21 +312,30 @@ def factorization_deviations(joint_xsz, psi_table, codomain_size):
       (i)  max |P(s,t,x) - P(s,t) P(x)|        ((S,T) independent of X)
       (ii) max |P(s,x,z) P(t) - P(s,t) P(x,z)| (S - T - (X,Z) Markov)
     """
-    nx, ns, nz = joint_xsz.shape
-    m = np.zeros((nx, ns, codomain_size))      # P(x, s, t)
-    for x in range(nx):
-        for z in range(nz):
-            m[x, :, psi_table[x, z]] += joint_xsz[x, :, z]
+    nx, ns, _ = joint_xsz.shape
+    m = np.zeros((nx, ns, codomain_size))      # P(x, s, t), summed in z order
+    np.add.at(m, (np.arange(nx)[:, None], slice(None), psi_table),
+              joint_xsz.transpose(0, 2, 1))
     p_x = joint_xsz.sum(axis=(1, 2))
     p_st = m.sum(axis=0)                          # (S, T)
     dev1 = float(np.max(np.abs(m - p_x[:, None, None] * p_st[None])))
     p_t = p_st.sum(axis=0)
     p_xz = joint_xsz.sum(axis=1)                  # (X, Z)
-    t_of = psi_table                               # (X, Z)
-    lhs = joint_xsz * p_t[t_of][:, None, :]
-    rhs = p_st[:, t_of].transpose(1, 0, 2) * p_xz[:, None, :]
+    lhs = joint_xsz * p_t[psi_table][:, None, :]
+    rhs = p_st[:, psi_table].transpose(1, 0, 2) * p_xz[:, None, :]
     dev2 = float(np.max(np.abs(lhs - rhs)))
     return dev1, dev2
+
+
+def _worst_deviations(w, psi, trial_pmfs):
+    """Worst (independence, Markov) `factorization_deviations` of T = psi(X,Z)
+    over the joints P_X(x) w(x, s, z) of the trial pmfs."""
+    worst1 = worst2 = 0.0
+    for p_x in trial_pmfs:
+        d1, d2 = factorization_deviations(np.asarray(p_x, float)[:, None, None] * w,
+                                          psi.table, psi.codomain_size)
+        worst1, worst2 = max(worst1, d1), max(worst2, d2)
+    return worst1, worst2
 
 
 def _trial_pmf_panel(n, seed=0, n_random=20):
@@ -333,13 +360,7 @@ def no_tradeoff_check(spec, psi, trial_pmfs=None, tol=1e-9, seed=0):
     w = spec.state_pmf[None, :, None] * law_z      # (X, S, Z)
     if trial_pmfs is None:
         trial_pmfs = _trial_pmf_panel(spec.input_size, seed=seed)
-    worst1 = worst2 = 0.0
-    for p_x in trial_pmfs:
-        joint = np.asarray(p_x, float)[:, None, None] * w
-        joint = np.ascontiguousarray(joint.transpose(0, 1, 2))
-        d1, d2 = factorization_deviations(joint, psi.table, psi.codomain_size)
-        worst1 = max(worst1, d1)
-        worst2 = max(worst2, d2)
+    worst1, worst2 = _worst_deviations(w, psi, trial_pmfs)
     return NoTradeoffReport(passed=(worst1 <= tol and worst2 <= tol),
                             worst_independence=worst1, worst_markov=worst2,
                             tol=tol, n_pmfs=len(trial_pmfs))

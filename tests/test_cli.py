@@ -182,13 +182,16 @@ def test_bc_degraded_runs_on_builtin(capsys):
 
 
 def test_bc_outer_rate_caps_are_nonnegative(capsys):
-    # I(U;Y|S) >= 0; unclamped rounding once wrote -2.2e-16 here
-    code, out, _ = run(capsys, "bc", "outer", "--builtin", "dueck,q=0.75",
-                       "--resolution", "4")
-    assert code == 0
-    rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert len(rows) == 3960
-    assert min(float(v) for row in rows for v in row[:3]) >= 0.0
+    # mutual informations are >= 0; unclamped rounding once wrote -2.2e-16
+    # into the rate caps of the first invocation and -1.1e-16 into 192 sum-rate
+    # caps of the second
+    for argv, n_rows in ((["dueck,q=0.75", "--resolution", "4"], 3960),
+                         (["dueck,q=0.6", "--resolution", "5", "--seed", "3"], 9504)):
+        code, out, _ = run(capsys, "bc", "outer", "--builtin", *argv)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == n_rows
+        assert min(float(v) for row in rows for v in row[:3]) >= 0.0
 
 
 def test_bc_region_csv_formats_are_pinned(capsys):

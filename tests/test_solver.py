@@ -55,6 +55,25 @@ def test_cmi_matches_direct_formula_on_random_channels():
             direct, abs=1e-12)
 
 
+def test_rates_rows_do_not_depend_on_blocks_and_are_nonnegative(monkeypatch):
+    # the region producers stack many pmfs in one `rates` call: each row must
+    # equal its one-row call, and point masses (I = 0) must not read below 0
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(10):
+        spec = random_spec(rng, *rng.integers(2, 4, size=4))
+        work = solver._BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
+        p = np.vstack([np.eye(spec.input_size),
+                       rng.dirichlet(np.ones(spec.input_size), size=6)])
+        singles = [work.rates(row[None])[0] for row in p]
+        assert min(singles[:spec.input_size]) >= 0.0
+        assert work.rates(p).tolist() == singles
+        cases.append((work, p, singles))
+    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 1)     # one row per block
+    for work, p, singles in cases:
+        assert work.rates(p).tolist() == singles
+
+
 # ---------------------------------------------------------------------------
 # BA updates
 # ---------------------------------------------------------------------------
@@ -92,7 +111,8 @@ def test_kernel_step_matches_reference_updates():
         est = estimator.build_estimator(spec)
         mus = np.array([0.0, 0.1, 1.0, 5.0, 30.0])
         starts = rng.dirichlet(np.ones(spec.input_size), size=mus.size)
-        pts = solver._solve_rows(solver._BaWork(spec), est, mus, np.inf,
+        work = solver._BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
+        pts = solver._solve_rows(work, est, spec.cost, mus, np.inf,
                                  BaConfig(max_outer_iters=1), start=starts)
         for pt, p, mu in zip(pts, starts, mus):
             ref = p_update(spec, est, q_update(spec, p), mu)
