@@ -1,7 +1,8 @@
 """Capacity-distortion-cost tradeoffs of state-dependent memoryless channels.
 
 Modules:
-  channel    -- probability primitives, channel specs, JSON I/O
+  channel    -- probability primitives, channel specs, JSON I/O, the
+                single-user view of each broadcast receiver
   estimator  -- optimal symbol-wise state estimator, D_min/D_trivial
   solver     -- conditional mutual information, modified Blahut-Arimoto,
                 frontier sweeps, baselines, no-tradeoff certification
@@ -13,8 +14,8 @@ Modules:
 
 from .channel import (MappingTable, QuadraticDistortion, SdmbcSpec, SdmcSpec,
                       load_spec, dump_spec, marginal_y_given_xs,
-                      marginal_z_given_xs, merge_bc_to_sdmc, validate)
-from .estimator import (EstimatorTable, build_bc_estimators, build_estimator,
+                      marginal_z_given_xs, receiver_spec, validate)
+from .estimator import (EstimatorTable, build_estimator,
                         d_min, d_trivial, expected_distortion, posterior_state)
 from .solver import (BaConfig, TradeoffPoint, baseline_ts,
                      conditional_mutual_information, no_tradeoff_check,

@@ -8,10 +8,10 @@ bound requires.
 
 Region samples are record arrays (see `region_samples`): one row per
 sample, with columns r0, r1, r2, d1, d2 and the parameters that produced it.
-Every rate of the degraded region and the outer bound is a conditional
-mutual information computed by `solver._BaWork.rates` on a receiver's
-(X, S, Y) law; a bound on an auxiliary U uses the chain rule over the Markov
-chain U - X - Y, I(U;Y|S) = I(X;Y|S) - sum_u P_U(u) I(X;Y|S, U=u).
+Receiver k's rates, estimator and no-tradeoff check are the single-user
+ones on its view `channel.receiver_spec(bc, k)`; every rate comes from
+`solver._BaWork.rates`, a bound on an auxiliary U through the chain rule over
+U - X - Y, I(U;Y|S) = I(X;Y|S) - sum_u P_U(u) I(X;Y|S, U=u).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, estimator, solver
-from .channel import SdmbcSpec, merge_bc_to_sdmc
 
 
 def binary_entropy(p):
@@ -51,27 +50,8 @@ def region_samples(r0, r1, r2, d1, d2, **params):
 
 
 # ---------------------------------------------------------------------------
-# marginal channels of a broadcast spec
+# auxiliary-variable rates
 # ---------------------------------------------------------------------------
-
-def _receiver_marginal(bc, k):
-    """P(y_k | x, s_k) with shape (X, Sk, Yk), averaging the other state."""
-    law_y = bc.law.sum(axis=5)                    # (S1,S2,X,Y1,Y2)
-    js = bc.joint_state_pmf
-    if k == 1:
-        lk = law_y.sum(axis=4)                    # (S1,S2,X,Y1)
-        p_k = js.sum(axis=1)
-        cond = np.where(p_k[:, None] > 0, js / np.where(p_k[:, None] > 0, p_k[:, None], 1.0),
-                        1.0 / js.shape[1])
-        out = np.einsum("ab,abxy->xay", cond, lk)
-    else:
-        lk = law_y.sum(axis=3)                    # (S1,S2,X,Y2)
-        p_k = js.sum(axis=0)
-        cond = np.where(p_k[None, :] > 0, js / np.where(p_k[None, :] > 0, p_k[None, :], 1.0),
-                        1.0 / js.shape[0])
-        out = np.einsum("ab,abxy->xby", cond, lk)
-    return out, p_k
-
 
 def _cond_rates(work, p_u, cond_xu):
     """I(X;Y|S,U) = sum_u p_u I(X;Y|S,U=u) per sample, where U has pmf p_u
@@ -135,10 +115,9 @@ def degraded_region(bc, u_size=None, resolution=32):
     grid = channel.simplex_lattice(u_size * nx, resolution)
     p_ux = grid.reshape(-1, u_size, nx)           # (N, U, X)
 
-    work1 = solver._BaWork(*_receiver_marginal(bc, 1))
-    work2 = solver._BaWork(*_receiver_marginal(bc, 2))
-    est1, est2 = estimator.build_bc_estimators(bc)
-    # c_k(x): fold the pair-state cost back to per-input cost (it already is)
+    views = [channel.receiver_spec(bc, k) for k in (1, 2)]
+    work1, work2 = (solver._BaWork(v.law_y, v.state_pmf) for v in views)
+    est1, est2 = (estimator.build_estimator(v) for v in views)
     p_x = p_ux.sum(axis=1)                        # (N, X)
     d1 = p_x @ est1.cost
     d2 = p_x @ est2.cost
@@ -165,14 +144,15 @@ def outer_bound_samples(bc, resolution=32, u_size=None, n_random_aux=10, seed=0)
     nx = bc.input_size
     if u_size is None:
         u_size = nx + 1
-    merged = merge_bc_to_sdmc(bc, receiver=None)
     grid = channel.simplex_lattice(nx, resolution)
-    sum_rate = solver._BaWork(channel.marginal_y_given_xs(merged),
-                              merged.state_pmf).rates(grid)
-    est1, est2 = estimator.build_bc_estimators(bc)
+    s1, s2, _, y1, y2, _ = bc.law.shape           # P(y1 y2 | x, s1 s2), flat pairs
+    pair_law = bc.law.sum(axis=5).transpose(2, 0, 1, 3, 4).reshape(nx, s1 * s2, y1 * y2)
+    sum_rate = solver._BaWork(pair_law, bc.joint_state_pmf.ravel()).rates(grid)
+    views = [channel.receiver_spec(bc, k) for k in (1, 2)]
+    works = [solver._BaWork(v.law_y, v.state_pmf) for v in views]
+    est1, est2 = (estimator.build_estimator(v) for v in views)
     d1 = grid @ est1.cost
     d2 = grid @ est2.cost
-    works = [solver._BaWork(*_receiver_marginal(bc, k)) for k in (1, 2)]
     rates_x = [work.rates(grid) for work in works]
 
     ident = np.zeros((nx, u_size))
@@ -215,17 +195,15 @@ class ProductRegionReport:
 
 
 def product_region_check(bc, psi1, psi2, trial_pmfs=None, tol=1e-9, seed=0):
-    """Per-receiver factorization tests certifying CD = C x D."""
-    if trial_pmfs is None:
-        trial_pmfs = solver._trial_pmf_panel(bc.input_size, seed=seed)
-    law_z = bc.law.sum(axis=(3, 4))               # (S1,S2,X,Z)
-    w1 = np.einsum("ab,abxz->xaz", bc.joint_state_pmf, law_z)   # (X,S1,Z)
-    w2 = np.einsum("ab,abxz->xbz", bc.joint_state_pmf, law_z)   # (X,S2,Z)
-    worst1, worst2 = zip(solver._worst_deviations(w1, psi1, trial_pmfs),
-                         solver._worst_deviations(w2, psi2, trial_pmfs))
-    passed = max(worst1) <= tol and max(worst2) <= tol
-    return ProductRegionReport(passed=passed, worst_independence=worst1,
-                               worst_markov=worst2, tol=tol)
+    """Certify CD = C x D: the single-user no-tradeoff check of T_k = psi_k(X,Z)
+    on each receiver's view; the deviations are (receiver 1, receiver 2)."""
+    r1, r2 = (solver.no_tradeoff_check(channel.receiver_spec(bc, k), psi,
+                                       trial_pmfs, tol, seed)
+              for k, psi in ((1, psi1), (2, psi2)))
+    return ProductRegionReport(
+        passed=r1.passed and r2.passed,
+        worst_independence=(r1.worst_independence, r2.worst_independence),
+        worst_markov=(r1.worst_markov, r2.worst_markov), tol=tol)
 
 
 def erasure_bc_distortion_region(p_e1s1, p_e2s2):

@@ -8,7 +8,8 @@ A single-receiver spec (SdmcSpec) stores the channel law either as the joint
 tensor P(y,z|x,s) indexed (x,s,y,z), or -- for large instances where the
 joint would not fit in memory -- as the pair of marginals P(y|x,s) and
 P(z|x,s).  Every consumer in this package only ever needs the two marginals,
-so the factored form is exact for everything we compute.
+so the factored form is exact for everything we compute.  A broadcast spec
+(SdmbcSpec) reaches that code through `receiver_spec`, one receiver's view.
 """
 
 from __future__ import annotations
@@ -320,8 +321,11 @@ def simplex_lattice(n, k):
 
     Stars and bars: each choice of n-1 bar positions among n+k-1 slots is
     one composition of k, and combinations() yields them lexicographically.
-    Raises InstanceTooLarge above MAX_LATTICE_POINTS points.
+    Raises ValueError for k < 1 and InstanceTooLarge above MAX_LATTICE_POINTS
+    points.
     """
+    if k < 1:
+        raise ValueError(f"simplex lattice needs a resolution k >= 1, not {k}")
     count = comb(n + k - 1, n - 1)
     if count > MAX_LATTICE_POINTS:
         raise InstanceTooLarge(
@@ -350,29 +354,27 @@ def marginal_z_given_xs(spec):
     return spec.law.sum(axis=2)
 
 
-def merge_bc_to_sdmc(bc, receiver=None):
-    """Collapse an SdmbcSpec into a single-user SdmcSpec.
+def receiver_spec(bc, k):
+    """Receiver k's single-user view of a broadcast spec.
 
-    States become the flat pair s = s1*|S2| + s2, outputs the flat pair
-    y = y1*|Y2| + y2, feedback is unchanged.  If `receiver` is 1 or 2 the
-    distortion is the corresponding d_k lifted to the pair state (rows
-    repeat along the other receiver's state); with receiver=None a zero
-    distortion is attached (rate-only usage).  Total probability is
-    preserved exactly.
+    The state is S_k, with the other receiver's state averaged under
+    P(s_other | s_k) (uniform where P(s_k) = 0); the laws are P(y_k | x, s_k)
+    and P(z | x, s_k), the distortion d_k, the cost zero.  Rates to receiver
+    k, its optimal estimator and its no-tradeoff check are the single-user
+    ones on this spec.
     """
-    s1, s2, nx, y1, y2, nz = bc.law.shape
-    law = bc.law.transpose(2, 0, 1, 3, 4, 5).reshape(nx, s1 * s2, y1 * y2, nz)
-    state_pmf = bc.joint_state_pmf.ravel()
-    if receiver == 1:
-        d = np.repeat(np.asarray(bc.distortion_1), s2, axis=0)
-    elif receiver == 2:
-        d = np.tile(np.asarray(bc.distortion_2), (s1, 1))
-    elif receiver is None:
-        d = np.zeros((s1 * s2, 1))
-    else:
-        raise ValueError("receiver must be 1, 2 or None")
-    return SdmcSpec(state_pmf=state_pmf, law=law, distortion=d,
-                    cost=np.zeros(nx))
+    if k not in (1, 2):
+        raise ValueError(f"receiver must be 1 or 2, not {k!r}")
+    js, law = bc.joint_state_pmf, bc.law          # (S1,S2), (S1,S2,X,Y1,Y2,Z)
+    if k == 2:                                    # receiver k's axes first
+        js, law = js.T, law.transpose(1, 0, 2, 4, 3, 5)
+    p_k = js.sum(axis=1)
+    cond = np.where(p_k[:, None] > 0, js / np.where(p_k[:, None] > 0, p_k[:, None], 1.0),
+                    1.0 / js.shape[1])            # P(s_other | s_k)
+    return SdmcSpec(state_pmf=p_k,
+                    law_y=np.einsum("ab,abxy->xay", cond, law.sum(axis=(4, 5))),
+                    law_z=np.einsum("ab,abxz->xaz", cond, law.sum(axis=(3, 4))),
+                    distortion=bc.distortion_1 if k == 1 else bc.distortion_2)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def _builtin_gaussian_reduced(**kv):
 
 
 def _builtin_dueck_reduction(q=0.75, receiver=1):
-    return examples.dueck_reduction_spec(q, receiver=int(receiver))
+    return examples.dueck_reduction_spec(q, receiver=receiver)
 
 
 def _builtin_binary_bc(q=0.6, gamma=0.5):
@@ -208,6 +208,8 @@ def _parse_mu_grid(text):
         raise CliInputError(f"bad --mu-grid '{text}'")
     if n < 1:
         raise CliInputError("--mu-grid needs n >= 1")
+    if not (a >= 0 and b >= 0):
+        raise CliInputError("--mu-grid needs mu >= 0")
     return list(np.linspace(a, b, n))
 
 
@@ -293,11 +295,14 @@ def cmd_bc(args):
                 print(f"warning: spec is not physically degraded "
                       f"(worst conditional deviation {worst:.3g}); "
                       f"the emitted region is not exact", file=sys.stderr)
-            samples = bcregions.degraded_region(spec, resolution=args.resolution)
-        else:
-            samples = bcregions.outer_bound_samples(spec,
-                                                    resolution=args.resolution,
-                                                    seed=args.seed)
+        try:                                 # ValueError: a resolution below 1
+            if sub == "degraded":
+                samples = bcregions.degraded_region(spec, resolution=args.resolution)
+            else:
+                samples = bcregions.outer_bound_samples(spec, resolution=args.resolution,
+                                                        seed=args.seed)
+        except ValueError as exc:
+            raise CliInputError(str(exc))
         config = {"source": source, "resolution": args.resolution}
     elif sub == "binary":
         samples = bcregions.binary_bc_region(args.q, args.gamma,
@@ -379,7 +384,10 @@ def cmd_verify(args):
         if isinstance(spec, channel.SdmbcSpec):
             raise CliInputError("distortion-mc expects a single-receiver spec")
         p_x = np.full(spec.input_size, 1.0 / spec.input_size)
-        trial = verify.simulate_distortion(spec, p_x, args.samples, args.seed)
+        try:                                 # ValueError: fewer than one sample
+            trial = verify.simulate_distortion(spec, p_x, args.samples, args.seed)
+        except ValueError as exc:
+            raise CliInputError(f"--samples: {exc}")
         report.update(empirical=trial.empirical_value,
                       analytic=trial.analytic_value, z_score=trial.z_score,
                       passed=trial.passed)
@@ -483,10 +491,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapdistError as exc:
+    except (CliInputError, CapdistError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

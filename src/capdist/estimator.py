@@ -3,7 +3,8 @@
 The estimator picks, for every (input, feedback) pair, the estimate
 minimizing the posterior-expected distortion.  No coding scheme can beat it,
 which makes its per-input expected distortion c(x) the only statistic the
-rate solver needs.
+rate solver needs.  Everything here takes a single-user spec; receiver k of a
+broadcast spec is the single-user spec `channel.receiver_spec(bc, k)`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .channel import QuadraticDistortion, SdmcSpec, merge_bc_to_sdmc
+from .channel import QuadraticDistortion
 from .errors import Infeasible, ZeroProbabilityObservation
 
 TIE_RTOL = 1e-12  # ties in the argmin detected at this relative tolerance
@@ -156,13 +157,3 @@ def d_trivial(spec):
         return float((es2 - 2 * mean * d.estimate_values + d.estimate_values**2).min())
     return float(np.einsum("s,st->t", spec.state_pmf, np.asarray(d)).min())
 
-
-def build_bc_estimators(bc):
-    """Per-receiver optimal estimators for a broadcast spec.
-
-    Receiver k's estimator minimizes the posterior-expected d_k; this is the
-    single-user construction on the merged spec with d_k lifted to the pair
-    state, so we reuse it directly.
-    """
-    return (build_estimator(merge_bc_to_sdmc(bc, receiver=1)),
-            build_estimator(merge_bc_to_sdmc(bc, receiver=2)))

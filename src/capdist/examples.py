@@ -189,8 +189,10 @@ def dueck_reduction_spec(q, receiver=1):
 
     The common bit x0 is dropped (it never affects sensing): input
     x = 2*x1 + x2, state s = 2*s1 + s2, output = feedback = 2*y1' + y2',
-    Hamming distortion on receiver `receiver`'s state bit.
+    Hamming distortion on receiver `receiver`'s state bit (1 or 2).
     """
+    if receiver not in (1, 2):
+        raise ValueError(f"receiver must be 1 or 2, not {receiver!r}")
     law = np.zeros((4, 4, 4, 4))
     for s in range(4):
         s1, s2 = divmod(s, 2)

@@ -47,6 +47,9 @@ from .errors import DegenerateUpdate, Infeasible
 
 _BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of each (rows, S*Y) temporary
 _DUAL_POINTS = 63           # interior lambdas per bracket and round of the dual search
+_LAMBDA_STEP = 1.0          # seeds the lambda bracket: hi = max(lam, _LAMBDA_STEP)
+_LAMBDA_EPS = 1e-9          # constraint slack tolerance
+_MAX_DUAL_ROUNDS = 100      # cap on rounds of the lambda search
 
 
 def _xlog2x(p):
@@ -76,9 +79,6 @@ class BaConfig:
     budget: float = np.inf
     max_outer_iters: int = 10000
     convergence_eps: float = 1e-10
-    lambda_step: float = 1.0          # seeds the lambda bracket: hi = max(lam, lambda_step)
-    lambda_eps: float = 1e-9          # constraint slack tolerance
-    max_dual_iters: int = 100         # cap on rounds of the 63-point lambda search
     record_objective: bool = False
 
 
@@ -133,18 +133,19 @@ class _BaWork:
         return np.maximum(out, 0.0)
 
 
-def _dual_rows(base_g, b, budget, lam0, cfg):
+def _dual_rows(base_g, b, budget, lam0):
     """Input update under the cost constraint, per row: (pmfs, lambdas).
 
-    Rows meeting the budget within lambda_eps get lambda = 0.  For the others
-    the bracket [0, hi] starts at hi = max(lam0, lambda_step), doubles hi
+    Rows meeting the budget within _LAMBDA_EPS get lambda = 0.  For the others
+    the bracket [0, hi] starts at hi = max(lam0, _LAMBDA_STEP), doubles hi
     until E[b] <= budget, then keeps the sub-bracket where E[b] (monotone in
-    lambda) crosses the budget among 63 interior points per round, until no
-    bracket has a point strictly inside; the feasible upper end is returned.
+    lambda) crosses the budget among 63 interior points per round (at most
+    _MAX_DUAL_ROUNDS), until no bracket has a point strictly inside; the
+    feasible upper end is returned.
     """
     p = _pmfs(base_g)
     lam = np.zeros(len(p))
-    bind = (p * b).sum(axis=1) > budget + cfg.lambda_eps
+    bind = (p * b).sum(axis=1) > budget + _LAMBDA_EPS
     if not bind.any():
         return p, lam
     g = base_g[bind]
@@ -152,7 +153,7 @@ def _dual_rows(base_g, b, budget, lam0, cfg):
     def feasible(g, lams):                  # lams (rows, k) -> (rows, k)
         return (_pmfs(g[:, None, :] - lams[..., None] * b) * b).sum(axis=-1) <= budget
 
-    hi = np.maximum(lam0[bind], cfg.lambda_step)
+    hi = np.maximum(lam0[bind], _LAMBDA_STEP)
     over = ~feasible(g, hi[:, None])[:, 0]
     while over.any():
         hi[over] *= 2.0
@@ -162,7 +163,7 @@ def _dual_rows(base_g, b, budget, lam0, cfg):
     lo = np.zeros_like(hi)
     frac = np.arange(1, _DUAL_POINTS + 1) / (_DUAL_POINTS + 1)
     rows = np.arange(hi.size)
-    for _ in range(cfg.max_dual_iters):
+    for _ in range(_MAX_DUAL_ROUNDS):
         grid = np.concatenate([lo[:, None], lo[:, None] + (hi - lo)[:, None] * frac,
                                hi[:, None]], axis=1)
         if not np.any((grid[:, 1:-1] > lo[:, None]) & (grid[:, 1:-1] < hi[:, None])):
@@ -208,7 +209,7 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
         with np.errstate(divide="ignore"):
             base_g = np.where(pa > 0, np.log2(pa) + per_x, -np.inf) - mu * est.cost
         if need_dual:
-            p_new, lam[act] = _dual_rows(base_g, b, budget, lam[act], cfg)
+            p_new, lam[act] = _dual_rows(base_g, b, budget, lam[act])
         else:
             p_new = _pmfs(base_g)
         done = (p_new == pa).all(axis=1)
@@ -327,17 +328,6 @@ def factorization_deviations(joint_xsz, psi_table, codomain_size):
     return dev1, dev2
 
 
-def _worst_deviations(w, psi, trial_pmfs):
-    """Worst (independence, Markov) `factorization_deviations` of T = psi(X,Z)
-    over the joints P_X(x) w(x, s, z) of the trial pmfs."""
-    worst1 = worst2 = 0.0
-    for p_x in trial_pmfs:
-        d1, d2 = factorization_deviations(np.asarray(p_x, float)[:, None, None] * w,
-                                          psi.table, psi.codomain_size)
-        worst1, worst2 = max(worst1, d1), max(worst2, d2)
-    return worst1, worst2
-
-
 def _trial_pmf_panel(n, seed=0, n_random=20):
     pmfs = [np.full(n, 1.0 / n)]
     for i in range(n):
@@ -360,7 +350,11 @@ def no_tradeoff_check(spec, psi, trial_pmfs=None, tol=1e-9, seed=0):
     w = spec.state_pmf[None, :, None] * law_z      # (X, S, Z)
     if trial_pmfs is None:
         trial_pmfs = _trial_pmf_panel(spec.input_size, seed=seed)
-    worst1, worst2 = _worst_deviations(w, psi, trial_pmfs)
+    worst1 = worst2 = 0.0
+    for p_x in trial_pmfs:
+        d1, d2 = factorization_deviations(np.asarray(p_x, float)[:, None, None] * w,
+                                          psi.table, psi.codomain_size)
+        worst1, worst2 = max(worst1, d1), max(worst2, d2)
     return NoTradeoffReport(passed=(worst1 <= tol and worst2 <= tol),
                             worst_independence=worst1, worst_markov=worst2,
                             tol=tol, n_pmfs=len(trial_pmfs))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capdist import bcregions, estimator, examples, solver, verify
+from capdist import bcregions, channel, estimator, examples, solver, verify
 from capdist.bcregions import (binary_bc_region, binary_entropy,
                                degraded_region,
                                dueck_capacity_and_distortion_regions,
@@ -126,10 +126,9 @@ def test_flipped_bc_region_values():
 def test_flipped_region_matches_generic_estimator_costs():
     # the closed-form distortions equal the generic per-symbol estimation
     # costs averaged over the input pmf
-    from capdist.estimator import build_bc_estimators
     q, gamma, p = 0.6, 0.3, 0.35
     bc = examples.flipped_bc_spec(q, gamma)
-    e1, e2 = build_bc_estimators(bc)
+    e1, e2 = (estimator.build_estimator(channel.receiver_spec(bc, k)) for k in (1, 2))
     pmf = np.array([p, 1.0 - p])      # the region's p parametrizes P(X=0)
     s = flipped_bc_region(q, gamma, p_grid=[p], r_grid=[0.0])[0]
     assert float(pmf @ e1.cost) == pytest.approx(s.d1, abs=1e-12)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from capdist import channel, examples
+from capdist import channel, estimator, examples
 from capdist.channel import (MappingTable, QuadraticDistortion, SdmbcSpec,
-                             SdmcSpec, merge_bc_to_sdmc, renormalize_rows,
+                             SdmcSpec, receiver_spec, renormalize_rows,
                              spec_from_dict, spec_to_dict, validate)
 from capdist.errors import SpecValidationError
 
@@ -172,34 +172,48 @@ def test_parser_rejects_badly_normalized_law():
 
 
 # ---------------------------------------------------------------------------
-# broadcast merge
+# receiver views of a broadcast spec
 # ---------------------------------------------------------------------------
 
-def test_merge_preserves_probability():
-    bc = examples.binary_bc_spec(0.6, 0.5)
-    for receiver in (None, 1, 2):
-        merged = merge_bc_to_sdmc(bc, receiver=receiver)
-        validate(merged)
-        flat = merged.law.reshape(merged.input_size, merged.state_size, -1)
-        assert np.allclose(flat.sum(axis=-1), 1.0, atol=1e-12)
-        assert np.isclose(merged.state_pmf.sum(), 1.0, atol=1e-12)
+def _broadcast_examples():
+    return [examples.binary_bc_spec(0.6, 0.5), examples.flipped_bc_spec(0.6, 0.3),
+            examples.dueck_bc_spec(0.75),
+            examples.erasure_bc_spec(np.outer([0.8, 0.2], [0.88, 0.12]),
+                                     np.outer([0.6, 0.4], [0.7, 0.3]))]
 
 
-def test_merge_lifts_distortions_correctly():
-    bc = examples.binary_bc_spec(0.6, 0.5)
-    m1 = merge_bc_to_sdmc(bc, receiver=1)
-    m2 = merge_bc_to_sdmc(bc, receiver=2)
-    s2 = bc.state2_size
-    # receiver 1: row s1*|S2|+s2 copies d1 row s1
-    for s1 in range(bc.state1_size):
-        for s2i in range(s2):
-            flat = s1 * s2 + s2i
-            assert np.array_equal(np.asarray(m1.distortion)[flat],
-                                  np.asarray(bc.distortion_1)[s1])
-            assert np.array_equal(np.asarray(m2.distortion)[flat],
-                                  np.asarray(bc.distortion_2)[s2i])
+def test_receiver_spec_preserves_probability():
+    for bc in _broadcast_examples():
+        for k in (1, 2):
+            view = receiver_spec(bc, k)
+            validate(view)
+            assert view.state_size == bc.joint_state_pmf.shape[k - 1]
+            assert view.input_size == bc.input_size
+            assert view.feedback_size == bc.feedback_size
+            for law in (view.law_y, view.law_z):
+                assert np.allclose(law.sum(axis=-1), 1.0, atol=1e-12)
+            assert np.isclose(view.state_pmf.sum(), 1.0, atol=1e-12)
 
 
-def test_merge_rejects_bad_receiver():
+def test_receiver_spec_rejects_bad_receiver():
     with pytest.raises(ValueError):
-        merge_bc_to_sdmc(examples.binary_bc_spec(0.6, 0.5), receiver=3)
+        receiver_spec(examples.binary_bc_spec(0.6, 0.5), 3)
+
+
+def _pair_state_reference(bc, k):
+    """Receiver k's estimation problem on the pair state s1*|S2| + s2 and the
+    pair output y1*|Y2| + y2, with d_k repeated along the other state."""
+    s1, s2, nx, y1, y2, nz = bc.law.shape
+    law = bc.law.transpose(2, 0, 1, 3, 4, 5).reshape(nx, s1 * s2, y1 * y2, nz)
+    d = (np.repeat(bc.distortion_1, s2, axis=0) if k == 1
+         else np.tile(bc.distortion_2, (s1, 1)))
+    return SdmcSpec(state_pmf=bc.joint_state_pmf.ravel(), law=law, distortion=d)
+
+
+def test_receiver_spec_estimator_matches_pair_state_reference():
+    for bc in _broadcast_examples():
+        for k in (1, 2):
+            ours = estimator.build_estimator(receiver_spec(bc, k))
+            ref = estimator.build_estimator(_pair_state_reference(bc, k))
+            assert np.array_equal(ours.table, ref.table)
+            assert np.max(np.abs(ours.cost - ref.cost)) <= 1e-15

@@ -49,6 +49,15 @@ def test_bad_builtin_param_is_input_error(capsys):
     assert "not k=v" in err
 
 
+def test_dueck_reduction_rejects_bad_receiver(capsys):
+    # any receiver but 1 once selected receiver 2's state bit
+    for receiver in ("3", "1.5"):
+        code, out, err = run(capsys, "gen", "--builtin",
+                             f"dueck-reduction,receiver={receiver}")
+        assert code == 2 and out == ""
+        assert "receiver must be 1 or 2" in err
+
+
 def test_missing_instance_is_input_error(capsys):
     code, _, err = run(capsys, "gen")
     assert code == 2
@@ -97,6 +106,13 @@ def test_tradeoff_bad_mu_grid(capsys):
     code, _, _ = run(capsys, "tradeoff", "--builtin", "binary",
                      "--mu-grid", "1:x:3")
     assert code == 2
+
+
+def test_tradeoff_rejects_negative_mu(capsys):
+    code, out, err = run(capsys, "tradeoff", "--builtin", "binary",
+                         "--mu-grid=-1:0:2")
+    assert code == 2 and out == ""
+    assert "mu >= 0" in err
 
 
 def test_tradeoff_rejects_broadcast_spec(capsys):
@@ -179,6 +195,16 @@ def test_bc_degraded_runs_on_builtin(capsys):
     assert code == 0
     assert out.splitlines()[0] == "r0,r1,r2,d1,d2,params"
     assert len(out.strip().splitlines()) > 1
+
+
+def test_bc_regions_reject_resolution_below_one(capsys):
+    # resolution 0 once wrote a nan row and -1 a header-only CSV
+    for region in ("degraded", "outer"):
+        for resolution in ("0", "-1"):
+            code, out, err = run(capsys, "bc", region, "--builtin", "binary-bc",
+                                 "--resolution", resolution)
+            assert code == 2 and out == ""
+            assert "resolution" in err
 
 
 def test_bc_outer_rate_caps_are_nonnegative(capsys):
@@ -268,6 +294,14 @@ def test_verify_distortion_mc(capsys):
     assert code == 0
     rep = json.loads(out)
     assert abs(rep["z_score"]) <= 4.0
+
+
+def test_verify_distortion_mc_rejects_zero_samples(capsys):
+    # exit 1 means a failed verification, not a bad argument
+    code, out, err = run(capsys, "verify", "distortion-mc", "--builtin",
+                         "binary", "--samples", "0")
+    assert code == 2 and out == ""
+    assert "--samples" in err
 
 
 def test_verify_frontier_binary(capsys):

@@ -4,8 +4,7 @@ import pytest
 from capdist import channel, estimator, examples
 from capdist.channel import SdmcSpec
 from capdist.errors import Infeasible, ZeroProbabilityObservation
-from capdist.estimator import (EstimatorTable, build_bc_estimators,
-                               build_estimator, d_min, d_trivial,
+from capdist.estimator import (EstimatorTable, build_estimator, d_min, d_trivial,
                                expected_distortion, posterior_state)
 
 
@@ -131,13 +130,13 @@ def test_d_min_infeasible_budget_raises():
 
 def test_bc_estimators_corollary4_costs():
     bc = examples.binary_bc_spec(0.6, 0.5)
-    e1, e2 = build_bc_estimators(bc)
+    e1, e2 = (build_estimator(channel.receiver_spec(bc, k)) for k in (1, 2))
     assert np.allclose(e1.cost, [min(0.6, 0.4), 0.0])   # x=0 hides S1
     assert np.allclose(e2.cost, [min(0.3, 0.7), 0.0])
 
 
 def test_bc_estimators_flipped_costs():
     bc = examples.flipped_bc_spec(0.6, 0.5)
-    e1, e2 = build_bc_estimators(bc)
+    e1, e2 = (build_estimator(channel.receiver_spec(bc, k)) for k in (1, 2))
     assert np.allclose(e1.cost, [min(0.6 * 0.5, 0.4), 0.0])
     assert np.allclose(e2.cost, [0.0, 0.6 * min(0.5, 0.5)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capdist import estimator, examples
+from capdist import channel, estimator, examples
 from capdist.bcregions import dueck_distortion
 from capdist.channel import QuadraticDistortion, validate
 from capdist.errors import MemoryGuard
@@ -55,7 +55,7 @@ def test_dueck_bc_estimators_match_closed_form():
     q = 0.75
     bc = dueck_bc_spec(q)
     validate(bc)
-    e1, e2 = estimator.build_bc_estimators(bc)
+    e1, e2 = (estimator.build_estimator(channel.receiver_spec(bc, k)) for k in (1, 2))
     for t in (0.0, 0.25, 0.5, 1.0):
         p = dueck_bc_pmf(t)
         want = dueck_distortion(q, t)

@@ -42,6 +42,8 @@ def test_simplex_lattice_guard():
         simplex_lattice(5, 1000)
     with pytest.raises(InstanceTooLarge):      # one point over the cap
         simplex_lattice(2, MAX_LATTICE_POINTS)
+    with pytest.raises(ValueError):            # no lattice below resolution 1
+        simplex_lattice(3, 0)
 
 
 # ---------------------------------------------------------------------------
