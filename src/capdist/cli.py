@@ -208,6 +208,8 @@ def _parse_mu_grid(text):
         raise CliInputError(f"bad --mu-grid '{text}'")
     if n < 1:
         raise CliInputError("--mu-grid needs n >= 1")
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise CliInputError(f"--mu-grid needs finite endpoints, not '{text}'")
     if not (a >= 0 and b >= 0):
         raise CliInputError("--mu-grid needs mu >= 0")
     return list(np.linspace(a, b, n))
@@ -315,7 +317,7 @@ def cmd_bc(args):
                                               _grid(args.resolution))
         digest, config = "", {"q": args.q, "gamma": args.gamma}
     elif sub in ("dueck-inner", "dueck-outer"):
-        t_grid = np.linspace(0.0, 1.0, args.resolution + 1)
+        t_grid = _grid(args.resolution)
         if sub == "dueck-outer":
             samples = bcregions.dueck_outer(args.q, t_grid)
         else:
@@ -345,6 +347,8 @@ def cmd_bc(args):
 
 
 def _grid(resolution):
+    if resolution < 1:
+        raise CliInputError(f"--resolution must be >= 1, not {resolution}")
     return np.linspace(0.0, 1.0, resolution + 1)
 
 

@@ -115,6 +115,15 @@ def test_tradeoff_rejects_negative_mu(capsys):
     assert "mu >= 0" in err
 
 
+def test_tradeoff_rejects_non_finite_mu(capsys):
+    # 0:inf:3 once built mu = [0, inf, nan] and failed inside the solver
+    for grid in ("0:inf:3", "nan:1:2", "0:nan:1"):
+        code, out, err = run(capsys, "tradeoff", "--builtin", "binary",
+                             "--mu-grid", grid)
+        assert code == 2 and out == ""
+        assert "finite" in err
+
+
 def test_tradeoff_rejects_broadcast_spec(capsys):
     code, _, err = run(capsys, "tradeoff", "--builtin", "binary-bc")
     assert code == 2
@@ -203,6 +212,15 @@ def test_bc_regions_reject_resolution_below_one(capsys):
         for resolution in ("0", "-1"):
             code, out, err = run(capsys, "bc", region, "--builtin", "binary-bc",
                                  "--resolution", resolution)
+            assert code == 2 and out == ""
+            assert "resolution" in err
+
+
+def test_bc_closed_form_regions_reject_resolution_below_one(capsys):
+    # resolution -2 once died in np.linspace with exit 1, the verification code
+    for region in ("binary", "flipped", "dueck-inner", "dueck-outer"):
+        for resolution in ("0", "-2"):
+            code, out, err = run(capsys, "bc", region, "--resolution", resolution)
             assert code == 2 and out == ""
             assert "resolution" in err
 

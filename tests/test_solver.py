@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capdist import channel, estimator, examples, solver
+from capdist import channel, cli, estimator, examples, solver
 from capdist.channel import MappingTable, SdmcSpec
 from capdist.errors import DegenerateUpdate, Infeasible
 from capdist.solver import (BaConfig, baseline_ts,
@@ -104,7 +104,9 @@ def test_p_update_fixed_point_at_binary_capacity():
 
 
 def test_kernel_step_matches_reference_updates():
-    # one pass of the batched kernel is p_update(q_update(p)) on every row
+    # one pass of the batched kernel is the over-relaxed reference step
+    # p**(1 - theta) * p_update(q_update(p))**theta, renormalized, on every row
+    theta = solver._THETA
     rng = np.random.default_rng(19)
     for _ in range(10):
         spec = random_spec(rng, *rng.integers(2, 4, size=4))
@@ -115,7 +117,8 @@ def test_kernel_step_matches_reference_updates():
         pts = solver._solve_rows(work, est, spec.cost, mus, np.inf,
                                  BaConfig(max_outer_iters=1), start=starts)
         for pt, p, mu in zip(pts, starts, mus):
-            ref = p_update(spec, est, q_update(spec, p), mu)
+            ref = p ** (1.0 - theta) * p_update(spec, est, q_update(spec, p), mu) ** theta
+            ref /= ref.sum()
             assert np.max(np.abs(pt.input_pmf - ref)) <= 1e-12
 
 
@@ -252,6 +255,44 @@ def test_sweep_invariant_under_relabelling(sizes, seed, data):
     assert a.keys() == b.keys()
     for mu in a:
         assert a[mu] == pytest.approx(b[mu], abs=1e-8)
+
+
+def test_gaussian_reduced_sweep_rows_converge_within_225_passes():
+    # criterion 3's reduced Gaussian at B = 10 on the CLI `auto` grid; under
+    # the binding budget a plain step can lower J by rounding, and a row that
+    # rejects it steps back to the same pmf forever
+    spec = cli.BUILTINS["gaussian-reduced"]()
+    points = [p for p in sweep_frontier(spec, 10.0, cli._parse_mu_grid("auto"))
+              if np.isfinite(p.mu)]
+    assert all(p.converged for p in points)
+    assert max(p.iterations for p in points) <= 225       # the plain step's max
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(sizes=st.tuples(*[st.integers(2, 3)] * 4), seed=st.integers(0, 2**32 - 1))
+def test_relaxed_sweep_is_no_worse_than_plain(sizes, seed):
+    spec = random_spec(np.random.default_rng(seed), *sizes)
+    grid = np.logspace(-2, 2, 7)
+
+    def sweep(budget):
+        points = [p for p in sweep_frontier(spec, budget, grid) if np.isfinite(p.mu)]
+        assert all(p.converged for p in points)
+        return points
+
+    def objectives(points):     # by mu: rows tied in distortion may swap
+        return {p.mu: p.rate - p.mu * p.distortion for p in points}
+
+    free = sweep(np.inf)
+    # below every unconstrained row's cost, so the budget binds at every mu
+    b_min = spec.cost.min()
+    budget = b_min + 0.5 * (min(p.cost for p in free) - b_min)
+    relaxed = [objectives(free), objectives(sweep(budget))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_THETA", 1.0)
+        plain = [objectives(sweep(np.inf)), objectives(sweep(budget))]
+    for r, q in zip(relaxed, plain):
+        assert r.keys() == q.keys()
+        assert all(r[mu] >= q[mu] - 1e-12 for mu in q)
 
 
 def test_baselines_binary_closed_form():
