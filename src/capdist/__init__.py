@@ -16,16 +16,15 @@ from .channel import (MappingTable, QuadraticDistortion, SdmbcSpec, SdmcSpec,
                       load_spec, dump_spec, marginal_y_given_xs,
                       marginal_z_given_xs, receiver_spec, validate)
 from .estimator import (EstimatorTable, build_estimator,
-                        d_min, d_trivial, expected_distortion, posterior_state)
+                        d_min, d_trivial, expected_distortion)
 from .solver import (BaConfig, TradeoffPoint, baseline_ts,
                      conditional_mutual_information, no_tradeoff_check,
                      solve_fixed_mu, sweep_frontier)
-from .bcregions import (binary_bc_region, degraded_region,
-                        dueck_capacity_and_distortion_regions, dueck_dmin,
+from .bcregions import (binary_bc_region, degraded_region, dueck_dmin,
                         dueck_distortion, dueck_inner, dueck_outer,
                         erasure_bc_distortion_region, flipped_bc_region,
                         is_physically_degraded, outer_bound_samples,
-                        pareto_front, product_region_check, region_samples,
+                        product_region_check, region_samples,
                         upper_concave_hull)
 from .verify import (TrialReport, brute_force_tradeoff,
                      exhaustive_estimator_search, simulate_distortion)

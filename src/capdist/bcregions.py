@@ -107,7 +107,7 @@ def degraded_region(bc, u_size=None, resolution=32):
 
     Per sample emits r1 = I(X;Y1|U,S1), r2 = I(U;Y2|S2) (the R0+R2 cap) and
     the two expected distortions; r0 is reported as 0.  The p_ux column holds
-    the flattened (U, X) pmf.  Downstream consumers take Pareto fronts.
+    the flattened (U, X) pmf.
     """
     nx = bc.input_size
     if u_size is None:
@@ -288,31 +288,9 @@ def dueck_inner(q, t_grid=None):
     return samples, upper_concave_hull(pts)
 
 
-def dueck_capacity_and_distortion_regions(q):
-    """Capacity caps, distortion floor and the no-tradeoff certificate."""
-    return {"r1_cap": 1.0, "r2_cap": 1.0, "sum_cap": 1.0 + q * q,
-            "d_floor": dueck_dmin(q), "product_certified": q <= 0.5}
-
-
 # ---------------------------------------------------------------------------
-# Pareto fronts and hulls
+# hulls
 # ---------------------------------------------------------------------------
-
-def pareto_front(samples, eps=1e-9):
-    """Rows of a region-sample array not eps-dominated in (maximize r1, r2;
-    minimize d1, d2), in their original order."""
-    arr = np.column_stack([samples.r1, samples.r2, -samples.d1, -samples.d2])
-    keep = np.ones(len(samples), dtype=bool)
-    order = np.argsort(-arr[:, 0], kind="stable")
-    arr_sorted = arr[order]
-    for ii in range(1, len(samples)):
-        a = arr_sorted[ii]
-        # only earlier rows (r1 >= current) can dominate
-        block = arr_sorted[:ii]
-        keep[order[ii]] = not np.any(np.all(block >= a - eps, axis=1)
-                                     & np.any(block > a + eps, axis=1))
-    return samples[keep]
-
 
 def upper_concave_hull(points):
     """Upper concave hull of 2-D (x, y) points by monotone chain; returns

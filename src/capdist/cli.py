@@ -145,20 +145,8 @@ def _spec_digest(spec):
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    return str(v)                        # str of a float: shortest round-trip decimal
-
-
-def _write_rows(path, header, rows, fmt):
-    if fmt == "json":
-        payload = [dict(zip(header, [_json_val(v) for v in row])) for row in rows]
-        text = json.dumps(payload, indent=1) + "\n"
-    else:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+def _write_text(path, text):
+    """Write text to the file at path, or to stdout when path is empty."""
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -166,14 +154,24 @@ def _write_rows(path, header, rows, fmt):
         sys.stdout.write(text)
 
 
-def _json_val(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return str(v)
+def _cells(column):
+    """CSV cells of one column of Python scalars: bools as 1/0, anything else
+    by str (for a float, its shortest round-trip decimal)."""
+    if column and isinstance(column[0], bool):
+        return ["1" if v else "0" for v in column]
+    return list(map(str, column))
+
+
+def _write_table(path, fmt, columns):
+    """Write {name: column}, columns of Python scalars all of one length, as
+    CSV or as a JSON list of one object per row."""
+    if fmt == "json":
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        text = json.dumps(rows, indent=1) + "\n"
+    else:
+        lines = map(",".join, zip(*map(_cells, columns.values())))
+        text = "\n".join([",".join(columns), *lines]) + "\n"
+    _write_text(path, text)
 
 
 def _write_manifest(out_path, command, digest, config):
@@ -221,13 +219,8 @@ def _parse_mu_grid(text):
 
 def cmd_gen(args):
     spec, digest, _ = _load_instance(args)
-    text = json.dumps(channel.spec_to_dict(spec), indent=1) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_manifest(args.out, "gen", digest, {"builtin": args.builtin})
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, json.dumps(channel.spec_to_dict(spec), indent=1) + "\n")
+    _write_manifest(args.out, "gen", digest, {"builtin": args.builtin})
     return EXIT_OK
 
 
@@ -236,19 +229,18 @@ def cmd_tradeoff(args):
     if isinstance(spec, channel.SdmbcSpec):
         raise CliInputError("tradeoff expects a single-receiver spec")
     mu_grid = _parse_mu_grid(args.mu_grid)
-    points = solver.sweep_frontier(spec, args.budget, mu_grid,
-                                   threads=args.threads)
+    points = solver.sweep_frontier(spec, args.budget, mu_grid)
     finite = [p for p in points if np.isfinite(p.mu)]
     if finite and not any(p.converged for p in finite):
         print("error: no converged point on the sweep", file=sys.stderr)
         return EXIT_NUMERICAL
-    header = ["mu", "rate_bits", "distortion", "cost", "iterations", "converged"]
+    header = ("mu", "rate_bits", "distortion", "cost", "iterations", "converged")
     rows = [(p.mu, p.rate, p.distortion, p.cost, p.iterations, p.converged)
             for p in points]
-    _write_rows(args.out, header, rows, args.format)
+    _write_table(args.out, args.format, dict(zip(header, zip(*rows))))
     _write_manifest(args.out, "tradeoff", digest,
                     {"source": source, "budget": args.budget,
-                     "mu_grid": args.mu_grid, "threads": args.threads})
+                     "mu_grid": args.mu_grid})
     return EXIT_OK
 
 
@@ -257,36 +249,36 @@ def cmd_baselines(args):
     if isinstance(spec, channel.SdmbcSpec):
         raise CliInputError("baselines expects a single-receiver spec")
     base = solver.baseline_ts(spec, budget=args.budget)
-    header = ["name", "rate_bits", "distortion"]
-    rows = [
-        ("d_min_point", base["r_min"], base["d_min"]),
-        ("capacity_point", base["c_noest"], base["d_max"]),
-        ("d_trivial_point", base["c_noest"], base["d_trivial"]),
-        ("basic_ts_start", base["basic"][0][0], base["basic"][0][1]),
-        ("basic_ts_end", base["basic"][1][0], base["basic"][1][1]),
-        ("improved_ts_start", base["improved"][0][0], base["improved"][0][1]),
-        ("improved_ts_end", base["improved"][1][0], base["improved"][1][1]),
-    ]
-    _write_rows(args.out, header, rows, args.format)
+    # (rate, distortion) of each named point; basic and improved are segments
+    points = [(base["r_min"], base["d_min"]), (base["c_noest"], base["d_max"]),
+              (base["c_noest"], base["d_trivial"]), *base["basic"], *base["improved"]]
+    rates, distortions = zip(*points)
+    _write_table(args.out, args.format, {
+        "name": ("d_min_point", "capacity_point", "d_trivial_point",
+                 "basic_ts_start", "basic_ts_end", "improved_ts_start",
+                 "improved_ts_end"),
+        "rate_bits": rates, "distortion": distortions})
     _write_manifest(args.out, "baselines", digest,
                     {"source": source, "budget": args.budget})
     return EXIT_OK
 
 
-def _region_rows(samples):
-    """Rows of a region-sample array: the five rate and distortion columns,
-    then its scalar parameter columns as 'k=v;...' sorted by name (vector
-    columns such as pmfs are left out)."""
-    header = ["r0", "r1", "r2", "d1", "d2", "params"]
+def _region_columns(samples):
+    """Columns of a region-sample array: r0, r1, r2, d1, d2, then `params`,
+    its scalar parameter columns as 'k=v;...' sorted by name (vector columns
+    such as pmfs are left out)."""
     names = samples.dtype.names
+    columns = {k: samples[k].tolist() for k in names[:5]}
     scalar = sorted(k for k in names[5:] if samples.dtype[k].ndim == 0)
-    parts = [[f"{k}={_fmt(v)}" for v in samples[k].tolist()] for k in scalar]
-    params = [";".join(p) for p in zip(*parts)] if parts else [""] * len(samples)
-    return header, list(zip(*(samples[k].tolist() for k in names[:5]), params))
+    parts = [[f"{k}={c}" for c in _cells(samples[k].tolist())] for k in scalar]
+    columns["params"] = ([";".join(p) for p in zip(*parts)] if parts
+                         else [""] * len(samples))
+    return columns
 
 
 def cmd_bc(args):
     sub = args.region
+    digest = ""
     if sub in ("degraded", "outer"):
         spec, digest, source = _load_instance(args)
         if not isinstance(spec, channel.SdmbcSpec):
@@ -305,43 +297,31 @@ def cmd_bc(args):
                                                         seed=args.seed)
         except ValueError as exc:
             raise CliInputError(str(exc))
+        columns = _region_columns(samples)
         config = {"source": source, "resolution": args.resolution}
-    elif sub == "binary":
-        samples = bcregions.binary_bc_region(args.q, args.gamma,
-                                             _grid(args.resolution),
-                                             _grid(args.resolution))
-        digest, config = "", {"q": args.q, "gamma": args.gamma}
-    elif sub == "flipped":
-        samples = bcregions.flipped_bc_region(args.q, args.gamma,
-                                              _grid(args.resolution),
-                                              _grid(args.resolution))
-        digest, config = "", {"q": args.q, "gamma": args.gamma}
+    elif sub in ("binary", "flipped"):
+        region = (bcregions.binary_bc_region if sub == "binary"
+                  else bcregions.flipped_bc_region)
+        grid = _grid(args.resolution)
+        columns = _region_columns(region(args.q, args.gamma, grid, grid))
+        config = {"q": args.q, "gamma": args.gamma}
     elif sub in ("dueck-inner", "dueck-outer"):
         t_grid = _grid(args.resolution)
         if sub == "dueck-outer":
-            samples = bcregions.dueck_outer(args.q, t_grid)
+            columns = _region_columns(bcregions.dueck_outer(args.q, t_grid))
         else:
-            samples, hull = bcregions.dueck_inner(args.q, t_grid)
-            header = ["distortion", "sum_rate"]
-            _write_rows(args.out, header, [tuple(v) for v in hull], args.format)
-            _write_manifest(args.out, "bc dueck-inner", "",
-                            {"q": args.q, "resolution": args.resolution})
-            return EXIT_OK
-        digest, config = "", {"q": args.q, "resolution": args.resolution}
+            _, hull = bcregions.dueck_inner(args.q, t_grid)
+            columns = dict(zip(("distortion", "sum_rate"), zip(*hull)))
+        config = {"q": args.q, "resolution": args.resolution}
     elif sub == "erasure":
         p1 = np.outer([1.0 - args.e1, args.e1], [1.0 - args.s1, args.s1])
         p2 = np.outer([1.0 - args.e2, args.e2], [1.0 - args.s2, args.s2])
         t1, t2 = bcregions.erasure_bc_distortion_region(p1, p2)
-        _write_rows(args.out, ["d1_threshold", "d2_threshold"], [(t1, t2)],
-                    args.format)
-        _write_manifest(args.out, "bc erasure", "",
-                        {"e1": args.e1, "s1": args.s1,
-                         "e2": args.e2, "s2": args.s2})
-        return EXIT_OK
+        columns = {"d1_threshold": [t1], "d2_threshold": [t2]}
+        config = {"e1": args.e1, "s1": args.s1, "e2": args.e2, "s2": args.s2}
     else:                                    # pragma: no cover
         raise CliInputError(f"unknown bc subcommand {sub}")
-    header, rows = _region_rows(samples)
-    _write_rows(args.out, header, rows, args.format)
+    _write_table(args.out, args.format, columns)
     _write_manifest(args.out, f"bc {sub}", digest, config)
     return EXIT_OK
 
@@ -415,12 +395,7 @@ def cmd_verify(args):
                       n_pmfs=rep.n_pmfs, passed=rep.passed)
     else:                                    # pragma: no cover
         raise CliInputError(f"unknown check {check}")
-    text = json.dumps(report, indent=1, default=_json_val) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, json.dumps(report, indent=1) + "\n")
     print("PASS" if report["passed"] else "FAIL", file=sys.stderr)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
 
@@ -449,8 +424,6 @@ def build_parser():
     _add_instance_args(p)
     p.add_argument("--budget", type=float, default=np.inf)
     p.add_argument("--mu-grid", default="auto")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted, ignored (all mu iterate in one batch)")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_tradeoff)

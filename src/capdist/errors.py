@@ -9,10 +9,6 @@ class SpecValidationError(CapdistError):
     """A channel specification violates a structural invariant."""
 
 
-class ZeroProbabilityObservation(CapdistError):
-    """Requested a posterior for a feedback symbol with P(z|x) = 0."""
-
-
 class Infeasible(CapdistError):
     """A cost budget excludes every input distribution."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import channel
 from .channel import QuadraticDistortion
-from .errors import Infeasible, ZeroProbabilityObservation
+from .errors import Infeasible
 
 TIE_RTOL = 1e-12  # ties in the argmin detected at this relative tolerance
 
@@ -39,16 +39,6 @@ def _weights(spec):
     """w[x,s,z] = P_S(s) P(z|s,x); the unnormalized posterior."""
     law_z = channel.marginal_z_given_xs(spec)
     return spec.state_pmf[None, :, None] * law_z
-
-
-def posterior_state(spec, x, z):
-    """P_{S|XZ}(. | x, z).  Raises ZeroProbabilityObservation if P(z|x)=0."""
-    law_z = channel.marginal_z_given_xs(spec)
-    w = spec.state_pmf * law_z[x, :, z]
-    total = w.sum()
-    if total <= 0.0:
-        raise ZeroProbabilityObservation(f"P(z={z}|x={x}) = 0")
-    return w / total
 
 
 def _argmin_ties_low(values, rtol=TIE_RTOL):

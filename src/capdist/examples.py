@@ -5,13 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 from . import estimator, solver
 from .bcregions import binary_entropy
 from .channel import (MappingTable, QuadraticDistortion, SdmbcSpec, SdmcSpec,
                       validate)
 from .errors import MemoryGuard
+
+# SciPy is imported inside the three Gaussian functions that use it: at module
+# level its import took most of the CLI's start-up time.
 
 HAMMING2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -244,6 +246,8 @@ class GaussianQuantConfig:
 def _gaussian_atoms(sigma, n_points, halfwidth):
     """Equal-spaced quantization of a centered normal; tail mass folded into
     the edge atoms so the pmf is exactly normalized."""
+    from scipy import stats
+
     if sigma == 0.0:
         return np.array([0.0]), np.array([1.0])
     vals = np.linspace(-halfwidth * sigma, halfwidth * sigma, n_points)
@@ -271,6 +275,8 @@ def gaussian_quantized_spec(cfg=None):
     outputs are snapped to the lattice of the channel-noise grid.  The law
     is stored factored as (P(y|x,s), P(z|x,s)); the joint is never needed.
     """
+    from scipy import stats
+
     if cfg is None:
         cfg = GaussianQuantConfig()
     m = cfg.pam_points
@@ -360,6 +366,8 @@ def gaussian_two_pam_analytic(amplitude, sigma_fb2=1.0):
     """Continuous-model (rate, distortion) of the antipodal input {-a, +a}:
     rate by integrating the BPSK mutual information over the fading state,
     distortion from the Gaussian MMSE closed form."""
+    from scipy import integrate, stats
+
     gh_x, gh_w = np.polynomial.hermite_e.hermegauss(151)
 
     def i_bpsk(snr):

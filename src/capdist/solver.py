@@ -54,7 +54,6 @@ from .errors import DegenerateUpdate, Infeasible
 _BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of each (rows, S*Y) temporary
 _DUAL_POINTS = 63           # interior lambdas per bracket and round of the dual search
 _LAMBDA_STEP = 1.0          # seeds the lambda bracket: hi = max(lam, _LAMBDA_STEP)
-_LAMBDA_EPS = 1e-9          # constraint slack tolerance
 _MAX_DUAL_ROUNDS = 100      # cap on rounds of the lambda search
 _THETA = 2.0                # over-relaxation of the input update (1 = plain BA)
 
@@ -143,7 +142,7 @@ class _BaWork:
 def _dual_rows(base_g, b, budget, lam0):
     """Input update under the cost constraint, per row: (pmfs, lambdas).
 
-    Rows meeting the budget within _LAMBDA_EPS get lambda = 0.  For the others
+    Rows with E[b] <= budget get lambda = 0.  For the others
     the bracket [0, hi] starts at hi = max(lam0, _LAMBDA_STEP), doubles hi
     until E[b] <= budget, then keeps the sub-bracket where E[b] (monotone in
     lambda) crosses the budget among 63 interior points per round (at most
@@ -152,7 +151,7 @@ def _dual_rows(base_g, b, budget, lam0):
     """
     p = _pmfs(base_g)
     lam = np.zeros(len(p))
-    bind = (p * b).sum(axis=1) > budget + _LAMBDA_EPS
+    bind = (p * b).sum(axis=1) > budget
     if not bind.any():
         return p, lam
     g = base_g[bind]
@@ -272,7 +271,8 @@ def sweep_frontier(spec, budget, mu_grid, base_config=None, threads=1):
 
     All mu iterate from the uniform pmf in lockstep, in row blocks (see
     `_solve_rows`); there are no warm starts.  `threads` is accepted and
-    ignored.
+    ignored; it stays only because the benchmark harness (perfbench) still
+    passes it.
     """
     if base_config is None:
         base_config = BaConfig()

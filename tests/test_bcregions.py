@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from capdist import bcregions, channel, estimator, examples, solver, verify
+from capdist import channel, estimator, examples, solver, verify
 from capdist.bcregions import (binary_bc_region, binary_entropy,
-                               degraded_region,
-                               dueck_capacity_and_distortion_regions,
-                               dueck_distortion, dueck_dmin, dueck_inner,
-                               dueck_outer, envelope_value,
+                               degraded_region, dueck_distortion, dueck_dmin,
+                               dueck_inner, dueck_outer, envelope_value,
                                erasure_bc_distortion_region, flipped_bc_region,
                                is_physically_degraded, outer_bound_samples,
-                               pareto_front, product_region_check,
-                               upper_concave_hull)
+                               product_region_check, upper_concave_hull)
 from capdist.channel import MappingTable, SdmcSpec
 
 
@@ -175,14 +172,6 @@ def test_dueck_inner_hull_lifts_t0_point():
         1 + 0.75 - 3 / 16, abs=1e-9)
 
 
-def test_dueck_summary():
-    out = dueck_capacity_and_distortion_regions(0.75)
-    assert out["sum_cap"] == pytest.approx(25 / 16)
-    assert out["d_floor"] == pytest.approx(5 / 32)
-    assert not out["product_certified"]
-    assert dueck_capacity_and_distortion_regions(0.3)["product_certified"]
-
-
 # ---------------------------------------------------------------------------
 # product region / erasure BC
 # ---------------------------------------------------------------------------
@@ -216,7 +205,7 @@ def test_product_region_corollary4_fails():
 
 
 # ---------------------------------------------------------------------------
-# hulls, envelopes, Pareto fronts
+# hulls and envelopes
 # ---------------------------------------------------------------------------
 
 def test_upper_concave_hull_drops_interior_points():
@@ -255,12 +244,3 @@ def test_envelope_value_reaches_vertex_within_tie_slack():
     assert oracle > 0.1
     assert abs(envelope_value(curve, dmin) - oracle) <= 2e-3
     assert envelope_value(curve, min(x for x, _ in curve) - 1e-9) == -np.inf
-
-
-def test_pareto_front_filters_dominated_samples():
-    # rows a, b, c; b is dominated by a
-    samples = bcregions.region_samples(
-        0.0, r1=[1.0, 0.9, 0.5], r2=[0.5, 0.4, 1.0], d1=[0.1, 0.2, 0.3],
-        d2=[0.1, 0.2, 0.05], name=["a", "b", "c"])
-    front = pareto_front(samples)
-    assert front.name.tolist() == ["a", "c"]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capdist
 from capdist import channel
 from capdist.cli import main
 
@@ -11,6 +16,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only the Gaussian builders need SciPy, whose import dominated start-up
+    src = str(Path(capdist.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, capdist.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +109,8 @@ def test_tradeoff_is_deterministic_and_manifested(tmp_path, capsys):
     assert float(last[2]) == pytest.approx(0.2, abs=1e-4)
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert manifest["command"] == "tradeoff"
-    assert manifest["config"]["mu_grid"] == "0:2:5"
+    assert manifest["config"] == {"source": "builtin:binary", "budget": np.inf,
+                                  "mu_grid": "0:2:5"}
 
 
 def test_tradeoff_bad_mu_grid(capsys):
@@ -239,10 +254,16 @@ def test_bc_outer_rate_caps_are_nonnegative(capsys):
 
 
 def test_bc_region_csv_formats_are_pinned(capsys):
-    def lines(*argv):
-        code, out, _ = run(capsys, "bc", *argv)
+    def text(*argv):
+        code, out, _ = run(capsys, *argv)
         assert code == 0
-        return out.splitlines()
+        return out
+
+    def lines(*argv):
+        return text("bc", *argv).splitlines()
+
+    def as_json(rows):
+        return json.dumps(rows, indent=1) + "\n"
 
     head = "r0,r1,r2,d1,d2,params"
     binary = ["--q", "0.6", "--gamma", "0.5", "--resolution", "1"]
@@ -269,6 +290,27 @@ def test_bc_region_csv_formats_are_pinned(capsys):
         f"aux={name}" for name in names for _ in range(2)]
     degraded = lines("degraded", "--builtin", "binary-bc", "--resolution", "1")
     assert [row.split(",")[5] for row in degraded[1:]] == [""] * 6
+    assert lines("dueck-inner", "--q", "0.75", "--resolution", "1") == [
+        "distortion,sum_rate", "0.15625,1.0", "0.1875,0.8125"]
+    assert text("bc", "erasure", "--format", "json") == as_json(
+        [{"d1_threshold": 0.17600000000000002, "d2_threshold": 0.27999999999999997}])
+    # the other tables: the mu = inf anchor, converged as 1 or true, and
+    # integer iterations
+    erasure = ["tradeoff", "--builtin", "erasure", "--mu-grid", "0:1:2"]
+    assert text(*erasure).splitlines() == [
+        "mu,rate_bits,distortion,cost,iterations,converged",
+        "1.0,0.5,0.0,0.0,1,1", "0.0,0.5,0.0,0.0,1,1", "inf,0.0,0.0,0.0,0,1"]
+    keys = ("mu", "rate_bits", "distortion", "cost", "iterations", "converged")
+    assert text(*erasure, "--format", "json") == as_json(
+        [dict(zip(keys, row)) for row in ((1.0, 0.5, 0.0, 0.0, 1, True),
+                                          (0.0, 0.5, 0.0, 0.0, 1, True),
+                                          (np.inf, 0.0, 0.0, 0.0, 0, True))])
+    assert text("baselines", "--builtin", "binary", "--format", "json") == as_json(
+        [{"name": name, "rate_bits": rate, "distortion": dist} for name, rate, dist in (
+            ("d_min_point", 0.0, 0.0), ("capacity_point", 0.4, 0.2),
+            ("d_trivial_point", 0.4, 0.4), ("basic_ts_start", 0.0, 0.0),
+            ("basic_ts_end", 0.4, 0.4), ("improved_ts_start", 0.0, 0.0),
+            ("improved_ts_end", 0.4, 0.2))])
 
 
 # ---------------------------------------------------------------------------

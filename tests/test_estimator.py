@@ -3,28 +3,9 @@ import pytest
 
 from capdist import channel, estimator, examples
 from capdist.channel import SdmcSpec
-from capdist.errors import Infeasible, ZeroProbabilityObservation
+from capdist.errors import Infeasible
 from capdist.estimator import (EstimatorTable, build_estimator, d_min, d_trivial,
-                               expected_distortion, posterior_state)
-
-
-# ---------------------------------------------------------------------------
-# posteriors
-# ---------------------------------------------------------------------------
-
-def test_posterior_binary_channel():
-    spec = examples.binary_multiplicative_spec(0.4)
-    # x=1: z = y = s, so the state is revealed
-    assert np.allclose(posterior_state(spec, 1, 1), [0.0, 1.0])
-    assert np.allclose(posterior_state(spec, 1, 0), [1.0, 0.0])
-    # x=0: z = 0 regardless of s, posterior equals the prior
-    assert np.allclose(posterior_state(spec, 0, 0), [0.6, 0.4])
-
-
-def test_posterior_zero_probability_observation():
-    spec = examples.binary_multiplicative_spec(0.4)
-    with pytest.raises(ZeroProbabilityObservation):
-        posterior_state(spec, 0, 1)      # z=1 impossible when x=0
+                               expected_distortion)
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,17 @@ def test_relaxed_sweep_is_no_worse_than_plain(sizes, seed):
         assert all(r[mu] >= q[mu] - 1e-12 for mu in q)
 
 
+def test_binding_sweep_rows_stay_within_budget():
+    # rows whose E[b] was within 1e-9 above B once skipped the lambda search
+    # and reported a cost above the budget
+    spec = random_spec(np.random.default_rng(13), 2, 2, 2, 3)
+    grid = np.logspace(-2, 2, 7)
+    free = [p for p in sweep_frontier(spec, np.inf, grid) if np.isfinite(p.mu)]
+    b_min = spec.cost.min()
+    budget = b_min + 0.5 * (min(p.cost for p in free) - b_min)
+    assert all(p.cost <= budget for p in sweep_frontier(spec, budget, grid))
+
+
 def test_baselines_binary_closed_form():
     spec = examples.binary_multiplicative_spec(0.4)
     base = baseline_ts(spec)
