@@ -73,32 +73,25 @@ def _aux_rates(work, rates_x, p_u, cond_xu):
 # physically degraded test and region
 # ---------------------------------------------------------------------------
 
-def is_physically_degraded(bc, tol=1e-9, trial_pmfs=None, seed=0):
-    """Test X - (S1,Y1) - (S2,Y2) over a panel of input pmfs.
+def is_physically_degraded(bc, tol=1e-9):
+    """Test X - (S1,Y1) - (S2,Y2).
 
     Returns (verdict, worst_violation, witness).  The conditional
-    P(s2,y2 | x, s1, y1) must be constant in x wherever defined.
+    P(s2,y2 | x, s1, y1) must be constant in x wherever defined; it is a
+    property of the channel alone, since the factor p(x) cancels.
     """
-    if trial_pmfs is None:
-        trial_pmfs = solver._trial_pmf_panel(bc.input_size, seed=seed, n_random=10)
-    law_y = bc.law.sum(axis=5)                    # (S1,S2,X,Y1,Y2)
-    worst = 0.0
-    witness = None
-    for p_x in trial_pmfs:
-        joint = np.einsum("ab,x,abxcd->xacbd", bc.joint_state_pmf,
-                          np.asarray(p_x, float), law_y)   # (X,S1,Y1,S2,Y2)
-        marg = joint.sum(axis=(3, 4))                       # (X,S1,Y1)
-        defined = marg > 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = joint / np.where(defined, marg, 1.0)[:, :, :, None, None]
-        mask = np.broadcast_to(defined[:, :, :, None, None], cond.shape)
-        hi = np.where(mask, cond, -np.inf).max(axis=0)
-        lo = np.where(mask, cond, np.inf).min(axis=0)
-        dev = np.maximum(hi - lo, 0.0)      # cells defined for <= 1 input: 0
-        m = float(dev.max())
-        if m > worst:
-            worst = m
-            witness = tuple(int(i) for i in np.unravel_index(np.argmax(dev), dev.shape))
+    joint = np.einsum("ab,abxcd->xacbd", bc.joint_state_pmf,
+                      bc.law.sum(axis=5))                   # (X,S1,Y1,S2,Y2)
+    marg = joint.sum(axis=(3, 4))                           # (X,S1,Y1)
+    defined = marg > 0
+    cond = joint / np.where(defined, marg, 1.0)[:, :, :, None, None]
+    mask = np.broadcast_to(defined[:, :, :, None, None], cond.shape)
+    hi = np.where(mask, cond, -np.inf).max(axis=0)
+    lo = np.where(mask, cond, np.inf).min(axis=0)
+    dev = np.maximum(hi - lo, 0.0)          # cells defined for <= 1 input: 0
+    worst = float(dev.max())
+    witness = (tuple(int(i) for i in np.unravel_index(np.argmax(dev), dev.shape))
+               if worst > 0 else None)
     return worst <= tol, worst, witness
 
 

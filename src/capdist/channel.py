@@ -1,8 +1,8 @@
 """Finite-alphabet probability primitives and channel-specification model.
 
 Alphabets are index-based (0..n-1); optional string labels are carried only
-for I/O.  All tensors are dense float64 and are frozen (read-only) after
-construction so that specs can be shared across concurrent solver instances.
+for I/O.  All tensors are dense float64, frozen (read-only) and validated on
+construction: a spec that exists satisfies every structural invariant.
 
 A single-receiver spec (SdmcSpec) stores the channel law either as the joint
 tensor P(y,z|x,s) indexed (x,s,y,z), or -- for large instances where the
@@ -136,23 +136,41 @@ class SdmcSpec:
     labels: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "state_pmf", _freeze(self.state_pmf))
-        if self.law is not None:
-            object.__setattr__(self, "law", _freeze(self.law))
-        if self.law_y is not None:
-            object.__setattr__(self, "law_y", _freeze(self.law_y))
-        if self.law_z is not None:
-            object.__setattr__(self, "law_z", _freeze(self.law_z))
-        if self.law is None and (self.law_y is None or self.law_z is None):
+        for name in ("state_pmf", "law", "law_y", "law_z"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _freeze(getattr(self, name)))
+        marginals = (self.law_y is not None, self.law_z is not None)
+        if self.law is None and not all(marginals):
             raise SpecValidationError("spec needs either a joint law or both marginal laws")
-        if self.cost is None:
-            object.__setattr__(self, "cost", _freeze(np.zeros(self.input_size)))
-        else:
-            object.__setattr__(self, "cost", _freeze(self.cost))
+        if self.law is not None and any(marginals):
+            raise SpecValidationError("spec has both a joint law and marginal laws; give one form")
+        object.__setattr__(self, "cost", _freeze(
+            np.zeros(self.input_size) if self.cost is None else self.cost))
         if self.distortion is None:
             raise SpecValidationError("spec needs a distortion")
         if not isinstance(self.distortion, QuadraticDistortion):
             object.__setattr__(self, "distortion", _freeze(self.distortion))
+
+        check_pmf(self.state_pmf, "state_pmf")
+        for name, ndim, axes in ((("law", 4, "x,s,y,z"),) if self.law is not None else
+                                 (("law_y", 3, "x,s,·"), ("law_z", 3, "x,s,·"))):
+            t = getattr(self, name)
+            if t.ndim != ndim:
+                raise SpecValidationError(f"{name}: expected {ndim}-D ({axes}), got shape {t.shape}")
+            if t.shape[1] != self.state_size:
+                raise SpecValidationError(f"{name}: state axis does not match state_pmf")
+            _check_rows(t.reshape(t.shape[:2] + (-1,)), f"{name} row (x,s)")
+        if self.law is None and self.law_y.shape[:2] != self.law_z.shape[:2]:
+            raise SpecValidationError("law_y and law_z disagree on (x,s) shape")
+        _check_distortion(self.distortion, "distortion")
+        if self.distortion.shape[0] != self.state_size:
+            raise SpecValidationError(
+                f"distortion: state axis {self.distortion.shape[0]} does not match "
+                f"state_pmf size {self.state_size}")
+        if self.cost.shape != (self.input_size,):
+            raise SpecValidationError("cost: wrong shape")
+        if np.any(self.cost < 0):
+            raise SpecValidationError(f"cost: negative entry at x={int(np.argmin(self.cost))}")
 
     # -- sizes ----------------------------------------------------------
     @property
@@ -187,30 +205,27 @@ class SdmbcSpec:
     labels: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "joint_state_pmf", _freeze(self.joint_state_pmf))
-        object.__setattr__(self, "law", _freeze(self.law))
-        object.__setattr__(self, "distortion_1", _freeze(self.distortion_1))
-        object.__setattr__(self, "distortion_2", _freeze(self.distortion_2))
-
-    @property
-    def state1_size(self):
-        return self.joint_state_pmf.shape[0]
-
-    @property
-    def state2_size(self):
-        return self.joint_state_pmf.shape[1]
+        for name in ("joint_state_pmf", "law", "distortion_1", "distortion_2"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        js, law = self.joint_state_pmf, self.law
+        if js.ndim != 2:
+            raise SpecValidationError("joint_state_pmf must be 2-D (s1,s2)")
+        check_pmf(js.ravel(), "joint_state_pmf")
+        if law.ndim != 6:
+            raise SpecValidationError(
+                f"law: expected 6-D (s1,s2,x,y1,y2,z), got shape {law.shape}")
+        if law.shape[:2] != js.shape:
+            raise SpecValidationError("law: state axes do not match joint_state_pmf")
+        _check_rows(law.reshape(law.shape[:3] + (-1,)), "law row (s1,s2,x)")
+        for k in (1, 2):
+            d = getattr(self, f"distortion_{k}")
+            _check_distortion(d, f"distortion_{k}")
+            if d.shape[0] != js.shape[k - 1]:
+                raise SpecValidationError(f"distortion_{k}: state axis does not match S{k}")
 
     @property
     def input_size(self):
         return self.law.shape[2]
-
-    @property
-    def output1_size(self):
-        return self.law.shape[3]
-
-    @property
-    def output2_size(self):
-        return self.law.shape[4]
 
     @property
     def feedback_size(self):
@@ -218,19 +233,8 @@ class SdmbcSpec:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation helpers (run by the spec constructors)
 # ---------------------------------------------------------------------------
-
-def validate(spec):
-    """Check all structural invariants; raises SpecValidationError on the
-    first violated one, with index coordinates in the message."""
-    if isinstance(spec, SdmcSpec):
-        _validate_sdmc(spec)
-    elif isinstance(spec, SdmbcSpec):
-        _validate_sdmbc(spec)
-    else:
-        raise SpecValidationError(f"not a channel spec: {type(spec)!r}")
-
 
 def _check_rows(t, name, atol=PMF_ATOL):
     if np.any(t < 0):
@@ -258,57 +262,6 @@ def _check_distortion(d, name):
     if np.any(d < 0):
         idx = tuple(int(i) for i in np.argwhere(d < 0)[0])
         raise SpecValidationError(f"{name}: negative distortion at {idx}")
-
-
-def _validate_sdmc(spec):
-    check_pmf(spec.state_pmf, "state_pmf")
-    if spec.law is not None:
-        if spec.law.ndim != 4:
-            raise SpecValidationError(f"law: expected 4-D (x,s,y,z), got shape {spec.law.shape}")
-        if spec.law.shape[1] != spec.state_size:
-            raise SpecValidationError("law: state axis does not match state_pmf")
-        flat = spec.law.reshape(spec.law.shape[0], spec.law.shape[1], -1)
-        _check_rows(flat, "law row (x,s)")
-    else:
-        for t, name in ((spec.law_y, "law_y"), (spec.law_z, "law_z")):
-            if t.ndim != 3:
-                raise SpecValidationError(f"{name}: expected 3-D (x,s,·), got shape {t.shape}")
-            if t.shape[1] != spec.state_size:
-                raise SpecValidationError(f"{name}: state axis does not match state_pmf")
-            _check_rows(t, f"{name} row (x,s)")
-        if spec.law_y.shape[:2] != spec.law_z.shape[:2]:
-            raise SpecValidationError("law_y and law_z disagree on (x,s) shape")
-    _check_distortion(spec.distortion, "distortion")
-    sdim = spec.distortion.shape[0]
-    if sdim != spec.state_size:
-        raise SpecValidationError(
-            f"distortion: state axis {sdim} does not match state_pmf size {spec.state_size}")
-    cost = np.asarray(spec.cost)
-    if cost.shape != (spec.input_size,):
-        raise SpecValidationError("cost: wrong shape")
-    if np.any(cost < 0):
-        i = int(np.argmin(cost))
-        raise SpecValidationError(f"cost: negative entry at x={i}")
-
-
-def _validate_sdmbc(spec):
-    js = spec.joint_state_pmf
-    if js.ndim != 2:
-        raise SpecValidationError("joint_state_pmf must be 2-D (s1,s2)")
-    check_pmf(js.ravel(), "joint_state_pmf")
-    if spec.law.ndim != 6:
-        raise SpecValidationError(
-            f"law: expected 6-D (s1,s2,x,y1,y2,z), got shape {spec.law.shape}")
-    if spec.law.shape[0] != js.shape[0] or spec.law.shape[1] != js.shape[1]:
-        raise SpecValidationError("law: state axes do not match joint_state_pmf")
-    flat = spec.law.reshape(spec.law.shape[0], spec.law.shape[1], spec.law.shape[2], -1)
-    _check_rows(flat, "law row (s1,s2,x)")
-    _check_distortion(spec.distortion_1, "distortion_1")
-    _check_distortion(spec.distortion_2, "distortion_2")
-    if spec.distortion_1.shape[0] != spec.state1_size:
-        raise SpecValidationError("distortion_1: state axis does not match S1")
-    if spec.distortion_2.shape[0] != spec.state2_size:
-        raise SpecValidationError("distortion_2: state axis does not match S2")
 
 
 # ---------------------------------------------------------------------------
@@ -402,48 +355,36 @@ def _parse_distortion(obj, name):
 def spec_from_dict(doc):
     """Build a validated spec from a parsed JSON document.
 
-    Law rows off-normalized by at most 1e-6 are renormalized; unknown
-    fields are rejected.
+    Law rows and the state pmf off-normalized by at most 1e-6 are
+    renormalized; unknown fields are rejected.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SpecValidationError("spec document must be an object with a 'kind' field")
     kind = doc["kind"]
+    if kind not in ("sdmc", "sdmbc"):
+        raise SpecValidationError(f"unknown spec kind {kind!r}")
+    extra = set(doc) - (_SDMC_FIELDS if kind == "sdmc" else _SDMBC_FIELDS)
+    if extra:
+        raise SpecValidationError(f"unknown spec fields: {sorted(extra)}")
+    if "law" in doc or kind == "sdmbc":           # rows follow (x,s) or (s1,s2,x)
+        raw = np.asarray(doc["law"], float)
+        lead = raw.shape[:2 if kind == "sdmc" else 3]
+        laws = {"law": renormalize_rows(raw.reshape(lead + (-1,)), "law").reshape(raw.shape)}
+    else:
+        laws = {name: renormalize_rows(np.asarray(doc[name], float), name)
+                for name in ("law_y", "law_z")}
+    pmf = np.asarray(doc["state_pmf" if kind == "sdmc" else "joint_state_pmf"], float)
+    if abs(pmf.sum() - 1.0) <= RENORM_ATOL:
+        pmf = pmf / pmf.sum()
     if kind == "sdmc":
-        extra = set(doc) - _SDMC_FIELDS
-        if extra:
-            raise SpecValidationError(f"unknown spec fields: {sorted(extra)}")
-        law = law_y = law_z = None
-        if "law" in doc:
-            raw = np.asarray(doc["law"], float)
-            law = renormalize_rows(raw.reshape(raw.shape[:2] + (-1,)),
-                                   "law").reshape(raw.shape)
-        else:
-            law_y = renormalize_rows(np.asarray(doc["law_y"], float), "law_y")
-            law_z = renormalize_rows(np.asarray(doc["law_z"], float), "law_z")
-        pmf = np.asarray(doc["state_pmf"], float)
-        if abs(pmf.sum() - 1.0) <= RENORM_ATOL:
-            pmf = pmf / pmf.sum()
-        spec = SdmcSpec(state_pmf=pmf, law=law, law_y=law_y, law_z=law_z,
+        return SdmcSpec(state_pmf=pmf, **laws,
                         distortion=_parse_distortion(doc["distortion"], "distortion"),
                         cost=np.asarray(doc["cost"], float) if "cost" in doc else None,
                         labels=doc.get("labels"))
-    elif kind == "sdmbc":
-        extra = set(doc) - _SDMBC_FIELDS
-        if extra:
-            raise SpecValidationError(f"unknown spec fields: {sorted(extra)}")
-        raw = np.asarray(doc["law"], float)
-        law = renormalize_rows(raw.reshape(raw.shape[:3] + (-1,)), "law").reshape(raw.shape)
-        pmf = np.asarray(doc["joint_state_pmf"], float)
-        if abs(pmf.sum() - 1.0) <= RENORM_ATOL:
-            pmf = pmf / pmf.sum()
-        spec = SdmbcSpec(joint_state_pmf=pmf, law=law,
-                         distortion_1=np.asarray(doc["distortion_1"], float),
-                         distortion_2=np.asarray(doc["distortion_2"], float),
-                         labels=doc.get("labels"))
-    else:
-        raise SpecValidationError(f"unknown spec kind {kind!r}")
-    validate(spec)
-    return spec
+    return SdmbcSpec(joint_state_pmf=pmf, **laws,
+                     distortion_1=np.asarray(doc["distortion_1"], float),
+                     distortion_2=np.asarray(doc["distortion_2"], float),
+                     labels=doc.get("labels"))
 
 
 def load_spec(path):

@@ -128,12 +128,14 @@ def d_min(spec, budget=np.inf, est=None):
             if b[j] <= budget or b[j] <= b[i]:
                 continue
             wj = (budget - b[i]) / (b[j] - b[i])
+            pmf = np.zeros(n)
+            pmf[i], pmf[j] = 1 - wj, wj
+            while pmf @ b > budget:      # the rounded mix can cost an ulp above B
+                wj = np.nextafter(wj, 0.0)
+                pmf[i], pmf[j] = 1 - wj, wj
             val = (1 - wj) * c[i] + wj * c[j]
             if val < best_val - 1e-15:
-                best_val = val
-                best_pmf = np.zeros(n)
-                best_pmf[i] = 1 - wj
-                best_pmf[j] = wj
+                best_val, best_pmf = val, pmf
     return float(best_val), best_pmf
 
 

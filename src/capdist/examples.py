@@ -8,8 +8,7 @@ import numpy as np
 
 from . import estimator, solver
 from .bcregions import binary_entropy
-from .channel import (MappingTable, QuadraticDistortion, SdmbcSpec, SdmcSpec,
-                      validate)
+from .channel import MappingTable, QuadraticDistortion, SdmbcSpec, SdmcSpec
 from .errors import MemoryGuard
 
 # SciPy is imported inside the three Gaussian functions that use it: at module
@@ -30,10 +29,8 @@ def binary_multiplicative_spec(q):
         for s in range(2):
             y = s * x
             law[x, s, y, y] = 1.0
-    spec = SdmcSpec(state_pmf=np.array([1.0 - q, q]), law=law,
+    return SdmcSpec(state_pmf=np.array([1.0 - q, q]), law=law,
                     distortion=HAMMING2.copy())
-    validate(spec)
-    return spec
 
 
 def binary_multiplicative_cd(q, distortion):
@@ -57,10 +54,8 @@ def erasure_spec(p_s):
     for x in range(2):
         law[x, 0, x, x] = 1.0
         law[x, 1, 2, 2] = 1.0
-    spec = SdmcSpec(state_pmf=np.array([1.0 - p_s, p_s]), law=law,
+    return SdmcSpec(state_pmf=np.array([1.0 - p_s, p_s]), law=law,
                     distortion=HAMMING2.copy())
-    validate(spec)
-    return spec
 
 
 def erasure_psi():
@@ -74,38 +69,29 @@ def erasure_psi():
 # binary broadcast examples
 # ---------------------------------------------------------------------------
 
-def _binary_bc_state_pmf(q, gamma):
-    return np.array([[1.0 - q, 0.0],
-                     [q * (1.0 - gamma), q * gamma]])
+def _binary_bc_spec(q, gamma, flip):
+    """Y1 = S1 X and Y2 = S2 (X xor flip), output feedback Z = (Y1, Y2) with
+    z = 2*y1 + y2, S1 ~ Bernoulli(q) and S2 = S1 B, B ~ Bernoulli(gamma)."""
+    law = np.zeros((2, 2, 2, 2, 2, 4))
+    for s1 in range(2):
+        for s2 in range(2):
+            for x in range(2):
+                y1, y2 = s1 * x, s2 * (x ^ flip)
+                law[s1, s2, x, y1, y2, 2 * y1 + y2] = 1.0
+    return SdmbcSpec(joint_state_pmf=np.array([[1.0 - q, 0.0],
+                                               [q * (1.0 - gamma), q * gamma]]),
+                     law=law, distortion_1=HAMMING2.copy(), distortion_2=HAMMING2.copy())
 
 
 def binary_bc_spec(q, gamma):
     """Physically degraded binary BC: Y_k = S_k X, output feedback
     Z = (Y1, Y2) with z = 2*y1 + y2."""
-    law = np.zeros((2, 2, 2, 2, 2, 4))
-    for s1 in range(2):
-        for s2 in range(2):
-            for x in range(2):
-                y1, y2 = s1 * x, s2 * x
-                law[s1, s2, x, y1, y2, 2 * y1 + y2] = 1.0
-    spec = SdmbcSpec(joint_state_pmf=_binary_bc_state_pmf(q, gamma), law=law,
-                     distortion_1=HAMMING2.copy(), distortion_2=HAMMING2.copy())
-    validate(spec)
-    return spec
+    return _binary_bc_spec(q, gamma, flip=0)
 
 
 def flipped_bc_spec(q, gamma):
     """Binary BC with flipping input: Y1 = S1 X, Y2 = S2 (1-X)."""
-    law = np.zeros((2, 2, 2, 2, 2, 4))
-    for s1 in range(2):
-        for s2 in range(2):
-            for x in range(2):
-                y1, y2 = s1 * x, s2 * (1 - x)
-                law[s1, s2, x, y1, y2, 2 * y1 + y2] = 1.0
-    spec = SdmbcSpec(joint_state_pmf=_binary_bc_state_pmf(q, gamma), law=law,
-                     distortion_1=HAMMING2.copy(), distortion_2=HAMMING2.copy())
-    validate(spec)
-    return spec
+    return _binary_bc_spec(q, gamma, flip=1)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +126,8 @@ def erasure_bc_spec(p_e1s1, p_e2s2):
     for st in range(4):
         s = st % 2
         d[st, :] = [s != 0, s != 1]
-    spec = SdmbcSpec(joint_state_pmf=joint, law=law,
+    return SdmbcSpec(joint_state_pmf=joint, law=law,
                      distortion_1=d.copy(), distortion_2=d.copy())
-    validate(spec)
-    return spec
 
 
 def erasure_bc_psis():
@@ -180,10 +164,8 @@ def dueck_bc_spec(q):
                     i2 = 8 * x0 + 4 * y2p + 2 * s1 + s2
                     law[s1, s2, x, i1, i2, 2 * y1p + y2p] += 0.5
     pk = np.array([1.0 - q, q])
-    spec = SdmbcSpec(joint_state_pmf=np.outer(pk, pk), law=law,
+    return SdmbcSpec(joint_state_pmf=np.outer(pk, pk), law=law,
                      distortion_1=HAMMING2.copy(), distortion_2=HAMMING2.copy())
-    validate(spec)
-    return spec
 
 
 def dueck_reduction_spec(q, receiver=1):
@@ -209,9 +191,7 @@ def dueck_reduction_spec(q, receiver=1):
     for s in range(4):
         bit = (s >> 1) & 1 if receiver == 1 else s & 1
         d[s, :] = [bit != 0, bit != 1]
-    spec = SdmcSpec(state_pmf=state_pmf, law=law, distortion=d)
-    validate(spec)
-    return spec
+    return SdmcSpec(state_pmf=state_pmf, law=law, distortion=d)
 
 
 def dueck_input_pmf(t):
@@ -336,13 +316,11 @@ def gaussian_quantized_spec(cfg=None):
 
     law_y = scatter(ky, py)
     law_z = law_y if (kz is ky) else scatter(kz, pz)
-    spec = SdmcSpec(state_pmf=s_probs, law_y=law_y, law_z=law_z,
+    return SdmcSpec(state_pmf=s_probs, law_y=law_y, law_z=law_z,
                     distortion=QuadraticDistortion(state_values=s_vals,
                                                    estimate_values=s_vals),
                     cost=x_vals ** 2,
                     labels={"x_values": x_vals.tolist()})
-    validate(spec)
-    return spec
 
 
 def gaussian_analytic_anchors(power, sigma_fb2=1.0, mc_samples=200_000, seed=0):

@@ -357,14 +357,14 @@ def factorization_deviations(joint_xsz, psi_table, codomain_size):
     return dev1, dev2
 
 
-def _trial_pmf_panel(n, seed=0, n_random=20):
+def _trial_pmf_panel(n, seed=0):
     pmfs = [np.full(n, 1.0 / n)]
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
         pmfs.append(e)
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    for _ in range(20):
         pmfs.append(rng.dirichlet(np.ones(n)))
     return pmfs
 

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from capdist import bcregions, estimator, examples, solver, verify
-from capdist.channel import SdmcSpec
 from capdist.examples import (GaussianQuantConfig, binary_multiplicative_cd,
                               binary_multiplicative_spec,
                               gaussian_quantized_spec, gaussian_two_pam_analytic,
                               gaussian_two_pam_point)
 from capdist.solver import BaConfig, solve_fixed_mu, sweep_frontier
+from random_specs import random_spec
 
 
 def report(num, name, ok, detail=""):
@@ -27,15 +27,6 @@ def report(num, name, ok, detail=""):
         line += f"  ({detail})"
     print(line)
     assert ok, line
-
-
-def random_spec(rng, nx=3, ns=3, ny=3, nz=3):
-    state = rng.dirichlet(np.ones(ns))
-    law = rng.dirichlet(np.ones(ny * nz), size=(nx, ns)).reshape(nx, ns, ny, nz)
-    d = rng.random((ns, ns))
-    np.fill_diagonal(d, 0.0)
-    return SdmcSpec(state_pmf=state, law=law, distortion=d,
-                    cost=rng.random(nx))
 
 
 # ---------------------------------------------------------------------------

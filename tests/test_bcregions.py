@@ -8,7 +8,8 @@ from capdist.bcregions import (binary_bc_region, binary_entropy,
                                erasure_bc_distortion_region, flipped_bc_region,
                                is_physically_degraded, outer_bound_samples,
                                product_region_check, upper_concave_hull)
-from capdist.channel import MappingTable, SdmcSpec
+from capdist.channel import MappingTable
+from random_specs import random_spec
 
 
 def erasure_pairs():
@@ -229,13 +230,8 @@ def test_envelope_value_reaches_vertex_within_tie_slack():
     # below the solved points, and the envelope at D_min must still reach
     # their rate (the brute-force oracle gives 0.1083 bits there).
     rng = np.random.default_rng(0)
-    for _ in range(13):   # the draws of test_acceptance.random_spec
-        nx, ns, ny, nz = rng.integers(2, 4, size=4)
-        state = rng.dirichlet(np.ones(ns))
-        law = rng.dirichlet(np.ones(ny * nz), size=(nx, ns)).reshape(nx, ns, ny, nz)
-        d = rng.random((ns, ns))
-        np.fill_diagonal(d, 0.0)
-        spec = SdmcSpec(state_pmf=state, law=law, distortion=d, cost=rng.random(nx))
+    for _ in range(13):   # the draws of criterion 6, in order
+        spec = random_spec(rng, *rng.integers(2, 4, size=4))
     budget = float(np.quantile(spec.cost, 0.7))
     pts = solver.sweep_frontier(spec, budget, [0.0] + list(np.logspace(-3, 3, 40)))
     dmin, _ = estimator.d_min(spec, budget)

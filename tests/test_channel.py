@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capdist import channel, estimator, examples
 from capdist.channel import (MappingTable, QuadraticDistortion, SdmbcSpec,
                              SdmcSpec, receiver_spec, renormalize_rows,
-                             spec_from_dict, spec_to_dict, validate)
+                             spec_from_dict, spec_to_dict)
 from capdist.errors import SpecValidationError
 
 
@@ -19,54 +22,64 @@ def small_spec():
 # ---------------------------------------------------------------------------
 
 def test_validate_accepts_builtin_examples():
-    validate(small_spec())
-    validate(examples.erasure_spec(0.3))
-    validate(examples.binary_bc_spec(0.6, 0.5))
+    # construction validates: building each spec is the whole check
+    small_spec()
+    examples.erasure_spec(0.3)
+    examples.binary_bc_spec(0.6, 0.5)
 
 
 def test_state_pmf_must_normalize():
     with pytest.raises(SpecValidationError, match="state_pmf"):
-        SdmcSpec(state_pmf=[0.5, 0.4],
-                 law=small_spec().law,
+        SdmcSpec(state_pmf=[0.5, 0.4], law=small_spec().law,
                  distortion=np.zeros((2, 2)))
-        validate(SdmcSpec(state_pmf=[0.5, 0.4], law=small_spec().law,
-                          distortion=np.zeros((2, 2))))
 
 
 def test_law_rows_must_normalize_with_coordinates():
     law = np.array(small_spec().law)
     law[1, 0, 0, 0] += 0.25
-    spec = SdmcSpec(state_pmf=[0.6, 0.4], law=law, distortion=np.eye(2))
     with pytest.raises(SpecValidationError, match=r"\(1, 0\)"):
-        validate(spec)
+        SdmcSpec(state_pmf=[0.6, 0.4], law=law, distortion=np.eye(2))
+    bc = examples.binary_bc_spec(0.6, 0.5)
+    law = np.array(bc.law)
+    law[1, 0, 1, 0, 0, 0] += 0.25
+    with pytest.raises(SpecValidationError, match=r"\(1, 0, 1\)"):
+        SdmbcSpec(joint_state_pmf=bc.joint_state_pmf, law=law,
+                  distortion_1=bc.distortion_1, distortion_2=bc.distortion_2)
 
 
 def test_negative_probability_rejected():
     law = np.array(small_spec().law)
     law[0, 0, 0, 0] = -0.1
     law[0, 0, 1, 1] = 1.1
-    spec = SdmcSpec(state_pmf=[0.6, 0.4], law=law, distortion=np.eye(2))
     with pytest.raises(SpecValidationError, match="negative"):
-        validate(spec)
+        SdmcSpec(state_pmf=[0.6, 0.4], law=law, distortion=np.eye(2))
 
 
 def test_distortion_shape_checked():
-    spec = SdmcSpec(state_pmf=[0.6, 0.4], law=small_spec().law,
-                    distortion=np.zeros((3, 2)))
     with pytest.raises(SpecValidationError, match="distortion"):
-        validate(spec)
+        SdmcSpec(state_pmf=[0.6, 0.4], law=small_spec().law,
+                 distortion=np.zeros((3, 2)))
 
 
 def test_negative_cost_rejected():
-    spec = SdmcSpec(state_pmf=[0.6, 0.4], law=small_spec().law,
-                    distortion=np.eye(2), cost=[0.0, -1.0])
     with pytest.raises(SpecValidationError, match="cost"):
-        validate(spec)
+        SdmcSpec(state_pmf=[0.6, 0.4], law=small_spec().law,
+                 distortion=np.eye(2), cost=[0.0, -1.0])
 
 
 def test_spec_needs_some_law():
     with pytest.raises(SpecValidationError, match="law"):
         SdmcSpec(state_pmf=[1.0], distortion=np.zeros((1, 1)))
+
+
+def test_spec_rejects_both_law_forms():
+    # marginal_y_given_xs reads law_y when present, so a joint law must not
+    # vouch for an unchecked pair of marginals
+    spec = small_spec()
+    bad = np.full((2, 2, 2), 0.9)
+    with pytest.raises(SpecValidationError, match="both"):
+        SdmcSpec(state_pmf=spec.state_pmf, law=spec.law, law_y=bad, law_z=bad,
+                 distortion=spec.distortion)
 
 
 def test_quadratic_distortion_requires_sorted_estimates():
@@ -144,6 +157,56 @@ def test_json_round_trip_sdmbc(tmp_path):
     assert np.array_equal(again.law, bc.law)
 
 
+def _round_trip_spec(seed, sizes, form, quadratic, costly):
+    rng = np.random.default_rng(seed)
+    nx, ns, ny, nz = sizes
+    if form == "broadcast":
+        return SdmbcSpec(joint_state_pmf=rng.dirichlet(np.ones(ns * ns)).reshape(ns, ns),
+                         law=rng.dirichlet(np.ones(ny * ny * nz), size=(ns, ns, nx))
+                         .reshape(ns, ns, nx, ny, ny, nz),
+                         distortion_1=rng.random((ns, 2)), distortion_2=rng.random((ns, 3)))
+    if form == "joint":
+        laws = {"law": rng.dirichlet(np.ones(ny * nz), size=(nx, ns)).reshape(nx, ns, ny, nz)}
+    else:
+        laws = {"law_y": rng.dirichlet(np.ones(ny), size=(nx, ns)),
+                "law_z": rng.dirichlet(np.ones(nz), size=(nx, ns))}
+    d = (QuadraticDistortion(rng.normal(size=ns), np.sort(rng.normal(size=ns + 1)))
+         if quadratic else rng.random((ns, ns + 1)))
+    return SdmcSpec(state_pmf=rng.dirichlet(np.ones(ns)), **laws, distortion=d,
+                    cost=rng.random(nx) if costly else None)
+
+
+def _spec_arrays(spec):
+    """Every array a spec holds, by field name; a quadratic distortion by
+    its two value grids."""
+    out = {}
+    for f in dataclasses.fields(spec):
+        v = getattr(spec, f.name)
+        if isinstance(v, QuadraticDistortion):
+            out[f.name + ".state_values"] = v.state_values
+            out[f.name + ".estimate_values"] = v.estimate_values
+        elif v is not None and f.name != "labels":
+            out[f.name] = v
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(*[st.integers(1, 3)] * 4),
+       form=st.sampled_from(["joint", "factored", "broadcast"]),
+       quadratic=st.booleans(), costly=st.booleans())
+def test_json_round_trip_property(seed, sizes, form, quadratic, costly):
+    # the parser divides each law row and the state pmf by its sum, which
+    # moves entries by an ulp or two, hence the tolerance
+    spec = _round_trip_spec(seed, sizes, form, quadratic, costly)
+    again = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+    assert type(again) is type(spec)
+    want, got = _spec_arrays(spec), _spec_arrays(again)
+    assert want.keys() == got.keys()
+    for name in want:
+        assert got[name].shape == want[name].shape, name
+        assert np.max(np.abs(got[name] - want[name]), initial=0.0) <= 1e-15, name
+
+
 def test_unknown_fields_rejected():
     doc = spec_to_dict(small_spec())
     doc["surprise"] = 1
@@ -185,8 +248,7 @@ def _broadcast_examples():
 def test_receiver_spec_preserves_probability():
     for bc in _broadcast_examples():
         for k in (1, 2):
-            view = receiver_spec(bc, k)
-            validate(view)
+            view = receiver_spec(bc, k)       # validated on construction
             assert view.state_size == bc.joint_state_pmf.shape[k - 1]
             assert view.input_size == bc.input_size
             assert view.feedback_size == bc.feedback_size

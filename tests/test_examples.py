@@ -3,7 +3,7 @@ import pytest
 
 from capdist import channel, estimator, examples
 from capdist.bcregions import dueck_distortion
-from capdist.channel import QuadraticDistortion, validate
+from capdist.channel import QuadraticDistortion
 from capdist.errors import MemoryGuard
 from capdist.examples import (GaussianQuantConfig, binary_multiplicative_cd,
                               binary_multiplicative_spec, dueck_bc_spec,
@@ -54,7 +54,6 @@ def dueck_bc_pmf(t):
 def test_dueck_bc_estimators_match_closed_form():
     q = 0.75
     bc = dueck_bc_spec(q)
-    validate(bc)
     e1, e2 = (estimator.build_estimator(channel.receiver_spec(bc, k)) for k in (1, 2))
     for t in (0.0, 0.25, 0.5, 1.0):
         p = dueck_bc_pmf(t)
@@ -67,7 +66,6 @@ def test_dueck_reduction_matches_closed_form():
     q = 0.75
     for receiver in (1, 2):
         spec = dueck_reduction_spec(q, receiver=receiver)
-        validate(spec)
         est = estimator.build_estimator(spec)
         for t in (0.0, 0.5, 1.0):
             val = float(dueck_input_pmf(t) @ est.cost)
@@ -95,7 +93,6 @@ def test_snap_ties_to_lower_index():
 def test_gaussian_spec_structure():
     cfg = GaussianQuantConfig(pam_points=8, noise_points=25, state_points=100)
     spec = gaussian_quantized_spec(cfg)
-    validate(spec)
     xv = np.array(spec.labels["x_values"])
     kappa = np.sqrt(3.0 * 10.0 / 63.0)
     assert np.allclose(np.diff(xv), 2 * kappa)

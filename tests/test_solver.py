@@ -10,15 +10,7 @@ from capdist.solver import (BaConfig, baseline_ts,
                             conditional_mutual_information, no_tradeoff_check,
                             solve_fixed_mu, sweep_frontier)
 from capdist.verify import p_update, q_update
-
-
-def random_spec(rng, nx=3, ns=3, ny=3, nz=3):
-    state = rng.dirichlet(np.ones(ns))
-    law = rng.dirichlet(np.ones(ny * nz), size=(nx, ns)).reshape(nx, ns, ny, nz)
-    d = rng.random((ns, ns))
-    np.fill_diagonal(d, 0.0)
-    return SdmcSpec(state_pmf=state, law=law, distortion=d,
-                    cost=rng.random(nx))
+from random_specs import random_spec
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +296,20 @@ def test_binding_sweep_rows_stay_within_budget():
     b_min = spec.cost.min()
     budget = b_min + 0.5 * (min(p.cost for p in free) - b_min)
     assert all(p.cost <= budget for p in sweep_frontier(spec, budget, grid))
+
+
+@pytest.mark.parametrize("seed", [9, 138])
+def test_dmin_anchor_stays_within_budget(seed):
+    # d_min mixes two symbols with weight (B - b_i)/(b_j - b_i); the anchor's
+    # cost, the rounded mix, once read up to 5.6e-17 above B on these seeds
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, *rng.integers(2, 4, size=4))
+    grid = cli._parse_mu_grid("auto")
+    free = [p for p in sweep_frontier(spec, np.inf, grid) if np.isfinite(p.mu)]
+    budget = 0.5 * (spec.cost.min() + min(p.cost for p in free))
+    anchor = sweep_frontier(spec, budget, grid)[0]
+    assert anchor.mu == np.inf
+    assert anchor.cost <= budget
 
 
 def test_baselines_binary_closed_form():

@@ -6,15 +6,7 @@ from capdist.channel import MAX_LATTICE_POINTS, SdmcSpec, simplex_lattice
 from capdist.errors import InfeasibleConstraints, InstanceTooLarge
 from capdist.verify import (brute_force_tradeoff, exhaustive_estimator_search,
                             simulate_distortion)
-
-
-def random_spec(rng, nx=3, ns=3, ny=3, nz=3):
-    state = rng.dirichlet(np.ones(ns))
-    law = rng.dirichlet(np.ones(ny * nz), size=(nx, ns)).reshape(nx, ns, ny, nz)
-    d = rng.random((ns, ns))
-    np.fill_diagonal(d, 0.0)
-    return SdmcSpec(state_pmf=state, law=law, distortion=d,
-                    cost=rng.random(nx))
+from random_specs import random_spec
 
 
 # ---------------------------------------------------------------------------
