@@ -187,11 +187,10 @@ class ProductRegionReport:
     tol: float
 
 
-def product_region_check(bc, psi1, psi2, trial_pmfs=None, tol=1e-9, seed=0):
-    """Certify CD = C x D: the single-user no-tradeoff check of T_k = psi_k(X,Z)
-    on each receiver's view; the deviations are (receiver 1, receiver 2)."""
-    r1, r2 = (solver.no_tradeoff_check(channel.receiver_spec(bc, k), psi,
-                                       trial_pmfs, tol, seed)
+def product_region_check(bc, psi1, psi2, tol=1e-9):
+    """Certify CD = C x D exactly: the single-user no-tradeoff check of
+    T_k = psi_k(X,Z) on each receiver's view; deviations are (receiver 1, 2)."""
+    r1, r2 = (solver.no_tradeoff_check(channel.receiver_spec(bc, k), psi, tol)
               for k, psi in ((1, psi1), (2, psi2)))
     return ProductRegionReport(
         passed=r1.passed and r2.passed,

@@ -338,13 +338,15 @@ _SDMC_FIELDS = {"kind", "state_pmf", "law", "law_y", "law_z", "distortion",
                 "cost", "labels"}
 _SDMBC_FIELDS = {"kind", "joint_state_pmf", "law", "distortion_1",
                  "distortion_2", "labels"}
+_REQUIRED = {"sdmc": ("state_pmf", "distortion"),
+             "sdmbc": ("joint_state_pmf", "distortion_1", "distortion_2")}
 
 
 def _parse_distortion(obj, name):
     if isinstance(obj, dict):
-        extra = set(obj) - {"kind", "state_values", "estimate_values"}
-        if extra:
-            raise SpecValidationError(f"{name}: unknown fields {sorted(extra)}")
+        if set(obj) != {"kind", "state_values", "estimate_values"}:
+            raise SpecValidationError(f"{name}: fields {sorted(obj)}; expected kind, "
+                                      f"state_values and estimate_values")
         if obj.get("kind") != "quadratic":
             raise SpecValidationError(f"{name}: unknown distortion kind {obj.get('kind')!r}")
         return QuadraticDistortion(np.asarray(obj["state_values"], float),
@@ -356,7 +358,7 @@ def spec_from_dict(doc):
     """Build a validated spec from a parsed JSON document.
 
     Law rows and the state pmf off-normalized by at most 1e-6 are
-    renormalized; unknown fields are rejected.
+    renormalized; unknown fields and missing required ones are rejected.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SpecValidationError("spec document must be an object with a 'kind' field")
@@ -366,7 +368,12 @@ def spec_from_dict(doc):
     extra = set(doc) - (_SDMC_FIELDS if kind == "sdmc" else _SDMBC_FIELDS)
     if extra:
         raise SpecValidationError(f"unknown spec fields: {sorted(extra)}")
-    if "law" in doc or kind == "sdmbc":           # rows follow (x,s) or (s1,s2,x)
+    factored = "law" not in doc and {"law_y", "law_z"} & doc.keys()  # sdmc only
+    required = _REQUIRED[kind] + (("law_y", "law_z") if factored else ("law",))
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise SpecValidationError(f"missing required spec fields: {missing}")
+    if not factored:                              # rows follow (x,s) or (s1,s2,x)
         raw = np.asarray(doc["law"], float)
         lead = raw.shape[:2 if kind == "sdmc" else 3]
         laws = {"law": renormalize_rows(raw.reshape(lead + (-1,)), "law").reshape(raw.shape)}

@@ -96,17 +96,24 @@ class CliInputError(Exception):
     pass
 
 
+def _load_json(path, what, parse):
+    """(parse(document), raw bytes) of a JSON file; a bad file is an input error."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return parse(json.loads(raw.decode("utf-8"))), raw
+    except OSError as exc:
+        raise CliInputError(f"cannot read {what} file: {exc}")
+    except KeyError as exc:
+        raise CliInputError(f"invalid {what} file: missing field {exc}")
+    except (CapdistError, TypeError, ValueError) as exc:
+        raise CliInputError(f"invalid {what} file: {exc}")
+
+
 def _load_instance(args):
     """Resolve --spec/--builtin into (spec, digest, source description)."""
     if getattr(args, "spec", None):
-        try:
-            with open(args.spec, "rb") as fh:
-                raw = fh.read()
-            spec = channel.spec_from_dict(json.loads(raw.decode("utf-8")))
-        except OSError as exc:
-            raise CliInputError(f"cannot read spec file: {exc}")
-        except (json.JSONDecodeError, CapdistError, ValueError) as exc:
-            raise CliInputError(f"invalid spec file: {exc}")
+        spec, raw = _load_json(args.spec, "spec", channel.spec_from_dict)
         return spec, hashlib.sha256(raw).hexdigest(), args.spec
     if getattr(args, "builtin", None):
         name, params = _parse_builtin(args.builtin)
@@ -335,10 +342,10 @@ def _grid(resolution):
 def cmd_verify(args):
     spec, digest, source = _load_instance(args)
     check = args.check
+    if isinstance(spec, channel.SdmbcSpec):
+        raise CliInputError(f"{check} check expects a single-receiver spec")
     report = {"check": check, "source": source, "spec_digest_sha256": digest}
     if check == "estimator":
-        if isinstance(spec, channel.SdmbcSpec):
-            raise CliInputError("estimator check expects a single-receiver spec")
         p_x = np.full(spec.input_size, 1.0 / spec.input_size)
         est = estimator.build_estimator(spec)
         analytic = estimator.expected_distortion(est, p_x)
@@ -347,8 +354,6 @@ def cmd_verify(args):
         report.update(analytic=analytic, oracle=oracle, gap=gap,
                       passed=bool(gap <= 1e-12))
     elif check == "frontier":
-        if isinstance(spec, channel.SdmbcSpec):
-            raise CliInputError("frontier check expects a single-receiver spec")
         est = estimator.build_estimator(spec)
         dmin, _ = estimator.d_min(spec, args.budget, est=est)
         dmax = estimator.d_trivial(spec)
@@ -365,8 +370,6 @@ def cmd_verify(args):
             worst = max(worst, abs(ours - oracle))
         report.update(worst_gap=worst, passed=bool(worst <= 2e-3))
     elif check == "distortion-mc":
-        if isinstance(spec, channel.SdmbcSpec):
-            raise CliInputError("distortion-mc expects a single-receiver spec")
         p_x = np.full(spec.input_size, 1.0 / spec.input_size)
         try:                                 # ValueError: fewer than one sample
             trial = verify.simulate_distortion(spec, p_x, args.samples, args.seed)
@@ -377,22 +380,15 @@ def cmd_verify(args):
                       passed=trial.passed)
     elif check == "no-tradeoff":
         if args.psi:
-            with open(args.psi, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            psi = channel.MappingTable(np.asarray(data["table"], dtype=np.int64),
-                                       int(data["codomain_size"]))
+            psi, _ = _load_json(args.psi, "--psi", lambda doc: channel.MappingTable(
+                np.asarray(doc["table"], dtype=np.int64), int(doc["codomain_size"])))
         elif getattr(args, "builtin", "") and args.builtin.startswith("erasure"):
             psi = examples.erasure_psi()
         else:
             raise CliInputError("no-tradeoff needs --psi TABLE.json "
                                 "(or the erasure builtin)")
-        if isinstance(spec, channel.SdmbcSpec):
-            raise CliInputError("no-tradeoff expects a single-receiver spec; "
-                                "use the library product_region_check for BCs")
-        rep = solver.no_tradeoff_check(spec, psi, seed=args.seed)
-        report.update(worst_independence=rep.worst_independence,
-                      worst_markov=rep.worst_markov, tol=rep.tol,
-                      n_pmfs=rep.n_pmfs, passed=rep.passed)
+        rep = solver.no_tradeoff_check(spec, psi)
+        report.update(vars(rep))
     else:                                    # pragma: no cover
         raise CliInputError(f"unknown check {check}")
     _write_text(args.out, json.dumps(report, indent=1) + "\n")
@@ -457,7 +453,8 @@ def build_parser():
     _add_instance_args(p)
     p.add_argument("--budget", type=float, default=np.inf)
     p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the distortion-mc samples (other checks ignore it)")
     p.add_argument("--psi", help="JSON file {table: [[...]], codomain_size: n}")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)

@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import channel, estimator
-from .errors import DegenerateUpdate, Infeasible
+from .errors import DegenerateUpdate, Infeasible, SpecValidationError
 
 _BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of each (rows, S*Y) temporary
 _DUAL_POINTS = 63           # interior lambdas per bracket and round of the dual search
@@ -328,62 +328,33 @@ def baseline_ts(spec, budget=np.inf, config=None):
 
 @dataclass
 class NoTradeoffReport:
-    passed: bool
-    worst_independence: float
+    worst_independence: float        # fields in `verify no-tradeoff` JSON order
     worst_markov: float
     tol: float
-    n_pmfs: int
+    passed: bool
 
 
-def factorization_deviations(joint_xsz, psi_table, codomain_size):
-    """Deviations of the two factorization identities for T = psi(X,Z).
+def no_tradeoff_check(spec, psi, tol=1e-9):
+    """Test the sufficient no-tradeoff conditions for T = psi(X,Z), exactly.
 
-    Returns (dev_independence, dev_markov):
-      (i)  max |P(s,t,x) - P(s,t) P(x)|        ((S,T) independent of X)
-      (ii) max |P(s,x,z) P(t) - P(s,t) P(x,z)| (S - T - (X,Z) Markov)
+    Let W(x,s,t) = sum_{z: psi(x,z)=t} P_S(s) P(z|x,s); the input pmf cancels.
+    (i) (S,T) is independent of X for every P_X iff W(x,.,.) is the same at
+    every x; given (i), (ii) S - T - (X,Z) is a Markov chain iff
+    P_S(s) P(z|x,s) W(t|x) = W(x,s,t) P(z|x) at t = psi(x,z).  The report
+    holds the largest spread of W over x and the largest gap in (ii).  A pass
+    certifies that the estimation cost is constant in P_X, i.e.
+    communication and sensing do not trade off.
     """
-    nx, ns, _ = joint_xsz.shape
-    m = np.zeros((nx, ns, codomain_size))      # P(x, s, t), summed in z order
-    np.add.at(m, (np.arange(nx)[:, None], slice(None), psi_table),
-              joint_xsz.transpose(0, 2, 1))
-    p_x = joint_xsz.sum(axis=(1, 2))
-    p_st = m.sum(axis=0)                          # (S, T)
-    dev1 = float(np.max(np.abs(m - p_x[:, None, None] * p_st[None])))
-    p_t = p_st.sum(axis=0)
-    p_xz = joint_xsz.sum(axis=1)                  # (X, Z)
-    lhs = joint_xsz * p_t[psi_table][:, None, :]
-    rhs = p_st[:, psi_table].transpose(1, 0, 2) * p_xz[:, None, :]
-    dev2 = float(np.max(np.abs(lhs - rhs)))
-    return dev1, dev2
-
-
-def _trial_pmf_panel(n, seed=0):
-    pmfs = [np.full(n, 1.0 / n)]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        pmfs.append(e)
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        pmfs.append(rng.dirichlet(np.ones(n)))
-    return pmfs
-
-
-def no_tradeoff_check(spec, psi, trial_pmfs=None, tol=1e-9, seed=0):
-    """Numerically test the sufficient no-tradeoff conditions for T=psi(X,Z).
-
-    A pass certifies that the estimation cost is constant in P_X on the
-    tested panel, i.e. communication and sensing do not trade off.
-    """
-    law_z = channel.marginal_z_given_xs(spec)
-    w = spec.state_pmf[None, :, None] * law_z      # (X, S, Z)
-    if trial_pmfs is None:
-        trial_pmfs = _trial_pmf_panel(spec.input_size, seed=seed)
-    worst1 = worst2 = 0.0
-    for p_x in trial_pmfs:
-        d1, d2 = factorization_deviations(np.asarray(p_x, float)[:, None, None] * w,
-                                          psi.table, psi.codomain_size)
-        worst1, worst2 = max(worst1, d1), max(worst2, d2)
-    return NoTradeoffReport(passed=(worst1 <= tol and worst2 <= tol),
-                            worst_independence=worst1, worst_markov=worst2,
-                            tol=tol, n_pmfs=len(trial_pmfs))
+    w = spec.state_pmf[None, :, None] * channel.marginal_z_given_xs(spec)  # (X, S, Z)
+    nx, ns, nz = w.shape
+    if psi.table.shape != (nx, nz):
+        raise SpecValidationError(f"psi table has shape {psi.table.shape}, "
+                                  f"not (|X|, |Z|) = {(nx, nz)}")
+    w_st = np.zeros((nx, ns, psi.codomain_size))                      # W(x, s, t)
+    np.add.at(w_st, (np.arange(nx)[:, None], slice(None), psi.table),
+              w.transpose(0, 2, 1))
+    w_at = np.take_along_axis(w_st, psi.table[:, None, :], axis=2)    # at t = psi(x, z)
+    worst1 = float(np.ptp(w_st, axis=0).max())
+    worst2 = float(np.abs(w * w_at.sum(axis=1)[:, None]
+                          - w_at * w.sum(axis=1)[:, None]).max())
+    return NoTradeoffReport(worst1, worst2, tol, passed=max(worst1, worst2) <= tol)

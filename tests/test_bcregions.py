@@ -9,6 +9,7 @@ from capdist.bcregions import (binary_bc_region, binary_entropy,
                                is_physically_degraded, outer_bound_samples,
                                product_region_check, upper_concave_hull)
 from capdist.channel import MappingTable
+from capdist.errors import SpecValidationError
 from random_specs import random_spec
 
 
@@ -203,6 +204,13 @@ def test_product_region_corollary4_fails():
     rep = product_region_check(bc, MappingTable(t1, 2), MappingTable(t2, 2))
     assert not rep.passed
     assert max(rep.worst_independence + rep.worst_markov) > 1e-3
+
+
+def test_product_region_rejects_psi_of_wrong_shape():
+    bc = examples.erasure_bc_spec(*erasure_pairs())
+    psi1, _ = examples.erasure_bc_psis()
+    with pytest.raises(SpecValidationError, match="psi table"):
+        product_region_check(bc, psi1, MappingTable(psi1.table[:1], 2))
 
 
 # ---------------------------------------------------------------------------

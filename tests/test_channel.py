@@ -219,6 +219,23 @@ def test_unknown_kind_rejected():
         spec_from_dict({"kind": "mystery"})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "sdmc", "state_pmf": [1.0], "law": [[[[1.0]]]]}, "['distortion']"),
+    ({"kind": "sdmc", "state_pmf": [1.0], "distortion": [[0.0]]}, "['law']"),
+    ({"kind": "sdmc", "state_pmf": [1.0], "law_y": [[[1.0]]], "distortion": [[0.0]]},
+     "['law_z']"),
+    ({"kind": "sdmbc", "joint_state_pmf": [[1.0]], "distortion_1": [[0.0]],
+      "distortion_2": [[0.0]]}, "['law']"),
+    ({"kind": "sdmc", "state_pmf": [1.0], "law": [[[[1.0]]]],
+      "distortion": {"kind": "quadratic", "state_values": [0.0]}}, "estimate_values"),
+])
+def test_missing_required_field_rejected(doc, message):
+    # each once raised a bare KeyError
+    with pytest.raises(SpecValidationError) as info:
+        spec_from_dict(doc)
+    assert message in str(info.value)
+
+
 def test_parser_renormalizes_within_tolerance():
     doc = spec_to_dict(small_spec())
     doc["law"][0][0][0][0] += 5e-7

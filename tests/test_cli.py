@@ -86,6 +86,15 @@ def test_invalid_spec_file_is_input_error(tmp_path, capsys):
     assert "invalid spec file" in err
 
 
+def test_spec_file_without_required_field_is_input_error(tmp_path, capsys):
+    # the missing distortion once raised a bare KeyError (traceback, exit 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "sdmc", "state_pmf": [1.0], "law": [[[[1.0]]]]}))
+    code, out, err = run(capsys, "tradeoff", "--spec", str(bad))
+    assert code == 2 and out == ""
+    assert "missing required spec fields: ['distortion']" in err
+
+
 # ---------------------------------------------------------------------------
 # tradeoff
 # ---------------------------------------------------------------------------
@@ -328,7 +337,10 @@ def test_verify_no_tradeoff_erasure_passes(capsys):
     code, out, _ = run(capsys, "verify", "no-tradeoff", "--builtin",
                        "erasure,p_s=0.3")
     assert code == 0
-    assert json.loads(out)["worst_markov"] < 1e-12
+    rep = json.loads(out)
+    assert rep["worst_markov"] < 1e-12
+    assert set(rep) == {"check", "source", "spec_digest_sha256", "worst_independence",
+                        "worst_markov", "tol", "passed"}
 
 
 def test_verify_no_tradeoff_binary_fails_with_psi(tmp_path, capsys):
@@ -340,6 +352,44 @@ def test_verify_no_tradeoff_binary_fails_with_psi(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["passed"] is False
     assert "FAIL" in err
+
+
+@pytest.mark.parametrize("builtin, table", [
+    ("erasure", [[0, 0, 1]]),          # 1 x 3 for |X| = 2: once broadcast to PASS
+    ("binary", [[0, 1]]),
+])
+def test_verify_no_tradeoff_rejects_psi_of_wrong_shape(tmp_path, capsys, builtin, table):
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"table": table, "codomain_size": 2}))
+    code, out, err = run(capsys, "verify", "no-tradeoff", "--builtin", builtin,
+                         "--psi", str(psi))
+    assert code == 2 and out == ""
+    assert "error: psi table has shape" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read --psi file"),
+    ("{not json", "invalid --psi file"),
+    (json.dumps({"table": [[0, 1], [0, 1]]}), "missing field 'codomain_size'"),
+    (json.dumps({"codomain_size": 2}), "missing field 'table'"),
+])
+def test_verify_bad_psi_file_is_input_error(tmp_path, capsys, content, message):
+    # each once died with a traceback and exit 1, the verification-failure code
+    psi = tmp_path / "psi.json"
+    if content is not None:
+        psi.write_text(content)
+    code, out, err = run(capsys, "verify", "no-tradeoff", "--builtin", "binary",
+                         "--psi", str(psi))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("check", ["estimator", "frontier", "distortion-mc",
+                                   "no-tradeoff"])
+def test_verify_rejects_broadcast_spec(capsys, check):
+    code, out, err = run(capsys, "verify", check, "--builtin", "dueck")
+    assert code == 2 and out == ""
+    assert f"error: {check} check expects a single-receiver spec" in err
 
 
 def test_verify_no_tradeoff_needs_psi(capsys):

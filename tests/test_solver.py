@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from capdist import channel, cli, estimator, examples, solver
 from capdist.channel import MappingTable, SdmcSpec
-from capdist.errors import DegenerateUpdate, Infeasible
+from capdist.errors import DegenerateUpdate, Infeasible, SpecValidationError
 from capdist.solver import (BaConfig, baseline_ts,
                             conditional_mutual_information, no_tradeoff_check,
                             solve_fixed_mu, sweep_frontier)
@@ -352,3 +354,88 @@ def test_no_tradeoff_constant_psi_independent_state_passes():
                     distortion=np.array([[0.0, 1.0], [1.0, 0.0]]))
     psi = MappingTable(np.zeros((2, 2), dtype=np.int64), 1)
     assert no_tradeoff_check(spec, psi).passed
+
+
+@pytest.mark.parametrize("spec, table", [
+    (examples.erasure_spec(0.3), [[0, 0, 1]]),            # 1 x 3 for |X| = 2
+    (examples.binary_multiplicative_spec(0.4), [[0, 1]]),
+    (examples.binary_multiplicative_spec(0.4), [[0, 1, 1], [0, 1, 1]]),
+])
+def test_no_tradeoff_rejects_psi_of_wrong_shape(spec, table):
+    # such tables once broadcast silently; the first one passed
+    with pytest.raises(SpecValidationError, match="psi table"):
+        no_tradeoff_check(spec, MappingTable(np.array(table), 2))
+
+
+def _reference_no_tradeoff(spec, psi, rng, tol=1e-9):
+    """Conditions (i) and (ii) on the full joint P(x, s, z, t), at a random
+    full-support pmf and at every point mass."""
+    w = spec.state_pmf[None, :, None] * channel.marginal_z_given_xs(spec)
+    is_t = np.eye(psi.codomain_size)[psi.table]           # (X, Z, T): 1{t = psi(x,z)}
+    p = 1.0 + rng.random(spec.input_size)
+    for p_x in [p / p.sum(), *np.eye(spec.input_size)]:
+        joint = p_x[:, None, None, None] * w[..., None] * is_t[:, None]   # (X,S,Z,T)
+        p_xst, p_xzt = joint.sum(axis=2), joint.sum(axis=1)
+        p_st = p_xst.sum(axis=0)
+        # (i) P(x,s,t) = P(x) P(s,t); (ii) P(x,s,z,t) P(t) = P(s,t) P(x,z,t)
+        dev_i = np.abs(p_xst - p_x[:, None, None] * p_st).max()
+        dev_ii = np.abs(joint * p_st.sum(axis=0)
+                        - p_st[None, :, None, :] * p_xzt[:, None]).max()
+        if max(dev_i, dev_ii) > tol:
+            return False
+    return True
+
+
+def _state_free_spec(rng, nx, ns, nz):
+    """The law does not depend on the state (passes with a constant psi)."""
+    law = rng.dirichlet(np.ones(2 * nz), size=(nx, 1)).reshape(nx, 1, 2, nz)
+    return SdmcSpec(state_pmf=rng.dirichlet(np.ones(ns)),
+                    law=np.repeat(law, ns, axis=1), distortion=np.ones((ns, ns)))
+
+
+def _revealing_spec(rng, nx, ns, nz):
+    """Z carries T ~ P(t|s), the same for every x, through a kernel that
+    depends on x alone; psi(x, .) reads T back (passes with that psi)."""
+    nt = min(nz, 2)
+    table = np.array([rng.permutation(np.arange(nz) % nt) for _ in range(nx)])
+    p_t_s = rng.dirichlet(np.ones(nt), size=ns)               # (S, T)
+    kernel = rng.random((nx, nz)) + 0.1                       # z | x, t
+    kernel /= np.stack([np.bincount(row, weights=k, minlength=nt)[row]
+                        for row, k in zip(table, kernel)])
+    law_z = p_t_s[:, table].transpose(1, 0, 2) * kernel[:, None, :]
+    spec = SdmcSpec(state_pmf=rng.dirichlet(np.ones(ns)),
+                    law_y=rng.dirichlet(np.ones(2), size=(nx, ns)), law_z=law_z,
+                    distortion=np.ones((ns, ns)))
+    return spec, MappingTable(table, nt)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(family=st.sampled_from(["random", "state-free", "revealing", "erasure"]),
+       sizes=st.tuples(*[st.integers(1, 3)] * 4), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_no_tradeoff_matches_joint_reference(family, sizes, seed, data):
+    rng = np.random.default_rng(seed)
+    nx, ns, nz, nt = sizes
+    if family == "random":
+        spec = random_spec(rng, nx, ns, 2, nz)
+        psi = MappingTable(rng.integers(0, nt, (nx, nz)), nt)
+    elif family == "state-free":
+        spec = _state_free_spec(rng, nx, ns, nz)
+        psi = MappingTable(np.zeros((nx, nz), dtype=np.int64), nt)
+    elif family == "revealing":
+        spec, psi = _revealing_spec(rng, nx, ns, nz)
+    else:
+        spec = examples.erasure_spec(data.draw(st.floats(0.0, 1.0)))
+        psi = examples.erasure_psi()
+    rep = no_tradeoff_check(spec, psi)
+    assert rep.passed == _reference_no_tradeoff(spec, psi, rng)
+    if family != "random":
+        assert rep.passed
+    # relabelling the inputs (the law's x axis with psi's rows) changes nothing
+    perm = data.draw(st.permutations(range(spec.input_size)))
+    laws = {name: getattr(spec, name)[perm] for name in ("law", "law_y", "law_z")
+            if getattr(spec, name) is not None}
+    relabelled = no_tradeoff_check(dataclasses.replace(spec, **laws, cost=spec.cost[perm]),
+                                   MappingTable(psi.table[perm], psi.codomain_size))
+    assert (relabelled.worst_independence, relabelled.worst_markov) == (
+        rep.worst_independence, rep.worst_markov)
