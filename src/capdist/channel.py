@@ -373,13 +373,14 @@ def spec_from_dict(doc):
     missing = [name for name in required if name not in doc]
     if missing:
         raise SpecValidationError(f"missing required spec fields: {missing}")
-    if not factored:                              # rows follow (x,s) or (s1,s2,x)
+    # every law form given goes to the spec, which rejects a joint law given
+    # with marginal ones
+    laws = {name: renormalize_rows(np.asarray(doc[name], float), name)
+            for name in ("law_y", "law_z") if name in doc}
+    if "law" in doc:                              # rows follow (x,s) or (s1,s2,x)
         raw = np.asarray(doc["law"], float)
         lead = raw.shape[:2 if kind == "sdmc" else 3]
-        laws = {"law": renormalize_rows(raw.reshape(lead + (-1,)), "law").reshape(raw.shape)}
-    else:
-        laws = {name: renormalize_rows(np.asarray(doc[name], float), name)
-                for name in ("law_y", "law_z")}
+        laws["law"] = renormalize_rows(raw.reshape(lead + (-1,)), "law").reshape(raw.shape)
     pmf = np.asarray(doc["state_pmf" if kind == "sdmc" else "joint_state_pmf"], float)
     if abs(pmf.sum() - 1.0) <= RENORM_ATOL:
         pmf = pmf / pmf.sum()

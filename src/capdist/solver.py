@@ -36,13 +36,18 @@ holds J at the accepted passes only.  Active rows pass in blocks of at most
 `_BLOCK_ELEMENTS` // (S*Y) rows through two products with the (X, S*Y) law,
 each taken row by row, so a row's result does not depend on its block: a
 sweep point does not depend on the other mu of the grid, and `rates` takes
-its products the same way.  There are no warm starts.  Where
-the budget binds, `_dual_rows` searches lambda for all rows at once and
-returns feasible pmfs.
+its products the same way.  There are no warm starts of the pmfs.  Where
+the budget binds, `_dual_rows` solves E_lambda[b] = B for lambda by
+safeguarded Newton steps on all rows at once, each row starting from its
+lambda of the previous pass, and returns feasible pmfs.  Each `_solve_rows`
+call logs one debug record (rows, passes, dual evaluations, wall time) to the
+"capdist" logger, which is silent unless the application configures it.
 """
 
 from __future__ import annotations
 
+import sys
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -52,9 +57,13 @@ from . import channel, estimator
 from .errors import DegenerateUpdate, Infeasible, SpecValidationError
 
 _BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of each (rows, S*Y) temporary
-_DUAL_POINTS = 63           # interior lambdas per bracket and round of the dual search
-_LAMBDA_STEP = 1.0          # seeds the lambda bracket: hi = max(lam, _LAMBDA_STEP)
-_MAX_DUAL_ROUNDS = 100      # cap on rounds of the lambda search
+_LAMBDA_STEP = 1.0          # first lambda of a newly binding row, and the least doubled one
+_LN2 = np.log(2.0)
+_MAX_DUAL_ROUNDS = 4096     # cap on lambda evaluations of one dual solve.  Until a
+                            # row finds a feasible lambda, each step doubles lambda
+                            # (<= 1,024 times before overflow) or follows a step that
+                            # quartered E[b] - budget (<= ~1,050 times in the float
+                            # range), so a row still without one is infeasible
 _THETA = 2.0                # over-relaxation of the input update (1 = plain BA)
 
 
@@ -140,46 +149,65 @@ class _BaWork:
 
 
 def _dual_rows(base_g, b, budget, lam0):
-    """Input update under the cost constraint, per row: (pmfs, lambdas).
+    """Input update under the cost constraint, per row: (pmfs, lambdas, evals).
 
-    Rows with E[b] <= budget get lambda = 0.  For the others
-    the bracket [0, hi] starts at hi = max(lam0, _LAMBDA_STEP), doubles hi
-    until E[b] <= budget, then keeps the sub-bracket where E[b] (monotone in
-    lambda) crosses the budget among 63 interior points per round (at most
-    _MAX_DUAL_ROUNDS), until no bracket has a point strictly inside; the
-    feasible upper end is returned.
+    Rows with E[b] <= budget get lambda = 0 and the plain update.  For the
+    others the pmf p_lambda ~ 2**(g - lambda*b) is tuned so that E_lambda[b],
+    decreasing in lambda with dE/dlambda = -ln2 Var_lambda[b], meets the
+    budget, by Newton steps on all binding rows at once.  A row starts at its
+    lam0, or at _LAMBDA_STEP if lam0 is 0, and brackets the root between its
+    last infeasible lambda lo and its last feasible one hi.  While hi is
+    infinite a row doubles (to at least _LAMBDA_STEP) in place of a Newton
+    iterate that does not exceed lo or would more than double, and after a
+    step that failed to quarter the excess E[b] - budget; once hi is finite,
+    bisection replaces a Newton iterate outside (lo, hi).  Newton aims at the
+    middle of the stopping window, so it comes to rest inside it: a row stops
+    once a feasible iterate leaves slack budget - E[b] <= tol = 4 eps budget
+    (relative, as the rounding of E[b], a sum of nonnegative terms, is), or
+    once hi - lo <= 4 spacing(hi), and returns hi with its pmf, so
+    (p * b).sum(axis=1) <= budget holds as summed here.  A row's result
+    depends on that row alone.  `evals` counts the batched evaluations of the
+    lambda loop.
     """
     p = _pmfs(base_g)
     lam = np.zeros(len(p))
     bind = (p * b).sum(axis=1) > budget
     if not bind.any():
-        return p, lam
-    g = base_g[bind]
-
-    def feasible(g, lams):                  # lams (rows, k) -> (rows, k)
-        return (_pmfs(g[:, None, :] - lams[..., None] * b) * b).sum(axis=-1) <= budget
-
-    hi = np.maximum(lam0[bind], _LAMBDA_STEP)
-    over = ~feasible(g, hi[:, None])[:, 0]
-    while over.any():
-        hi[over] *= 2.0
-        if hi.max() > 1e18:
-            raise Infeasible("cost budget unattainable on the current support")
-        over[over] = ~feasible(g[over], hi[over, None])[:, 0]
-    lo = np.zeros_like(hi)
-    frac = np.arange(1, _DUAL_POINTS + 1) / (_DUAL_POINTS + 1)
-    rows = np.arange(hi.size)
-    for _ in range(_MAX_DUAL_ROUNDS):
-        grid = np.concatenate([lo[:, None], lo[:, None] + (hi - lo)[:, None] * frac,
-                               hi[:, None]], axis=1)
-        if not np.any((grid[:, 1:-1] > lo[:, None]) & (grid[:, 1:-1] < hi[:, None])):
-            break
-        ok = feasible(g, grid[:, 1:-1])
-        first = np.where(ok.any(axis=1), ok.argmax(axis=1), _DUAL_POINTS) + 1
-        lo, hi = grid[rows, first - 1], grid[rows, first]
-    lam[bind] = hi
-    p[bind] = _pmfs(g - hi[:, None] * b)
-    return p, lam
+        return p, lam, 0
+    tol = 4.0 * np.finfo(float).eps * budget
+    target = budget - 0.5 * tol
+    act = np.flatnonzero(bind)
+    g, x = base_g[act], np.where(lam0[act] > 0, lam0[act], _LAMBDA_STEP)
+    if np.any(np.where(np.isfinite(g), b, np.inf).min(axis=1) > budget):
+        raise Infeasible("cost budget unattainable on the current support")
+    lo, hi, excess = np.zeros(act.size), np.full(act.size, np.inf), np.full(act.size, np.inf)
+    for evals in range(1, _MAX_DUAL_ROUNDS + 1):
+        q = _pmfs(g - x[:, None] * b)
+        e = (q * b).sum(axis=1)
+        ok = e <= budget
+        if ok.any():
+            p[act[ok]], lam[act[ok]] = q[ok], x[ok]
+        lo, hi = np.where(ok, lo, x), np.where(ok, x, hi)
+        keep = ~((ok & (budget - e <= tol)) | (hi - lo <= 4.0 * np.spacing(hi)))
+        if not keep.all():
+            if not keep.any():
+                return p, lam, evals
+            act, g, q, e, ok, x, lo, hi, excess = (
+                v[keep] for v in (act, g, q, e, ok, x, lo, hi, excess))
+        slow = ~ok & (e - budget > 0.25 * excess)
+        excess = np.where(ok, excess, e - budget)
+        dev = b - e[:, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = x + (e - target) / (_LN2 * (q * dev * dev).sum(axis=1))
+            double = np.maximum(2.0 * lo, _LAMBDA_STEP)
+        x = np.where(np.isfinite(hi),
+                     np.where((newton > lo) & (newton < hi), newton, lo + 0.5 * (hi - lo)),
+                     np.where((newton > lo) & (newton < double) & ~slow, newton, double))
+        if not np.isfinite(x).all():                # doubled past the largest float
+            raise Infeasible("cost budget unattainable in floating point")
+    if not np.isfinite(hi).all():
+        raise Infeasible("cost budget unattainable in floating point")
+    return p, lam, evals
 
 
 def _solve_rows(work, est, b, mus, budget, cfg, start=None):
@@ -196,8 +224,10 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
     by less than convergence_eps or leaves its pmf unchanged; a row still
     moving after max_outer_iters passes is unconverged.  `iterations` counts
     passes, rejected ones included, and `objective_trace` holds J at the
-    accepted passes only.
+    accepted passes only.  The call logs its rows, batched passes, dual
+    evaluations and wall time at DEBUG level on the "capdist" logger.
     """
+    started = time.perf_counter()
     b = np.asarray(b, float)
     if budget < b.min():
         raise Infeasible(f"budget {budget} below min cost {b.min()}")
@@ -215,6 +245,7 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
     theta = np.full((m, 1), _THETA)
     relaxed = theta[:, 0] > 1.0
     p_acc, per_acc, j_acc = None, None, np.full(m, -np.inf)
+    evals = 0
     for k in range(1, cfg.max_outer_iters + 1):
         per_x = work.per_x(pa)
         j = (pa * per_x).sum(axis=1) - mu[:, 0] * (pa * est.cost).sum(axis=1)
@@ -231,7 +262,8 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
             base_g = np.where(pa > 0, np.log2(pa) + theta * (per_x - mu * est.cost),
                               -np.inf)
         if need_dual:
-            p_new, lam = _dual_rows(base_g, b, budget, lam)
+            p_new, lam, n = _dual_rows(base_g, b, budget, lam)
+            evals += n
         else:
             p_new = _pmfs(base_g)
         done = (p_new == pa).all(axis=1) | (j - j_acc < cfg.convergence_eps)
@@ -250,6 +282,13 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
     p[act] = pa
     # E[b] summed as the dual search sums it, so a binding row reads <= budget
     rates, dist, cost = work.rates(p), (p * est.cost).sum(axis=1), (p * b).sum(axis=1)
+    # a process that never imported logging configured no handler that could
+    # show the record; importing it here would cost ~10 ms and 0.3 MB
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("capdist").debug(
+            "solve: %d rows, %d passes, %d dual evaluations, %.4f s", m,
+            iters.max(initial=0), evals, time.perf_counter() - started)
     return [TradeoffPoint(mu=float(mus[i]), budget=budget, rate=float(rates[i]),
                           distortion=float(dist[i]), cost=float(cost[i]),
                           input_pmf=p[i], iterations=int(iters[i]),

@@ -236,6 +236,18 @@ def test_missing_required_field_rejected(doc, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("marginals", [["law_y"], ["law_z"], ["law_y", "law_z"]])
+def test_joint_law_with_marginal_laws_rejected(marginals):
+    # the marginals were once dropped silently in favour of the joint law
+    spec = small_spec()
+    doc = spec_to_dict(spec)
+    laws = {"law_y": channel.marginal_y_given_xs(spec),
+            "law_z": channel.marginal_z_given_xs(spec)}
+    doc.update({name: laws[name].tolist() for name in marginals})
+    with pytest.raises(SpecValidationError, match="both a joint law and marginal laws"):
+        spec_from_dict(doc)
+
+
 def test_parser_renormalizes_within_tolerance():
     doc = spec_to_dict(small_spec())
     doc["law"][0][0][0][0] += 5e-7

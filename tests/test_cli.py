@@ -95,6 +95,17 @@ def test_spec_file_without_required_field_is_input_error(tmp_path, capsys):
     assert "missing required spec fields: ['distortion']" in err
 
 
+def test_spec_file_with_joint_and_marginal_laws_is_input_error(tmp_path, capsys):
+    # the conflicting law_y was once dropped and the solve ran without a word
+    doc = {"kind": "sdmc", "state_pmf": [1.0], "law": [[[[1.0]]]],
+           "law_y": [[[0.5, 0.5]]], "distortion": [[0.0]]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "tradeoff", "--spec", str(bad))
+    assert code == 2 and out == ""
+    assert "both a joint law and marginal laws" in err
+
+
 # ---------------------------------------------------------------------------
 # tradeoff
 # ---------------------------------------------------------------------------

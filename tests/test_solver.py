@@ -1,8 +1,10 @@
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capdist import channel, cli, estimator, examples, solver
@@ -439,3 +441,135 @@ def test_no_tradeoff_matches_joint_reference(family, sizes, seed, data):
                                    MappingTable(psi.table[perm], psi.codomain_size))
     assert (relabelled.worst_independence, relabelled.worst_markov) == (
         rep.worst_independence, rep.worst_markov)
+
+
+# ---------------------------------------------------------------------------
+# the cost dual
+# ---------------------------------------------------------------------------
+
+def _bisection_lambda(g, b, budget):
+    """The least lambda >= 0 whose pmf ~ 2**(g - lambda*b) has E[b] <= budget,
+    by doubling and plain bisection."""
+    def cost(lam):
+        e = np.exp2(g - lam * b - np.max(g - lam * b))
+        return (e / e.sum() * b).sum()
+
+    lo, hi = 0.0, 1.0
+    while cost(hi) > budget:
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if cost(mid) <= budget else (mid, hi)
+    return hi
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data(), rows=st.integers(1, 4), nx=st.integers(2, 6),
+       frac=st.floats(0.01, 0.99))
+def test_dual_rows_properties(data, rows, nx, frac):
+    finite = st.floats(-8.0, 8.0)
+    g = np.array([data.draw(st.lists(st.one_of(finite, st.just(-np.inf)),
+                                     min_size=nx, max_size=nx)
+                            .filter(lambda row: max(row) > -np.inf))
+                  for _ in range(rows)])
+    b = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=nx, max_size=nx)))
+    lam0 = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+                                       min_size=rows, max_size=rows)))
+    base = solver._pmfs(g)
+    free = (base * b).sum(axis=1)
+    least = np.where(np.isfinite(g), b, np.inf).min(axis=1)   # on each row's support
+    lowest, highest = least.max(), free.max()
+    assume(highest > lowest)
+    # lambda grows like 1 / (the least cost gap): it must stay a finite double
+    gaps = np.diff(np.unique(b))
+    assume(gaps.size == 0 or gaps.min() >= 1e-300)
+    budget = lowest + frac * (highest - lowest)
+
+    p, lam, _ = solver._dual_rows(g, b, budget, lam0)
+    cost = (p * b).sum(axis=1)
+    assert np.all(cost <= budget)
+    tol = 4.0 * np.finfo(float).eps * budget
+    for i in range(rows):
+        if free[i] <= budget:
+            assert lam[i] == 0.0 and np.array_equal(p[i], base[i])
+            continue
+        # the stop rule: slack at rounding level, or an infeasible lambda
+        # (the bracket's lower end) within 4 spacings below the returned one
+        if budget - cost[i] > tol:
+            below, lower = [], lam[i]
+            while lower > 0.0 and lower > lam[i] - 4.0 * np.spacing(lam[i]):
+                lower = np.nextafter(lower, 0.0)
+                below.append(lower)
+            costs = (solver._pmfs(g[i] - np.array(below)[:, None] * b) * b).sum(axis=1)
+            assert np.any(costs > budget)
+        one_p, one_lam, _ = solver._dual_rows(g[i:i + 1], b, budget, lam0[i:i + 1])
+        assert np.array_equal(one_p[0], p[i]) and one_lam[0] == lam[i]
+        # the lambdas agree to 1e-9, or to the width of the slack window,
+        # tol / |dE/dlambda|, where E[b] is too flat in lambda for that
+        ref = _bisection_lambda(g[i], b, budget)
+        q = solver._pmfs(g[i] - ref * b)
+        with np.errstate(divide="ignore"):              # a point mass: any lambda
+            flat = tol / (np.log(2.0) * (q * (b - (q * b).sum()) ** 2).sum())
+        assert abs(lam[i] - ref) <= 1e-9 * ref + 2.0 * flat
+
+
+def test_dual_rows_budget_below_support_is_infeasible():
+    # the cheapest input has no mass left, so no lambda reaches the budget
+    g = np.array([[0.0, 0.0, 0.0], [-np.inf, 0.0, 0.0]])
+    with pytest.raises(Infeasible):
+        solver._dual_rows(g, np.array([0.0, 1.0, 2.0]), 0.5, np.zeros(2))
+
+
+def test_binding_gaussian_solve_needs_few_dual_evaluations(monkeypatch):
+    # the bracketing grid search took about 13 pmf evaluations per BA pass
+    spec = cli.BUILTINS["gaussian-reduced"]()
+    counts = {"calls": 0, "pmfs": 0}
+    pmfs, dual_rows = solver._pmfs, solver._dual_rows
+
+    def counting_pmfs(g):
+        counts["pmfs"] += 1
+        return pmfs(g)
+
+    def counting_dual_rows(*args):
+        counts["calls"] += 1
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_pmfs", counting_pmfs)
+            return dual_rows(*args)
+
+    monkeypatch.setattr(solver, "_dual_rows", counting_dual_rows)
+    pt = solve_fixed_mu(spec, BaConfig(mu=0.0, budget=10.0))
+    assert pt.converged and pt.cost == pytest.approx(10.0, abs=1e-12)   # binding
+    assert counts["calls"] == pt.iterations
+    assert counts["pmfs"] <= 6 * counts["calls"]
+
+
+@pytest.mark.parametrize("cost, budget", [
+    ([0.0, 1.0], 0.0), ([2.0, 1.0], 1.0), ([5.0, 5.0 + 1e-12], 5.0),
+])
+def test_budget_at_unique_least_cost_is_feasible(cost, budget):
+    # lambda has no finite root: the search must reach a pmf whose other
+    # entries vanish in rounding, not declare the budget unattainable
+    spec = examples.binary_multiplicative_spec(0.4)
+    costly = SdmcSpec(state_pmf=spec.state_pmf, law=spec.law,
+                      distortion=spec.distortion, cost=cost)
+    pt = solve_fixed_mu(costly, BaConfig(mu=0.0, budget=budget))
+    assert pt.converged and pt.cost <= budget
+
+
+def test_solve_logs_one_debug_record_per_call(caplog):
+    spec = examples.binary_multiplicative_spec(0.4)
+    costly = SdmcSpec(state_pmf=spec.state_pmf, law=spec.law,
+                      distortion=spec.distortion, cost=[0.0, 1.0])
+    grid = [0.0, 1.0, 10.0]
+    sweep_frontier(costly, 0.3, grid)
+    assert not [r for r in caplog.records if r.name == "capdist"]   # silent by default
+    with caplog.at_level(logging.DEBUG, logger="capdist"):
+        points = [p for p in sweep_frontier(costly, 0.3, grid) if np.isfinite(p.mu)]
+    records = [r for r in caplog.records if r.name == "capdist"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    rows, passes, evals, wall = re.fullmatch(
+        r"solve: (\d+) rows, (\d+) passes, (\d+) dual evaluations, ([\d.]+) s",
+        records[0].getMessage()).groups()
+    assert int(rows) == len(grid)
+    assert int(passes) == max(p.iterations for p in points)
+    assert int(evals) >= int(passes) and float(wall) >= 0.0
