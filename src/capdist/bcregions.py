@@ -10,8 +10,9 @@ Region samples are record arrays (see `region_samples`): one row per
 sample, with columns r0, r1, r2, d1, d2 and the parameters that produced it.
 Receiver k's rates, estimator and no-tradeoff check are the single-user
 ones on its view `channel.receiver_spec(bc, k)`; every rate comes from
-`solver._BaWork.rates`, a bound on an auxiliary U through the chain rule over
-U - X - Y, I(U;Y|S) = I(X;Y|S) - sum_u P_U(u) I(X;Y|S, U=u).
+`solver._BaWork.rates`, and both regions take their bounds on an auxiliary U
+from one kernel, `_superposition`, through the chain rule over U - X - Y,
+I(U;Y|S) = I(X;Y|S) - sum_u P_U(u) I(X;Y|S, U=u).
 """
 
 from __future__ import annotations
@@ -50,33 +51,40 @@ def region_samples(r0, r1, r2, d1, d2, **params):
 
 
 # ---------------------------------------------------------------------------
-# auxiliary-variable rates
+# superposition rates
 # ---------------------------------------------------------------------------
 
-def _cond_rates(work, p_u, cond_xu):
-    """I(X;Y|S,U) = sum_u p_u I(X;Y|S,U=u) per sample, where U has pmf p_u
-    (N,U) and X|U=u ~ cond_xu[:, u] (N,U,X); work holds the (X, S, Y) law."""
-    n, nu, nx = cond_xu.shape
-    return np.einsum("nu,nu->n", p_u,
-                     work.rates(cond_xu.reshape(-1, nx)).reshape(n, nu))
+_N_RANDOM_AUX = 10     # seeded random auxiliary channels of the outer bound
 
 
-def _aux_rates(work, rates_x, p_u, cond_xu):
-    """I(U;Y|S) = I(X;Y|S) - I(X;Y|S,U) per sample (U - X - Y is a Markov
-    chain), given rates_x = I(X;Y|S).  Clamped at 0: the difference is
-    nonnegative by concavity, but where it is 0 its rounding falls an ulp
-    either side."""
-    return np.maximum(rates_x - _cond_rates(work, p_u, cond_xu), 0.0)
+def _superposition(joint, works, rates_x):
+    """Per work, (I(X;Y|S,U), I(U;Y|S)) of each joint pmf P(x, u) in the
+    (N, X, U) batch, given rates_x = I(X;Y|S) at its X marginals; X|U=u is
+    uniform where P_U(u) = 0.  I(U;Y|S) = I(X;Y|S) - I(X;Y|S,U) over the
+    Markov chain U - X - Y is clamped at 0: it is nonnegative by concavity,
+    but where it is 0 its rounding falls an ulp either side."""
+    n, nx, nu = joint.shape
+    p_u = joint.sum(axis=1)                                  # (N, U)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cond = np.where(p_u[:, None, :] > 0,
+                        joint / np.where(p_u[:, None, :] > 0, p_u[:, None, :], 1.0),
+                        1.0 / nx).transpose(0, 2, 1).reshape(-1, nx)   # rows P(x|u)
+    out = []
+    for work, r in zip(works, rates_x):
+        given_u = np.einsum("nu,nu->n", p_u, work.rates(cond).reshape(n, nu))
+        out.append((given_u, np.maximum(r - given_u, 0.0)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # physically degraded test and region
 # ---------------------------------------------------------------------------
 
-def is_physically_degraded(bc, tol=1e-9):
+def is_physically_degraded(bc):
     """Test X - (S1,Y1) - (S2,Y2).
 
-    Returns (verdict, worst_violation, witness).  The conditional
+    Returns (verdict, worst_violation, witness); the verdict holds when the
+    worst violation is at most solver._CHECK_TOL.  The conditional
     P(s2,y2 | x, s1, y1) must be constant in x wherever defined; it is a
     property of the channel alone, since the factor p(x) cancels.
     """
@@ -92,15 +100,15 @@ def is_physically_degraded(bc, tol=1e-9):
     worst = float(dev.max())
     witness = (tuple(int(i) for i in np.unravel_index(np.argmax(dev), dev.shape))
                if worst > 0 else None)
-    return worst <= tol, worst, witness
+    return worst <= solver._CHECK_TOL, worst, witness
 
 
 def degraded_region(bc, u_size=None, resolution=32):
     """Sample the physically-degraded region by sweeping P_UX on a simplex grid.
 
-    Per sample emits r1 = I(X;Y1|U,S1), r2 = I(U;Y2|S2) (the R0+R2 cap) and
-    the two expected distortions; r0 is reported as 0.  The p_ux column holds
-    the flattened (U, X) pmf.
+    |U| is u_size, |X| + 1 if None.  Per sample emits r1 = I(X;Y1|U,S1),
+    r2 = I(U;Y2|S2) (the R0+R2 cap) and the two expected distortions; r0 is
+    reported as 0.  The p_ux column holds the flattened (U, X) pmf.
     """
     nx = bc.input_size
     if u_size is None:
@@ -109,34 +117,32 @@ def degraded_region(bc, u_size=None, resolution=32):
     p_ux = grid.reshape(-1, u_size, nx)           # (N, U, X)
 
     views = [channel.receiver_spec(bc, k) for k in (1, 2)]
-    work1, work2 = (solver._BaWork(v.law_y, v.state_pmf) for v in views)
+    works = [solver._BaWork(v.law_y, v.state_pmf) for v in views]
     est1, est2 = (estimator.build_estimator(v) for v in views)
     p_x = p_ux.sum(axis=1)                        # (N, X)
     d1 = p_x @ est1.cost
     d2 = p_x @ est2.cost
-
-    p_u = p_ux.sum(axis=2)                        # (N, U)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond_xu = np.where(p_u[:, :, None] > 0,
-                           p_ux / np.where(p_u[:, :, None] > 0, p_u[:, :, None], 1.0),
-                           1.0 / nx)
-    r1 = _cond_rates(work1, p_u, cond_xu)
-    r2 = _aux_rates(work2, work2.rates(p_x), p_u, cond_xu)
+    (r1, _), (_, r2) = _superposition(p_ux.transpose(0, 2, 1), works,
+                                      [work.rates(p_x) for work in works])
     return region_samples(0.0, r1, r2, d1, d2, p_ux=grid)
 
 
-def outer_bound_samples(bc, resolution=32, u_size=None, n_random_aux=10, seed=0):
-    """Grid evaluation of the general outer bound.
+def outer_bound_samples(bc, resolution=32, seed=0):
+    """Grid evaluation of the general outer bound, as read from the paper
+    (PAPER.md holds only its abstract).
 
-    Per sample: r0 carries the sum-rate cap I(X;Y1Y2|S1S2), r1/r2 carry the
-    per-receiver caps I(Uk;Yk|Sk) (bounds on R0+Rk), d1/d2 the estimator
-    distortions.  Auxiliary channels P(U|X) come from a deterministic panel
-    (U=X, U constant) plus seeded random rows; the rows run through the
-    input grid once per auxiliary channel, named in the aux column.
+    Per input pmf P_X on the simplex lattice and auxiliary channel P(U|X),
+    one for both receivers with |U| = |X| + 1: r0 = I(X;Y1Y2|S1S2) caps
+    R0+R1+R2, rk = I(U;Yk|Sk) caps R0+Rk and dk is receiver k's estimator
+    distortion; there are no mixed Nair-El Gamal-type terms.  The rows run
+    through the lattice once per channel of a panel, named in the aux column:
+    "identity" (U = X), "constant" and _N_RANDOM_AUX Dirichlet rows
+    "random<j>" drawn from `seed`.  By data processing over U - X - Y the
+    identity row dominates the others at the same P_X; the panel stays while
+    the benchmark pins the row count.
     """
     nx = bc.input_size
-    if u_size is None:
-        u_size = nx + 1
+    u_size = nx + 1
     grid = channel.simplex_lattice(nx, resolution)
     s1, s2, _, y1, y2, _ = bc.law.shape           # P(y1 y2 | x, s1 s2), flat pairs
     pair_law = bc.law.sum(axis=5).transpose(2, 0, 1, 3, 4).reshape(nx, s1 * s2, y1 * y2)
@@ -154,19 +160,13 @@ def outer_bound_samples(bc, resolution=32, u_size=None, n_random_aux=10, seed=0)
     const[:, 0] = 1.0
     rng = np.random.default_rng(seed)
     aux_panel = [ident, const] + [rng.dirichlet(np.ones(u_size), size=nx)
-                                  for _ in range(n_random_aux)]
-    names = ["identity", "constant"] + [f"random{j}" for j in range(n_random_aux)]
+                                  for _ in range(_N_RANDOM_AUX)]
+    names = ["identity", "constant"] + [f"random{j}" for j in range(_N_RANDOM_AUX)]
 
-    caps = []
-    for aux in aux_panel:
-        joint = grid[:, :, None] * aux[None, :, :]     # (N, X, U)
-        p_u = joint.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond_xu = np.where(p_u[:, None, :] > 0,
-                               joint / np.where(p_u[:, None, :] > 0, p_u[:, None, :], 1.0),
-                               1.0 / nx).transpose(0, 2, 1)   # (N, U, X)
-        caps.append([_aux_rates(work, r, p_u, cond_xu)
-                     for work, r in zip(works, rates_x)])
+    # one channel at a time: one (12 N, X, U) batch doubles the peak memory
+    caps = [[aux_rate for _, aux_rate in
+             _superposition(grid[:, :, None] * aux[None, :, :], works, rates_x)]
+            for aux in aux_panel]
     b1, b2 = (np.concatenate(c) for c in zip(*caps))
     n_aux = len(aux_panel)
     return region_samples(np.tile(sum_rate, n_aux), b1, b2,
@@ -187,15 +187,15 @@ class ProductRegionReport:
     tol: float
 
 
-def product_region_check(bc, psi1, psi2, tol=1e-9):
+def product_region_check(bc, psi1, psi2):
     """Certify CD = C x D exactly: the single-user no-tradeoff check of
     T_k = psi_k(X,Z) on each receiver's view; deviations are (receiver 1, 2)."""
-    r1, r2 = (solver.no_tradeoff_check(channel.receiver_spec(bc, k), psi, tol)
+    r1, r2 = (solver.no_tradeoff_check(channel.receiver_spec(bc, k), psi)
               for k, psi in ((1, psi1), (2, psi2)))
     return ProductRegionReport(
         passed=r1.passed and r2.passed,
         worst_independence=(r1.worst_independence, r2.worst_independence),
-        worst_markov=(r1.worst_markov, r2.worst_markov), tol=tol)
+        worst_markov=(r1.worst_markov, r2.worst_markov), tol=r1.tol)
 
 
 def erasure_bc_distortion_region(p_e1s1, p_e2s2):

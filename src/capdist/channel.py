@@ -35,20 +35,6 @@ def _freeze(a):
     return a
 
 
-def check_pmf(p, name="pmf", atol=PMF_ATOL):
-    """Validate a 1-D probability vector; returns it as a frozen array."""
-    p = _freeze(p)
-    if p.ndim != 1:
-        raise SpecValidationError(f"{name}: expected 1-D vector, got shape {p.shape}")
-    if np.any(p < 0):
-        i = int(np.argmin(p))
-        raise SpecValidationError(f"{name}: negative entry {p[i]} at index {i}")
-    s = p.sum()
-    if abs(s - 1.0) > atol:
-        raise SpecValidationError(f"{name}: sums to {s}, not 1 within {atol}")
-    return p
-
-
 def renormalize_rows(t, name="law", atol=RENORM_ATOL):
     """Renormalize the last axis of `t` to sum to 1.
 
@@ -151,7 +137,10 @@ class SdmcSpec:
         if not isinstance(self.distortion, QuadraticDistortion):
             object.__setattr__(self, "distortion", _freeze(self.distortion))
 
-        check_pmf(self.state_pmf, "state_pmf")
+        if self.state_pmf.ndim != 1:
+            raise SpecValidationError(
+                f"state_pmf: expected 1-D vector, got shape {self.state_pmf.shape}")
+        _check_rows(self.state_pmf, "state_pmf")
         for name, ndim, axes in ((("law", 4, "x,s,y,z"),) if self.law is not None else
                                  (("law_y", 3, "x,s,·"), ("law_z", 3, "x,s,·"))):
             t = getattr(self, name)
@@ -210,7 +199,7 @@ class SdmbcSpec:
         js, law = self.joint_state_pmf, self.law
         if js.ndim != 2:
             raise SpecValidationError("joint_state_pmf must be 2-D (s1,s2)")
-        check_pmf(js.ravel(), "joint_state_pmf")
+        _check_rows(js.ravel(), "joint_state_pmf")
         if law.ndim != 6:
             raise SpecValidationError(
                 f"law: expected 6-D (s1,s2,x,y1,y2,z), got shape {law.shape}")
@@ -236,16 +225,19 @@ class SdmbcSpec:
 # validation helpers (run by the spec constructors)
 # ---------------------------------------------------------------------------
 
-def _check_rows(t, name, atol=PMF_ATOL):
+def _check_rows(t, name):
+    """Every row (last axis) of t is a pmf: nonnegative, summing to 1 within
+    PMF_ATOL; a 1-D t is one pmf.  Messages name the field and the index."""
     if np.any(t < 0):
         idx = tuple(int(i) for i in np.argwhere(t < 0)[0])
         raise SpecValidationError(f"{name}: negative probability at {idx}")
     sums = t.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > atol
+    bad = np.abs(sums - 1.0) > PMF_ATOL
     if np.any(bad):
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        row = f" row {idx}" if idx else ""
         raise SpecValidationError(
-            f"{name}: row {idx} sums to {float(sums[tuple(idx)]):.12g}, not 1 within {atol}")
+            f"{name}:{row} sums to {float(sums[idx]):.12g}, not 1 within {PMF_ATOL}")
 
 
 def _check_distortion(d, name):

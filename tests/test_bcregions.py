@@ -84,13 +84,35 @@ def test_degraded_region_independent_aux_gives_zero_r2():
 
 def test_outer_bound_sample_invariants():
     bc = examples.binary_bc_spec(0.6, 0.5)
-    s = outer_bound_samples(bc, resolution=8, n_random_aux=3)
+    s = outer_bound_samples(bc, resolution=8)
     assert len(s)
     assert np.all(s.r0 >= -1e-12) and np.all(s.r1 >= -1e-12) and np.all(s.r2 >= -1e-12)
     assert np.all(0.0 - 1e-12 <= s.d1) and np.all(0.0 - 1e-12 <= s.d2)
     # the sum-rate cap at uniform input is attained within the sample set
     r0_max = s.r0.max()
     assert r0_max <= 0.6 * 1.0 + 0.3 * 1.0 + 1e-9   # I(X;Y1Y2|S1S2) <= H(X)
+
+
+@pytest.mark.parametrize("make, resolution", [
+    (lambda: examples.binary_bc_spec(0.6, 0.5), 8),
+    (lambda: examples.flipped_bc_spec(0.6, 0.5), 8),
+    (lambda: examples.erasure_bc_spec(*erasure_pairs()), 8),
+    (lambda: examples.dueck_bc_spec(0.75), 4)],
+    ids=["binary-bc", "flipped-bc", "erasure-bc", "dueck"])
+def test_outer_bound_aux_rows(make, resolution):
+    bc = make()
+    s = outer_bound_samples(bc, resolution=resolution)
+    ident = s[s.aux == "identity"]
+    n = len(ident)
+    # rows run through the same input lattice once per auxiliary channel
+    assert len(s) == 12 * n and (s.p_x.reshape(12, n, -1) == ident.p_x).all()
+    for k, col in ((1, "r1"), (2, "r2")):
+        view = channel.receiver_spec(bc, k)
+        want = [solver.conditional_mutual_information(view, p) for p in ident.p_x]
+        assert ident[col] == pytest.approx(want, abs=1e-12)
+        assert (s[s.aux == "constant"][col] == 0.0).all()
+        # data processing over U - X - Y: U = X dominates every auxiliary
+        assert (s[col].reshape(12, n) <= ident[col] + 1e-12).all()
 
 
 # ---------------------------------------------------------------------------
