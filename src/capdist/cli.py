@@ -9,17 +9,24 @@ Subcommands
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 numerical
 failure (no converged point).  Identical invocations produce byte-identical
-output files; every output CSV is paired with a `<out>.manifest.json` that
-records a sha256 digest of the input spec.
+output files; every file written by gen, tradeoff, baselines and bc is
+paired with a `<out>.manifest.json` that records the command, its
+configuration, the capdist, Python and NumPy versions, the wall time of
+each stage (`stages_s`) and a sha256 digest of the input spec.  The digest of `--spec FILE` is taken
+over the file's raw bytes; that of `--builtin` over the built spec's
+field-wise binary form (see `_spec_digest`), so no law is encoded as text.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
+import platform
 import sys
+import time
 
 import numpy as np
 
@@ -96,6 +103,20 @@ class CliInputError(Exception):
     pass
 
 
+class _Clock:
+    """Wall time of each stage of one command, in seconds, in run order."""
+
+    def __init__(self):
+        self.stages = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage):
+        """End `stage`: it took the time since the previous lap (or start)."""
+        now = time.perf_counter()
+        self.stages[stage] = now - self._last
+        self._last = now
+
+
 def _load_json(path, what, parse):
     """(parse(document), raw bytes) of a JSON file; a bad file is an input error."""
     try:
@@ -111,18 +132,22 @@ def _load_json(path, what, parse):
 
 
 def _load_instance(args):
-    """Resolve --spec/--builtin into (spec, digest, source description)."""
+    """Resolve --spec/--builtin into (spec, digest, source description),
+    timed as the stage `load_spec` of args.clock."""
     if getattr(args, "spec", None):
         spec, raw = _load_json(args.spec, "spec", channel.spec_from_dict)
-        return spec, hashlib.sha256(raw).hexdigest(), args.spec
-    if getattr(args, "builtin", None):
+        loaded = spec, hashlib.sha256(raw).hexdigest(), args.spec
+    elif getattr(args, "builtin", None):
         name, params = _parse_builtin(args.builtin)
         try:
             spec = BUILTINS[name](**params)
         except (CapdistError, TypeError, ValueError) as exc:
             raise CliInputError(f"builtin '{args.builtin}': {exc}")
-        return spec, _spec_digest(spec), f"builtin:{args.builtin}"
-    raise CliInputError("one of --spec or --builtin is required")
+        loaded = spec, _spec_digest(spec), f"builtin:{args.builtin}"
+    else:
+        raise CliInputError("one of --spec or --builtin is required")
+    args.clock.lap("load_spec")
+    return loaded
 
 
 def _parse_builtin(text):
@@ -144,8 +169,37 @@ def _parse_builtin(text):
 
 
 def _spec_digest(spec):
-    blob = json.dumps(channel.spec_to_dict(spec), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    """sha256 of a spec's canonical binary form, as hex.
+
+    The form walks the spec's dataclass fields in declaration order; each
+    value is named by its path from the spec's class, e.g. `SdmcSpec.law_y`
+    or `SdmcSpec.distortion.state_values`, and fed as
+      a dataclass  the line `<path> <class name>`, then its own fields;
+      an array     the line `<path> <dtype.str> <shape>`, then its bytes in
+                   C order;
+      other values the line `<path> json <n>`, then the n UTF-8 bytes of
+                   `json.dumps(value, sort_keys=True)` (None and labels),
+    each line ending in a newline.  Every line fixes the length of what
+    follows it, so different specs feed different bytes.  Spec arrays are
+    float64 and C-contiguous, so hashing them copies nothing.
+    """
+    h = hashlib.sha256()
+
+    def feed(path, value):
+        if dataclasses.is_dataclass(value):
+            h.update(f"{path} {type(value).__name__}\n".encode())
+            for f in dataclasses.fields(value):
+                feed(f"{path}.{f.name}", getattr(value, f.name))
+        elif isinstance(value, np.ndarray):
+            h.update(f"{path} {value.dtype.str} {value.shape}\n".encode())
+            h.update(value)
+        else:
+            text = json.dumps(value, sort_keys=True).encode("utf-8")
+            h.update(f"{path} json {len(text)}\n".encode())
+            h.update(text)
+
+    feed(type(spec).__name__, spec)
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +235,23 @@ def _write_table(path, fmt, columns):
     _write_text(path, text)
 
 
-def _write_manifest(out_path, command, digest, config):
-    if not out_path:
+def _write_manifest(args, command, digest, config):
+    """Write `<args.out>.manifest.json`; its stages_s ends with `write`, the
+    time since args.clock's last lap."""
+    if not args.out:
         return
+    args.clock.lap("write")
     manifest = {
         "command": command,
         "spec_digest_sha256": digest,
         "config": config,
         "version": _version(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "stages_s": args.clock.stages,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
+    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
 
@@ -226,8 +286,10 @@ def _parse_mu_grid(text):
 
 def cmd_gen(args):
     spec, digest, _ = _load_instance(args)
-    _write_text(args.out, json.dumps(channel.spec_to_dict(spec), indent=1) + "\n")
-    _write_manifest(args.out, "gen", digest, {"builtin": args.builtin})
+    text = json.dumps(channel.spec_to_dict(spec), indent=1) + "\n"
+    args.clock.lap("compute")
+    _write_text(args.out, text)
+    _write_manifest(args, "gen", digest, {"builtin": args.builtin})
     return EXIT_OK
 
 
@@ -244,8 +306,9 @@ def cmd_tradeoff(args):
     header = ("mu", "rate_bits", "distortion", "cost", "iterations", "converged")
     rows = [(p.mu, p.rate, p.distortion, p.cost, p.iterations, p.converged)
             for p in points]
+    args.clock.lap("compute")
     _write_table(args.out, args.format, dict(zip(header, zip(*rows))))
-    _write_manifest(args.out, "tradeoff", digest,
+    _write_manifest(args, "tradeoff", digest,
                     {"source": source, "budget": args.budget,
                      "mu_grid": args.mu_grid})
     return EXIT_OK
@@ -260,12 +323,13 @@ def cmd_baselines(args):
     points = [(base["r_min"], base["d_min"]), (base["c_noest"], base["d_max"]),
               (base["c_noest"], base["d_trivial"]), *base["basic"], *base["improved"]]
     rates, distortions = zip(*points)
+    args.clock.lap("compute")
     _write_table(args.out, args.format, {
         "name": ("d_min_point", "capacity_point", "d_trivial_point",
                  "basic_ts_start", "basic_ts_end", "improved_ts_start",
                  "improved_ts_end"),
         "rate_bits": rates, "distortion": distortions})
-    _write_manifest(args.out, "baselines", digest,
+    _write_manifest(args, "baselines", digest,
                     {"source": source, "budget": args.budget})
     return EXIT_OK
 
@@ -328,8 +392,9 @@ def cmd_bc(args):
         config = {"e1": args.e1, "s1": args.s1, "e2": args.e2, "s2": args.s2}
     else:                                    # pragma: no cover
         raise CliInputError(f"unknown bc subcommand {sub}")
+    args.clock.lap("compute")
     _write_table(args.out, args.format, columns)
-    _write_manifest(args.out, f"bc {sub}", digest, config)
+    _write_manifest(args, f"bc {sub}", digest, config)
     return EXIT_OK
 
 
@@ -463,6 +528,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    args.clock = _Clock()
     try:
         return args.fn(args)
     except (CliInputError, CapdistError) as exc:

@@ -1,14 +1,18 @@
+import dataclasses
 import json
 import os
+import platform
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import capdist
-from capdist import channel
+from capdist import channel, cli
 from capdist.cli import main
 
 
@@ -104,6 +108,103 @@ def test_spec_file_with_joint_and_marginal_laws_is_input_error(tmp_path, capsys)
     code, out, err = run(capsys, "tradeoff", "--spec", str(bad))
     assert code == 2 and out == ""
     assert "both a joint law and marginal laws" in err
+
+
+# ---------------------------------------------------------------------------
+# spec digest and manifests
+# ---------------------------------------------------------------------------
+
+def builtin(text):
+    name, params = cli._parse_builtin(text)
+    return cli.BUILTINS[name](**params)
+
+
+def marginal_spec(**changes):
+    """A two-state spec with marginal laws of one shape but unequal values."""
+    fields = dict(state_pmf=[0.5, 0.5],
+                  law_y=[[[1.0, 0.0], [0.5, 0.5]], [[0.25, 0.75], [0.0, 1.0]]],
+                  law_z=[[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0], [0.25, 0.75]]],
+                  distortion=np.eye(2), cost=[0.0, 1.0], labels={"x": ["a", "b"]})
+    return channel.SdmcSpec(**{**fields, **changes})
+
+
+def test_spec_digest_is_stable_lowercase_hex():
+    digest = cli._spec_digest(builtin("gaussian-reduced"))
+    assert re.fullmatch("[0-9a-f]{64}", digest)
+    assert cli._spec_digest(builtin("gaussian-reduced")) == digest
+    assert cli._spec_digest(marginal_spec()) == cli._spec_digest(marginal_spec())
+
+
+def test_spec_digest_sees_every_field_value():
+    spec = marginal_spec()
+    law_y = np.array(spec.law_y)
+    law_y[1, 0, 0] = np.nextafter(law_y[1, 0, 0], 1.0)       # one ulp
+    variants = [
+        dataclasses.replace(spec, law_y=law_y),
+        dataclasses.replace(spec, labels={"x": ["a", "c"]}),
+        dataclasses.replace(spec, labels=None),
+        dataclasses.replace(spec, law_y=spec.law_z, law_z=spec.law_y),
+        dataclasses.replace(spec, cost=[1.0, 0.0]),
+        dataclasses.replace(spec, distortion=channel.QuadraticDistortion([0.0, 1.0], [0.0, 1.0])),
+        dataclasses.replace(spec, distortion=channel.QuadraticDistortion([0.0, 1.0], [0.0, 2.0])),
+    ]
+    digests = {cli._spec_digest(s) for s in [spec, *variants]}
+    assert len(digests) == 1 + len(variants)
+
+
+@pytest.mark.parametrize("text", [
+    "binary",                                                  # joint law
+    "gaussian,pam_points=2,state_points=3,noise_points=3",     # marginals, quadratic
+    "dueck",                                                   # broadcast
+])
+def test_spec_digest_survives_json_round_trip(text):
+    spec = builtin(text)
+    again = channel.spec_from_dict(json.loads(json.dumps(channel.spec_to_dict(spec))))
+    assert cli._spec_digest(again) == cli._spec_digest(spec)
+
+
+def test_spec_digest_allocates_no_law_sized_buffer():
+    spec = builtin("gaussian,state_points=100")     # 3.4 MB of law_y alone
+    tracemalloc.start()
+    try:
+        cli._spec_digest(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_builtin_commands_never_serialize_the_spec(monkeypatch, capsys):
+    def refuse(spec):
+        raise RuntimeError("spec_to_dict called")
+
+    monkeypatch.setattr(channel, "spec_to_dict", refuse)
+    for argv in (["tradeoff", "--builtin", "binary", "--mu-grid", "0:1:2"],
+                 ["baselines", "--builtin", "binary"],
+                 ["bc", "degraded", "--builtin", "binary-bc", "--resolution", "2"],
+                 ["verify", "estimator", "--builtin", "binary"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    with pytest.raises(RuntimeError, match="spec_to_dict called"):
+        main(["gen", "--builtin", "binary"])              # gen writes the dict
+
+
+@pytest.mark.parametrize("argv, stages", [
+    (["gen", "--builtin", "binary"], ["load_spec", "compute", "write"]),
+    (["tradeoff", "--builtin", "binary", "--mu-grid", "0:1:2"],
+     ["load_spec", "compute", "write"]),
+    (["baselines", "--builtin", "binary"], ["load_spec", "compute", "write"]),
+    (["bc", "degraded", "--builtin", "binary-bc", "--resolution", "2"],
+     ["load_spec", "compute", "write"]),
+    (["bc", "binary", "--resolution", "2"], ["compute", "write"]),
+])
+def test_manifest_records_versions_and_stage_times(tmp_path, capsys, argv, stages):
+    out = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert list(manifest["stages_s"]) == stages
+    assert all(t >= 0 for t in manifest["stages_s"].values())
 
 
 # ---------------------------------------------------------------------------
