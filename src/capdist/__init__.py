@@ -13,8 +13,7 @@ Modules:
 """
 
 from .channel import (MappingTable, QuadraticDistortion, SdmbcSpec, SdmcSpec,
-                      load_spec, dump_spec, marginal_y_given_xs,
-                      marginal_z_given_xs, receiver_spec)
+                      receiver_spec)
 from .estimator import (EstimatorTable, build_estimator,
                         d_min, d_trivial, expected_distortion)
 from .solver import (BaConfig, TradeoffPoint, baseline_ts,

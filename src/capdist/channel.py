@@ -4,18 +4,18 @@ Alphabets are index-based (0..n-1); optional string labels are carried only
 for I/O.  All tensors are dense float64, frozen (read-only) and validated on
 construction: a spec that exists satisfies every structural invariant.
 
-A single-receiver spec (SdmcSpec) stores the channel law either as the joint
-tensor P(y,z|x,s) indexed (x,s,y,z), or -- for large instances where the
-joint would not fit in memory -- as the pair of marginals P(y|x,s) and
-P(z|x,s).  Every consumer in this package only ever needs the two marginals,
-so the factored form is exact for everything we compute.  A broadcast spec
-(SdmbcSpec) reaches that code through `receiver_spec`, one receiver's view.
+A single-receiver spec (SdmcSpec) stores the channel law as the pair of
+marginals P(y|x,s) and P(z|x,s): the rate I(X;Y|S) reads only the first and
+the optimal estimator only the second, so the pair is exact for everything
+we compute.  A joint law P(y,z|x,s) is accepted as input and factored on
+construction.  A broadcast spec (SdmbcSpec) keeps its joint law, because its
+outer bound and degradedness test read the two outputs jointly; it reaches
+the single-receiver code through `receiver_spec`, one receiver's view.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain, combinations
 from math import comb
 from typing import Optional
@@ -108,49 +108,46 @@ class MappingTable:
 class SdmcSpec:
     """Single-receiver state-dependent memoryless channel.
 
-    Exactly one of `law` (joint, indexed (x,s,y,z)) or the pair
-    `law_y` (x,s,y) / `law_z` (x,s,z) must be given.  `distortion` is either
-    a dense (|S|, |Shat|) matrix or a QuadraticDistortion.  `cost` defaults
-    to all-zero.
+    The law is stored as `law_y` = P(y|x,s) and `law_z` = P(z|x,s), both
+    indexed (x,s,·).  Give either that pair or `law`, the joint P(y,z|x,s)
+    indexed (x,s,y,z): the joint is validated as given, then only its two
+    marginals are kept.  `distortion` is either a dense (|S|, |Shat|)
+    matrix or a QuadraticDistortion.  `cost` defaults to all-zero.
     """
     state_pmf: np.ndarray
-    law: Optional[np.ndarray] = None
+    law: InitVar[Optional[np.ndarray]] = None
     law_y: Optional[np.ndarray] = None
     law_z: Optional[np.ndarray] = None
     distortion: object = None
     cost: Optional[np.ndarray] = None
     labels: Optional[dict] = field(default=None, compare=False)
 
-    def __post_init__(self):
-        for name in ("state_pmf", "law", "law_y", "law_z"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _freeze(getattr(self, name)))
-        marginals = (self.law_y is not None, self.law_z is not None)
-        if self.law is None and not all(marginals):
-            raise SpecValidationError("spec needs either a joint law or both marginal laws")
-        if self.law is not None and any(marginals):
+    def __post_init__(self, law):
+        if law is not None and (self.law_y is not None or self.law_z is not None):
             raise SpecValidationError("spec has both a joint law and marginal laws; give one form")
+        if law is None and (self.law_y is None or self.law_z is None):
+            raise SpecValidationError("spec needs either a joint law or both marginal laws")
+        object.__setattr__(self, "state_pmf", _freeze(self.state_pmf))
+        if self.state_pmf.ndim != 1:
+            raise SpecValidationError(
+                f"state_pmf: expected 1-D vector, got shape {self.state_pmf.shape}")
+        _check_rows(self.state_pmf, "state_pmf")
+        if law is not None:
+            law = np.ascontiguousarray(law, dtype=float)
+            self._check_law("law", law, "x,s,y,z")   # a sum can hide a bad entry
+            object.__setattr__(self, "law_y", law.sum(axis=3))
+            object.__setattr__(self, "law_z", law.sum(axis=2))
+        for name in ("law_y", "law_z"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+            self._check_law(name, getattr(self, name), "x,s,·")
+        if self.law_y.shape[:2] != self.law_z.shape[:2]:
+            raise SpecValidationError("law_y and law_z disagree on (x,s) shape")
         object.__setattr__(self, "cost", _freeze(
             np.zeros(self.input_size) if self.cost is None else self.cost))
         if self.distortion is None:
             raise SpecValidationError("spec needs a distortion")
         if not isinstance(self.distortion, QuadraticDistortion):
             object.__setattr__(self, "distortion", _freeze(self.distortion))
-
-        if self.state_pmf.ndim != 1:
-            raise SpecValidationError(
-                f"state_pmf: expected 1-D vector, got shape {self.state_pmf.shape}")
-        _check_rows(self.state_pmf, "state_pmf")
-        for name, ndim, axes in ((("law", 4, "x,s,y,z"),) if self.law is not None else
-                                 (("law_y", 3, "x,s,·"), ("law_z", 3, "x,s,·"))):
-            t = getattr(self, name)
-            if t.ndim != ndim:
-                raise SpecValidationError(f"{name}: expected {ndim}-D ({axes}), got shape {t.shape}")
-            if t.shape[1] != self.state_size:
-                raise SpecValidationError(f"{name}: state axis does not match state_pmf")
-            _check_rows(t.reshape(t.shape[:2] + (-1,)), f"{name} row (x,s)")
-        if self.law is None and self.law_y.shape[:2] != self.law_z.shape[:2]:
-            raise SpecValidationError("law_y and law_z disagree on (x,s) shape")
         _check_distortion(self.distortion, "distortion")
         if self.distortion.shape[0] != self.state_size:
             raise SpecValidationError(
@@ -161,10 +158,20 @@ class SdmcSpec:
         if np.any(self.cost < 0):
             raise SpecValidationError(f"cost: negative entry at x={int(np.argmin(self.cost))}")
 
+    def _check_law(self, name, t, axes):
+        """A law indexed `axes`, whose leading two are (x,s): its ndim, its
+        state axis, and every (x,s) row a pmf."""
+        ndim = axes.count(",") + 1
+        if t.ndim != ndim:
+            raise SpecValidationError(f"{name}: expected {ndim}-D ({axes}), got shape {t.shape}")
+        if t.shape[1] != self.state_size:
+            raise SpecValidationError(f"{name}: state axis does not match state_pmf")
+        _check_rows(t.reshape(t.shape[:2] + (-1,)), f"{name} row (x,s)")
+
     # -- sizes ----------------------------------------------------------
     @property
     def input_size(self):
-        return (self.law if self.law is not None else self.law_y).shape[0]
+        return self.law_y.shape[0]
 
     @property
     def state_size(self):
@@ -172,11 +179,11 @@ class SdmcSpec:
 
     @property
     def output_size(self):
-        return self.law.shape[2] if self.law is not None else self.law_y.shape[2]
+        return self.law_y.shape[2]
 
     @property
     def feedback_size(self):
-        return self.law.shape[3] if self.law is not None else self.law_z.shape[2]
+        return self.law_z.shape[2]
 
     @property
     def estimate_size(self):
@@ -282,22 +289,8 @@ def simplex_lattice(n, k):
 
 
 # ---------------------------------------------------------------------------
-# marginalization
+# broadcast receivers
 # ---------------------------------------------------------------------------
-
-def marginal_y_given_xs(spec):
-    """P(y|x,s) with shape (X, S, Y)."""
-    if spec.law_y is not None:
-        return spec.law_y
-    return spec.law.sum(axis=3)
-
-
-def marginal_z_given_xs(spec):
-    """P(z|x,s) with shape (X, S, Z)."""
-    if spec.law_z is not None:
-        return spec.law_z
-    return spec.law.sum(axis=2)
-
 
 def receiver_spec(bc, k):
     """Receiver k's single-user view of a broadcast spec.
@@ -387,24 +380,11 @@ def spec_from_dict(doc):
                      labels=doc.get("labels"))
 
 
-def load_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SpecValidationError(f"invalid JSON in {path}: {e}") from e
-    return spec_from_dict(doc)
-
-
 def spec_to_dict(spec):
     """Serialize a spec back to the JSON document format."""
     if isinstance(spec, SdmcSpec):
-        doc = {"kind": "sdmc", "state_pmf": spec.state_pmf.tolist()}
-        if spec.law is not None:
-            doc["law"] = spec.law.tolist()
-        else:
-            doc["law_y"] = spec.law_y.tolist()
-            doc["law_z"] = spec.law_z.tolist()
+        doc = {"kind": "sdmc", "state_pmf": spec.state_pmf.tolist(),
+               "law_y": spec.law_y.tolist(), "law_z": spec.law_z.tolist()}
         if isinstance(spec.distortion, QuadraticDistortion):
             doc["distortion"] = {"kind": "quadratic",
                                  "state_values": spec.distortion.state_values.tolist(),
@@ -426,9 +406,3 @@ def spec_to_dict(spec):
             doc["labels"] = spec.labels
         return doc
     raise SpecValidationError(f"not a channel spec: {type(spec)!r}")
-
-
-def dump_spec(spec, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh)
-        fh.write("\n")

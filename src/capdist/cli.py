@@ -52,9 +52,12 @@ def _builtin_erasure(p_s=0.5):
 
 
 def _builtin_gaussian(**kv):
-    cfg = examples.GaussianQuantConfig(**{k: (int(v) if k.endswith("points") else v)
-                                          for k, v in kv.items()})
-    return examples.gaussian_quantized_spec(cfg)
+    for k, v in kv.items():
+        if k.endswith("points"):
+            if not float(v).is_integer():
+                raise ValueError(f"{k} must be a whole number, not {v}")
+            kv[k] = int(v)
+    return examples.gaussian_quantized_spec(examples.GaussianQuantConfig(**kv))
 
 
 def _builtin_gaussian_reduced(**kv):
@@ -259,6 +262,17 @@ def _write_manifest(args, command, digest, config):
 def _version():
     from . import __version__
     return __version__
+
+
+def _budget(text):
+    """--budget: a float, infinite ones included; NaN is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if np.isnan(value):
+        raise argparse.ArgumentTypeError(f"must be a number, not {text!r}")
+    return value
 
 
 def _parse_mu_grid(text):
@@ -483,7 +497,7 @@ def build_parser():
 
     p = sub.add_parser("tradeoff", help="sweep the C(D,B) frontier")
     _add_instance_args(p)
-    p.add_argument("--budget", type=float, default=np.inf)
+    p.add_argument("--budget", type=_budget, default=np.inf)
     p.add_argument("--mu-grid", default="auto")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -491,7 +505,7 @@ def build_parser():
 
     p = sub.add_parser("baselines", help="time-sharing baselines")
     _add_instance_args(p)
-    p.add_argument("--budget", type=float, default=np.inf)
+    p.add_argument("--budget", type=_budget, default=np.inf)
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_baselines)
@@ -516,7 +530,7 @@ def build_parser():
     p.add_argument("check", choices=("estimator", "frontier", "distortion-mc",
                                      "no-tradeoff"))
     _add_instance_args(p)
-    p.add_argument("--budget", type=float, default=np.inf)
+    p.add_argument("--budget", type=_budget, default=np.inf)
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the distortion-mc samples (other checks ignore it)")

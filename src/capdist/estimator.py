@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel
 from .channel import QuadraticDistortion
 from .errors import Infeasible
 
@@ -37,8 +36,7 @@ class EstimatorTable:
 
 def _weights(spec):
     """w[x,s,z] = P_S(s) P(z|s,x); the unnormalized posterior."""
-    law_z = channel.marginal_z_given_xs(spec)
-    return spec.state_pmf[None, :, None] * law_z
+    return spec.state_pmf[None, :, None] * spec.law_z
 
 
 def _argmin_ties_low(values, rtol=TIE_RTOL):
@@ -61,8 +59,7 @@ def build_estimator(spec):
         # grid is the grid point nearest the posterior mean (exact).  Work
         # with (X,Z)-sized moments only; the (X,S,Z) weight tensor is never
         # materialized (it is ~0.6 GB for the quantized Gaussian example).
-        law_z = channel.marginal_z_given_xs(spec)
-        ps, sv = spec.state_pmf, d.state_values
+        law_z, ps, sv = spec.law_z, spec.state_pmf, d.state_values
         m0 = np.einsum("xsz,s->xz", law_z, ps)            # P(z|x)
         m1 = np.einsum("xsz,s->xz", law_z, ps * sv)
         m2 = np.einsum("xsz,s->xz", law_z, ps * sv * sv)
@@ -103,8 +100,10 @@ def d_min(spec, budget=np.inf, est=None):
 
     The objective and the single constraint are both linear in P_X, so an
     optimizer exists supported on at most two symbols; we search those
-    supports in closed form.
+    supports in closed form.  A NaN budget raises ValueError.
     """
+    if np.isnan(budget):
+        raise ValueError("budget must be a number, not nan")
     if est is None:
         est = build_estimator(spec)
     c = est.cost

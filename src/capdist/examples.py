@@ -24,12 +24,11 @@ HAMMING2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 def binary_multiplicative_spec(q):
     """Y = S*X with S ~ Bernoulli(q), perfect feedback Z = Y, Hamming
     distortion, zero input cost."""
-    law = np.zeros((2, 2, 2, 2))
+    law = np.zeros((2, 2, 2))
     for x in range(2):
         for s in range(2):
-            y = s * x
-            law[x, s, y, y] = 1.0
-    return SdmcSpec(state_pmf=np.array([1.0 - q, q]), law=law,
+            law[x, s, s * x] = 1.0
+    return SdmcSpec(state_pmf=np.array([1.0 - q, q]), law_y=law, law_z=law,
                     distortion=HAMMING2.copy())
 
 
@@ -50,11 +49,11 @@ def binary_multiplicative_cd(q, distortion):
 def erasure_spec(p_s):
     """S ~ Bernoulli(p_s); Y = X when S=0 and '?' (index 2) when S=1;
     perfect feedback Z = Y; Hamming distortion on the state."""
-    law = np.zeros((2, 2, 3, 3))
+    law = np.zeros((2, 2, 3))
     for x in range(2):
-        law[x, 0, x, x] = 1.0
-        law[x, 1, 2, 2] = 1.0
-    return SdmcSpec(state_pmf=np.array([1.0 - p_s, p_s]), law=law,
+        law[x, 0, x] = 1.0
+        law[x, 1, 2] = 1.0
+    return SdmcSpec(state_pmf=np.array([1.0 - p_s, p_s]), law_y=law, law_z=law,
                     distortion=HAMMING2.copy())
 
 
@@ -177,21 +176,21 @@ def dueck_reduction_spec(q, receiver=1):
     """
     if receiver not in (1, 2):
         raise ValueError(f"receiver must be 1 or 2, not {receiver!r}")
-    law = np.zeros((4, 4, 4, 4))
+    law = np.zeros((4, 4, 4))
     for s in range(4):
         s1, s2 = divmod(s, 2)
         for x in range(4):
             x1, x2 = divmod(x, 2)
             for n in range(2):
                 y = 2 * (s1 * (x1 ^ n)) + (s2 * (x2 ^ n))
-                law[x, s, y, y] += 0.5
+                law[x, s, y] += 0.5
     pk = np.array([1.0 - q, q])
     state_pmf = np.outer(pk, pk).ravel()
     d = np.zeros((4, 2))
     for s in range(4):
         bit = (s >> 1) & 1 if receiver == 1 else s & 1
         d[s, :] = [bit != 0, bit != 1]
-    return SdmcSpec(state_pmf=state_pmf, law=law, distortion=d)
+    return SdmcSpec(state_pmf=state_pmf, law_y=law, law_z=law, distortion=d)
 
 
 def dueck_input_pmf(t):
@@ -252,8 +251,8 @@ def gaussian_quantized_spec(cfg=None):
     magnitude cell is split into a +/- sign pair of equal mass so that the
     quadratic distortion d(s, shat) = (s - shat)^2 on the real state is
     well-posed.  Both noises are quantized on equal-spaced +/-6 sigma grids;
-    outputs are snapped to the lattice of the channel-noise grid.  The law
-    is stored factored as (P(y|x,s), P(z|x,s)); the joint is never needed.
+    outputs are snapped to the lattice of the channel-noise grid.  The two
+    marginal laws are built directly; the joint is never formed.
     """
     from scipy import stats
 

@@ -53,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import channel, estimator
+from . import estimator
 from .errors import DegenerateUpdate, Infeasible, SpecValidationError
 
 _BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of each (rows, S*Y) temporary
@@ -76,7 +76,7 @@ def _xlog2x(p):
 
 def conditional_mutual_information(spec, p_x):
     """I(X;Y|S) in bits for the given input pmf."""
-    work = _BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
+    work = _BaWork(spec.law_y, spec.state_pmf)
     return float(work.rates(np.asarray(p_x, float)[None])[0])
 
 
@@ -301,7 +301,7 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
 def solve_fixed_mu(spec, config):
     """Run the alternating maximization for one penalty value."""
     est = estimator.build_estimator(spec)
-    work = _BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
+    work = _BaWork(spec.law_y, spec.state_pmf)
     return _solve_rows(work, est, spec.cost, [config.mu], config.budget, config)[0]
 
 
@@ -314,7 +314,7 @@ def sweep_frontier(spec, budget, mu_grid, threads=1):
     harness (perfbench) still passes it.
     """
     est = estimator.build_estimator(spec)
-    work = _BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
+    work = _BaWork(spec.law_y, spec.state_pmf)
     mus = sorted(float(m) for m in mu_grid)
     if not mus:
         raise ValueError("mu_grid must be nonempty")
@@ -342,7 +342,7 @@ def baseline_ts(spec, budget=np.inf):
     convergence_eps = 1e-15.
     """
     est = estimator.build_estimator(spec)
-    work = _BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
+    work = _BaWork(spec.law_y, spec.state_pmf)
     dm_val, dm_pmf = estimator.d_min(spec, budget, est=est)
     r_min = float(work.rates(dm_pmf[None])[0])
     cap, = _solve_rows(work, est, spec.cost, [0.0], budget,
@@ -382,7 +382,7 @@ def no_tradeoff_check(spec, psi):
     communication and sensing do not trade off; it needs both at most
     _CHECK_TOL.
     """
-    w = spec.state_pmf[None, :, None] * channel.marginal_z_given_xs(spec)  # (X, S, Z)
+    w = spec.state_pmf[None, :, None] * spec.law_z                    # (X, S, Z)
     nx, ns, nz = w.shape
     if psi.table.shape != (nx, nz):
         raise SpecValidationError(f"psi table has shape {psi.table.shape}, "

@@ -46,8 +46,7 @@ def simulate_distortion(spec, p_x, n, seed):
     rng = np.random.default_rng(seed)
     s = rng.choice(spec.state_size, size=n, p=spec.state_pmf)
     x = rng.choice(spec.input_size, size=n, p=p_x / p_x.sum())
-    law_z = channel.marginal_z_given_xs(spec)
-    cum = np.cumsum(law_z[x, s, :], axis=1)
+    cum = np.cumsum(spec.law_z[x, s, :], axis=1)
     u = rng.random(n)
     z = (u[:, None] > cum).sum(axis=1)
     shat = est.table[x, z]
@@ -78,7 +77,7 @@ def brute_force_tradeoff(spec, distortion_cap, budget, grid_step):
     if not np.any(feas):
         raise InfeasibleConstraints("no lattice pmf satisfies the D/B constraints")
     pmfs = pmfs[feas]
-    law = channel.marginal_y_given_xs(spec)
+    law = spec.law_y
     log_law = np.zeros_like(law)
     np.log2(law, out=log_law, where=law > 0)
     law_flat = law.reshape(nx, -1)
@@ -102,14 +101,14 @@ def brute_force_tradeoff(spec, distortion_cap, budget, grid_step):
 
 def q_update(spec, p_x):
     """Backward channel Q(x|y,s), shape (X, S, Y); uniform where P(y|s) = 0."""
-    num = np.asarray(p_x, float)[:, None, None] * channel.marginal_y_given_xs(spec)
+    num = np.asarray(p_x, float)[:, None, None] * spec.law_y
     den = num.sum(axis=0)
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0 / num.shape[0])
 
 
 def p_update(spec, est, q, mu, lam=0.0):
     """Exponential input update P*(x) proportional to 2**g(x)."""
-    w = spec.state_pmf[None, :, None] * channel.marginal_y_given_xs(spec)
+    w = spec.state_pmf[None, :, None] * spec.law_y
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.where(w > 0, w * np.log2(q), 0.0).sum(axis=(1, 2))
     g = g - lam * np.asarray(spec.cost) - mu * est.cost
@@ -122,7 +121,7 @@ def exhaustive_estimator_search(spec, p_x):
 
     This is the oracle for the optimal-estimator construction: it evaluates
     the expected distortion of all |Shat| ** (|X| * |Z|) tables directly
-    from the channel joint.
+    from the channel law P(z|x,s).
     """
     nx, ns, nz = spec.input_size, spec.state_size, spec.feedback_size
     nshat = spec.estimate_size
@@ -130,8 +129,7 @@ def exhaustive_estimator_search(spec, p_x):
     n_tables = nshat ** n_cells
     if n_tables > 10**6:
         raise InstanceTooLarge(f"{n_tables} estimator tables to enumerate")
-    law_z = channel.marginal_z_given_xs(spec)
-    w = np.asarray(p_x, float)[:, None, None] * spec.state_pmf[None, :, None] * law_z
+    w = np.asarray(p_x, float)[:, None, None] * spec.state_pmf[None, :, None] * spec.law_z
     d = spec.distortion
     if isinstance(d, channel.QuadraticDistortion):
         d = d.as_matrix()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capdist import channel, estimator, examples
+from capdist import cli, estimator, examples
 from capdist.channel import (MappingTable, QuadraticDistortion, SdmbcSpec,
                              SdmcSpec, receiver_spec, renormalize_rows,
                              spec_from_dict, spec_to_dict)
@@ -15,6 +15,22 @@ from capdist.errors import SpecValidationError
 
 def small_spec():
     return examples.binary_multiplicative_spec(0.4)
+
+
+def small_law():
+    """small_spec's channel as a joint law P(y,z|x,s): y = s*x and z = y."""
+    law = np.zeros((2, 2, 2, 2))
+    for x in range(2):
+        for s in range(2):
+            law[x, s, s * x, s * x] = 1.0
+    return law
+
+
+def joint_doc():
+    """small_spec as a spec document with the joint law."""
+    doc = spec_to_dict(small_spec())
+    del doc["law_y"], doc["law_z"]
+    return {**doc, "law": small_law().tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -30,12 +46,12 @@ def test_validate_accepts_builtin_examples():
 
 def test_state_pmf_must_normalize():
     with pytest.raises(SpecValidationError, match="state_pmf"):
-        SdmcSpec(state_pmf=[0.5, 0.4], law=small_spec().law,
+        SdmcSpec(state_pmf=[0.5, 0.4], law=small_law(),
                  distortion=np.zeros((2, 2)))
 
 
 def test_law_rows_must_normalize_with_coordinates():
-    law = np.array(small_spec().law)
+    law = small_law()
     law[1, 0, 0, 0] += 0.25
     with pytest.raises(SpecValidationError, match=r"\(1, 0\)"):
         SdmcSpec(state_pmf=[0.6, 0.4], law=law, distortion=np.eye(2))
@@ -48,22 +64,40 @@ def test_law_rows_must_normalize_with_coordinates():
 
 
 def test_negative_probability_rejected():
-    law = np.array(small_spec().law)
+    law = small_law()
     law[0, 0, 0, 0] = -0.1
     law[0, 0, 1, 1] = 1.1
     with pytest.raises(SpecValidationError, match="negative"):
         SdmcSpec(state_pmf=[0.6, 0.4], law=law, distortion=np.eye(2))
+    # both marginals of this row are pmfs: only the joint as given shows it
+    law = small_law()
+    law[0, 0] = [[1.1, -0.1], [-0.1, 0.1]]
+    with pytest.raises(SpecValidationError, match=r"law row \(x,s\): negative"):
+        SdmcSpec(state_pmf=[0.6, 0.4], law=law, distortion=np.eye(2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(*[st.integers(1, 4)] * 4))
+def test_joint_law_is_stored_as_its_two_marginals(seed, sizes):
+    rng = np.random.default_rng(seed)
+    nx, ns, ny, nz = sizes
+    joint = rng.dirichlet(np.ones(ny * nz), size=(nx, ns)).reshape(sizes)
+    spec = SdmcSpec(state_pmf=rng.dirichlet(np.ones(ns)), law=joint,
+                    distortion=np.zeros((ns, 1)))
+    for got, want in ((spec.law_y, joint.sum(3)), (spec.law_z, joint.sum(2))):
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert not got.flags.writeable
 
 
 def test_distortion_shape_checked():
     with pytest.raises(SpecValidationError, match="distortion"):
-        SdmcSpec(state_pmf=[0.6, 0.4], law=small_spec().law,
+        SdmcSpec(state_pmf=[0.6, 0.4], law=small_law(),
                  distortion=np.zeros((3, 2)))
 
 
 def test_negative_cost_rejected():
     with pytest.raises(SpecValidationError, match="cost"):
-        SdmcSpec(state_pmf=[0.6, 0.4], law=small_spec().law,
+        SdmcSpec(state_pmf=[0.6, 0.4], law=small_law(),
                  distortion=np.eye(2), cost=[0.0, -1.0])
 
 
@@ -73,12 +107,12 @@ def test_spec_needs_some_law():
 
 
 def test_spec_rejects_both_law_forms():
-    # marginal_y_given_xs reads law_y when present, so a joint law must not
-    # vouch for an unchecked pair of marginals
+    # the spec keeps only law_y and law_z, so a joint law must not vouch for
+    # an unchecked pair of marginals given beside it
     spec = small_spec()
     bad = np.full((2, 2, 2), 0.9)
     with pytest.raises(SpecValidationError, match="both"):
-        SdmcSpec(state_pmf=spec.state_pmf, law=spec.law, law_y=bad, law_z=bad,
+        SdmcSpec(state_pmf=spec.state_pmf, law=small_law(), law_y=bad, law_z=bad,
                  distortion=spec.distortion)
 
 
@@ -119,26 +153,28 @@ def test_renormalize_rows_rejects_large_drift():
 # JSON round-trip
 # ---------------------------------------------------------------------------
 
+def gen_and_load(builtin, path):
+    """The builtin's spec and the spec `capdist gen` writes of it, read back
+    as `--spec` reads a file."""
+    assert cli.main(["gen", "--builtin", builtin, "--out", str(path)]) == 0
+    again, _ = cli._load_json(path, "spec", spec_from_dict)
+    name, params = cli._parse_builtin(builtin)
+    return cli.BUILTINS[name](**params), again
+
+
 def test_json_round_trip_sdmc(tmp_path):
-    spec = small_spec()
-    path = tmp_path / "spec.json"
-    channel.dump_spec(spec, path)
-    again = channel.load_spec(path)
+    spec, again = gen_and_load("binary,q=0.4", tmp_path / "spec.json")
     assert np.array_equal(again.state_pmf, spec.state_pmf)
-    assert np.array_equal(again.law, spec.law)
+    assert np.array_equal(again.law_y, spec.law_y)
+    assert np.array_equal(again.law_z, spec.law_z)
     assert np.array_equal(np.asarray(again.distortion),
                           np.asarray(spec.distortion))
     assert np.array_equal(again.cost, spec.cost)
 
 
 def test_json_round_trip_factored_and_quadratic(tmp_path):
-    cfg = examples.GaussianQuantConfig(pam_points=2, noise_points=5,
-                                       state_points=4)
-    spec = examples.gaussian_quantized_spec(cfg)
-    path = tmp_path / "g.json"
-    channel.dump_spec(spec, path)
-    again = channel.load_spec(path)
-    assert again.law is None
+    spec, again = gen_and_load("gaussian,pam_points=2,noise_points=5,state_points=4",
+                               tmp_path / "g.json")
     assert np.allclose(again.law_y, spec.law_y)
     assert np.allclose(again.law_z, spec.law_z)
     assert isinstance(again.distortion, QuadraticDistortion)
@@ -148,10 +184,7 @@ def test_json_round_trip_factored_and_quadratic(tmp_path):
 
 
 def test_json_round_trip_sdmbc(tmp_path):
-    bc = examples.binary_bc_spec(0.6, 0.5)
-    path = tmp_path / "bc.json"
-    channel.dump_spec(bc, path)
-    again = channel.load_spec(path)
+    bc, again = gen_and_load("binary-bc,q=0.6,gamma=0.5", tmp_path / "bc.json")
     assert isinstance(again, SdmbcSpec)
     assert np.array_equal(again.joint_state_pmf, bc.joint_state_pmf)
     assert np.array_equal(again.law, bc.law)
@@ -239,25 +272,23 @@ def test_missing_required_field_rejected(doc, message):
 @pytest.mark.parametrize("marginals", [["law_y"], ["law_z"], ["law_y", "law_z"]])
 def test_joint_law_with_marginal_laws_rejected(marginals):
     # the marginals were once dropped silently in favour of the joint law
-    spec = small_spec()
-    doc = spec_to_dict(spec)
-    laws = {"law_y": channel.marginal_y_given_xs(spec),
-            "law_z": channel.marginal_z_given_xs(spec)}
-    doc.update({name: laws[name].tolist() for name in marginals})
+    doc = joint_doc()
+    marginal = spec_to_dict(small_spec())
+    doc.update({name: marginal[name] for name in marginals})
     with pytest.raises(SpecValidationError, match="both a joint law and marginal laws"):
         spec_from_dict(doc)
 
 
 def test_parser_renormalizes_within_tolerance():
-    doc = spec_to_dict(small_spec())
+    doc = joint_doc()
     doc["law"][0][0][0][0] += 5e-7
     spec = spec_from_dict(doc)
-    flat = spec.law.reshape(2, 2, -1)
-    assert np.allclose(flat.sum(axis=-1), 1.0, atol=1e-12)
+    for law in (spec.law_y, spec.law_z):
+        assert np.allclose(law.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_parser_rejects_badly_normalized_law():
-    doc = spec_to_dict(small_spec())
+    doc = joint_doc()
     doc["law"][0][0][0][0] += 0.01
     with pytest.raises(SpecValidationError):
         spec_from_dict(doc)

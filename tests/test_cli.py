@@ -40,7 +40,7 @@ def test_gen_round_trips_through_loader(tmp_path, capsys):
     code, _, _ = run(capsys, "gen", "--builtin", "binary,q=0.4",
                      "--out", str(out))
     assert code == 0
-    spec = channel.load_spec(str(out))
+    spec, _ = cli._load_json(str(out), "spec", channel.spec_from_dict)
     assert spec.input_size == 2
     assert np.allclose(spec.state_pmf, [0.6, 0.4])
     manifest = json.loads((tmp_path / "binary.json.manifest.json").read_text())
@@ -76,6 +76,14 @@ def test_dueck_reduction_rejects_bad_receiver(capsys):
         assert "receiver must be 1 or 2" in err
 
 
+def test_gaussian_point_counts_must_be_whole(capsys):
+    # pam_points=4.9 once built 4-PAM and exited 0
+    for param in ("pam_points=4.9", "state_points=inf", "noise_points=nan"):
+        code, out, err = run(capsys, "gen", "--builtin", f"gaussian-reduced,{param}")
+        assert code == 2 and out == ""
+        assert "must be a whole number" in err
+
+
 def test_missing_instance_is_input_error(capsys):
     code, _, err = run(capsys, "gen")
     assert code == 2
@@ -108,6 +116,29 @@ def test_spec_file_with_joint_and_marginal_laws_is_input_error(tmp_path, capsys)
     code, out, err = run(capsys, "tradeoff", "--spec", str(bad))
     assert code == 2 and out == ""
     assert "both a joint law and marginal laws" in err
+
+
+def test_joint_and_factored_spec_files_give_identical_outputs(tmp_path, capsys):
+    # a dyadic joint law, so that renormalizing either file moves no bit;
+    # only the report's digest of the raw file bytes may differ
+    rng = np.random.default_rng(5)
+    joint = rng.multinomial(8, np.full(6, 1 / 6), size=(3, 2)).reshape(3, 2, 2, 3) / 8
+    base = {"kind": "sdmc", "state_pmf": [0.75, 0.25], "distortion": [[0.0, 1.0], [1.0, 0.0]],
+            "cost": [0.0, 1.0, 2.0]}
+    forms = [{**base, "law": joint.tolist()},
+             {**base, "law_y": joint.sum(3).tolist(), "law_z": joint.sum(2).tolist()}]
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    outputs = []
+    for doc in forms:
+        spec.write_text(json.dumps(doc))
+        texts = []
+        for argv in (["tradeoff", "--budget", "1", "--mu-grid", "0:4:5"],
+                     ["baselines", "--budget", "1"], ["verify", "estimator"]):
+            assert run(capsys, *argv, "--spec", str(spec), "--out", str(out))[0] == 0
+            texts.append(re.sub(r'"spec_digest_sha256": "[0-9a-f]{64}"', "", out.read_text()))
+        outputs.append(texts)
+    assert outputs[0] == outputs[1]
+    assert '"passed": true' in outputs[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +184,7 @@ def test_spec_digest_sees_every_field_value():
 
 
 @pytest.mark.parametrize("text", [
-    "binary",                                                  # joint law
+    "binary",                                                  # law_z is law_y
     "gaussian,pam_points=2,state_points=3,noise_points=3",     # marginals, quadratic
     "dueck",                                                   # broadcast
 ])
@@ -264,6 +295,16 @@ def test_tradeoff_rejects_broadcast_spec(capsys):
     code, _, err = run(capsys, "tradeoff", "--builtin", "binary-bc")
     assert code == 2
     assert "single-receiver" in err
+
+
+@pytest.mark.parametrize("argv", [["tradeoff"], ["baselines"], ["verify", "frontier"]])
+def test_nan_budget_is_input_error(capsys, argv):
+    # a NaN budget once reached estimator.d_min, which returned no pmf: a
+    # TypeError traceback and exit 1, the verification-failure code
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--builtin", "binary", "--budget", "nan"])
+    assert info.value.code == 2
+    assert "--budget: must be a number, not 'nan'" in capsys.readouterr().err
 
 
 def test_tradeoff_infeasible_budget_is_input_error(capsys):

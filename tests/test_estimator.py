@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,8 +61,7 @@ def test_quadratic_fast_path_matches_matrix_path():
     slow = build_estimator(dense)
     # tables must agree on every cell that actually occurs; cells of
     # negligible probability are distortion-irrelevant
-    law_z = channel.marginal_z_given_xs(spec)
-    mass = np.einsum("s,xsz->xz", spec.state_pmf, law_z)
+    mass = np.einsum("s,xsz->xz", spec.state_pmf, spec.law_z)
     occurs = mass > 1e-12
     assert np.array_equal(fast.table[occurs], slow.table[occurs])
     assert np.allclose(fast.cost, slow.cost, atol=1e-12)
@@ -97,10 +98,15 @@ def test_d_min_two_point_mix_under_budget():
     assert pmf @ spec.cost <= 3.0 + 1e-12
 
 
+def test_d_min_rejects_nan_budget():
+    # it once returned (inf, None)
+    with pytest.raises(ValueError, match="nan"):
+        d_min(examples.binary_multiplicative_spec(0.4), budget=np.nan)
+
+
 def test_d_min_infeasible_budget_raises():
     spec = examples.binary_multiplicative_spec(0.4)
-    tight = SdmcSpec(state_pmf=spec.state_pmf, law=spec.law,
-                     distortion=spec.distortion, cost=[2.0, 3.0])
+    tight = dataclasses.replace(spec, cost=[2.0, 3.0])
     with pytest.raises(Infeasible):
         d_min(tight, budget=1.0)
 

@@ -27,12 +27,12 @@ def test_binary_cd_curve_values():
 
 def test_binary_spec_is_deterministic():
     spec = binary_multiplicative_spec(0.4)
-    assert np.all((spec.law == 0) | (spec.law == 1))
-    # y = s*x and z = y
+    assert np.all((spec.law_y == 0) | (spec.law_y == 1))
+    # y = s*x, and z = y: a deterministic y with z's law equal to y's
     for x in (0, 1):
         for s in (0, 1):
-            y = s * x
-            assert spec.law[x, s, y, y] == 1.0
+            assert spec.law_y[x, s, s * x] == 1.0
+    assert np.array_equal(spec.law_z, spec.law_y)
 
 
 # ---------------------------------------------------------------------------

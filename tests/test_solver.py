@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from capdist import channel, cli, estimator, examples, solver
+from capdist import cli, estimator, examples, solver
 from capdist.channel import MappingTable, SdmcSpec
 from capdist.errors import DegenerateUpdate, Infeasible, SpecValidationError
 from capdist.solver import (BaConfig, baseline_ts,
@@ -37,7 +37,7 @@ def test_cmi_matches_direct_formula_on_random_channels():
     for _ in range(10):
         spec = random_spec(rng)
         p_x = rng.dirichlet(np.ones(spec.input_size))
-        law = channel.marginal_y_given_xs(spec)
+        law = spec.law_y
         direct = 0.0
         for s in range(spec.state_size):
             pys = p_x @ law[:, s, :]
@@ -58,7 +58,7 @@ def test_rates_rows_do_not_depend_on_blocks_and_are_nonnegative(monkeypatch):
     cases = []
     for _ in range(10):
         spec = random_spec(rng, *rng.integers(2, 4, size=4))
-        work = solver._BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
+        work = solver._BaWork(spec.law_y, spec.state_pmf)
         p = np.vstack([np.eye(spec.input_size),
                        rng.dirichlet(np.ones(spec.input_size), size=6)])
         singles = [work.rates(row[None])[0] for row in p]
@@ -79,7 +79,7 @@ def test_q_update_is_bayes_posterior():
     spec = random_spec(rng)
     p_x = rng.dirichlet(np.ones(spec.input_size))
     q = q_update(spec, p_x)
-    law = channel.marginal_y_given_xs(spec)
+    law = spec.law_y
     for s in range(spec.state_size):
         for y in range(spec.output_size):
             den = float(p_x @ law[:, s, y])
@@ -109,7 +109,7 @@ def test_kernel_step_matches_reference_updates():
         est = estimator.build_estimator(spec)
         mus = np.array([0.0, 0.1, 1.0, 5.0, 30.0])
         starts = rng.dirichlet(np.ones(spec.input_size), size=mus.size)
-        work = solver._BaWork(channel.marginal_y_given_xs(spec), spec.state_pmf)
+        work = solver._BaWork(spec.law_y, spec.state_pmf)
         pts = solver._solve_rows(work, est, spec.cost, mus, np.inf,
                                  BaConfig(max_outer_iters=1), start=starts)
         for pt, p, mu in zip(pts, starts, mus):
@@ -148,8 +148,7 @@ def test_mu_penalty_matches_closed_form():
 
 def test_budget_constraint_respected():
     spec = examples.binary_multiplicative_spec(0.4)
-    costly = SdmcSpec(state_pmf=spec.state_pmf, law=spec.law,
-                      distortion=spec.distortion, cost=[0.0, 1.0])
+    costly = dataclasses.replace(spec, cost=[0.0, 1.0])
     cfg = BaConfig(mu=0.0, budget=0.3)
     pt = solve_fixed_mu(costly, cfg)
     assert pt.cost <= 0.3          # the dual search returns the feasible end
@@ -160,8 +159,7 @@ def test_budget_constraint_respected():
 
 def test_budget_below_min_cost_is_infeasible():
     spec = examples.binary_multiplicative_spec(0.4)
-    costly = SdmcSpec(state_pmf=spec.state_pmf, law=spec.law,
-                      distortion=spec.distortion, cost=[2.0, 3.0])
+    costly = dataclasses.replace(spec, cost=[2.0, 3.0])
     with pytest.raises(Infeasible):
         solve_fixed_mu(costly, BaConfig(mu=0.0, budget=1.0))
 
@@ -236,8 +234,9 @@ def test_sweep_row_blocks_do_not_change_results(monkeypatch):
 def test_sweep_invariant_under_relabelling(sizes, seed, data):
     spec = random_spec(np.random.default_rng(seed), *sizes)
     px, ps, py, pz = (data.draw(st.permutations(range(n))) for n in sizes)
-    law = spec.law[np.ix_(px, ps, py, pz)]
-    relabelled = SdmcSpec(state_pmf=spec.state_pmf[ps], law=law,
+    relabelled = SdmcSpec(state_pmf=spec.state_pmf[ps],
+                          law_y=spec.law_y[np.ix_(px, ps, py)],
+                          law_z=spec.law_z[np.ix_(px, ps, pz)],
                           distortion=spec.distortion[np.ix_(ps, ps)],
                           cost=spec.cost[px])
     budget = float(np.quantile(spec.cost, 0.7))
@@ -372,7 +371,7 @@ def test_no_tradeoff_rejects_psi_of_wrong_shape(spec, table):
 def _reference_no_tradeoff(spec, psi, rng, tol=1e-9):
     """Conditions (i) and (ii) on the full joint P(x, s, z, t), at a random
     full-support pmf and at every point mass."""
-    w = spec.state_pmf[None, :, None] * channel.marginal_z_given_xs(spec)
+    w = spec.state_pmf[None, :, None] * spec.law_z
     is_t = np.eye(psi.codomain_size)[psi.table]           # (X, Z, T): 1{t = psi(x,z)}
     p = 1.0 + rng.random(spec.input_size)
     for p_x in [p / p.sum(), *np.eye(spec.input_size)]:
@@ -435,9 +434,9 @@ def test_no_tradeoff_matches_joint_reference(family, sizes, seed, data):
         assert rep.passed
     # relabelling the inputs (the law's x axis with psi's rows) changes nothing
     perm = data.draw(st.permutations(range(spec.input_size)))
-    laws = {name: getattr(spec, name)[perm] for name in ("law", "law_y", "law_z")
-            if getattr(spec, name) is not None}
-    relabelled = no_tradeoff_check(dataclasses.replace(spec, **laws, cost=spec.cost[perm]),
+    relabelled = no_tradeoff_check(dataclasses.replace(spec, law_y=spec.law_y[perm],
+                                                       law_z=spec.law_z[perm],
+                                                       cost=spec.cost[perm]),
                                    MappingTable(psi.table[perm], psi.codomain_size))
     assert (relabelled.worst_independence, relabelled.worst_markov) == (
         rep.worst_independence, rep.worst_markov)
@@ -550,16 +549,14 @@ def test_budget_at_unique_least_cost_is_feasible(cost, budget):
     # lambda has no finite root: the search must reach a pmf whose other
     # entries vanish in rounding, not declare the budget unattainable
     spec = examples.binary_multiplicative_spec(0.4)
-    costly = SdmcSpec(state_pmf=spec.state_pmf, law=spec.law,
-                      distortion=spec.distortion, cost=cost)
+    costly = dataclasses.replace(spec, cost=cost)
     pt = solve_fixed_mu(costly, BaConfig(mu=0.0, budget=budget))
     assert pt.converged and pt.cost <= budget
 
 
 def test_solve_logs_one_debug_record_per_call(caplog):
     spec = examples.binary_multiplicative_spec(0.4)
-    costly = SdmcSpec(state_pmf=spec.state_pmf, law=spec.law,
-                      distortion=spec.distortion, cost=[0.0, 1.0])
+    costly = dataclasses.replace(spec, cost=[0.0, 1.0])
     grid = [0.0, 1.0, 10.0]
     sweep_frontier(costly, 0.3, grid)
     assert not [r for r in caplog.records if r.name == "capdist"]   # silent by default

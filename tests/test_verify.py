@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from capdist import examples, estimator, verify
-from capdist.channel import MAX_LATTICE_POINTS, SdmcSpec, simplex_lattice
+from capdist.channel import MAX_LATTICE_POINTS, simplex_lattice
 from capdist.errors import InfeasibleConstraints, InstanceTooLarge
 from capdist.verify import (brute_force_tradeoff, exhaustive_estimator_search,
                             simulate_distortion)
@@ -133,8 +135,7 @@ def test_estimator_matches_enumeration_on_seeded_instances():
 def test_estimator_search_zero_distortion():
     rng = np.random.default_rng(4)
     spec = random_spec(rng)
-    zero = SdmcSpec(state_pmf=spec.state_pmf, law=spec.law,
-                    distortion=np.zeros((3, 3)), cost=spec.cost)
+    zero = dataclasses.replace(spec, distortion=np.zeros((3, 3)))
     _, best = exhaustive_estimator_search(zero, np.full(3, 1 / 3))
     assert best == 0.0
 
@@ -142,7 +143,6 @@ def test_estimator_search_zero_distortion():
 def test_estimator_search_guard():
     rng = np.random.default_rng(4)
     spec = random_spec(rng, nx=3, ns=3, ny=3, nz=3)
-    big = SdmcSpec(state_pmf=spec.state_pmf, law=spec.law,
-                   distortion=np.zeros((3, 16)), cost=spec.cost)
+    big = dataclasses.replace(spec, distortion=np.zeros((3, 16)))
     with pytest.raises(InstanceTooLarge):
         exhaustive_estimator_search(big, np.full(3, 1 / 3))
