@@ -66,6 +66,8 @@ class QuadraticDistortion:
     def __post_init__(self):
         object.__setattr__(self, "state_values", _freeze(self.state_values))
         object.__setattr__(self, "estimate_values", _freeze(self.estimate_values))
+        for name in ("state_values", "estimate_values"):
+            _check_finite(getattr(self, name), f"quadratic distortion: {name}")
         if np.any(np.diff(self.estimate_values) < 0):
             raise SpecValidationError("quadratic distortion: estimate_values must be sorted ascending")
 
@@ -155,6 +157,7 @@ class SdmcSpec:
                 f"state_pmf size {self.state_size}")
         if self.cost.shape != (self.input_size,):
             raise SpecValidationError("cost: wrong shape")
+        _check_finite(self.cost, "cost")
         if np.any(self.cost < 0):
             raise SpecValidationError(f"cost: negative entry at x={int(np.argmin(self.cost))}")
 
@@ -232,9 +235,17 @@ class SdmbcSpec:
 # validation helpers (run by the spec constructors)
 # ---------------------------------------------------------------------------
 
+def _check_finite(t, name):
+    if not np.all(np.isfinite(t)):
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(t))[0])
+        raise SpecValidationError(f"{name}: non-finite entry at {idx}")
+
+
 def _check_rows(t, name):
-    """Every row (last axis) of t is a pmf: nonnegative, summing to 1 within
-    PMF_ATOL; a 1-D t is one pmf.  Messages name the field and the index."""
+    """Every row (last axis) of t is a pmf: finite, nonnegative, summing to 1
+    within PMF_ATOL; a 1-D t is one pmf.  Messages name the field and the
+    index."""
+    _check_finite(t, name)
     if np.any(t < 0):
         idx = tuple(int(i) for i in np.argwhere(t < 0)[0])
         raise SpecValidationError(f"{name}: negative probability at {idx}")
@@ -248,16 +259,12 @@ def _check_rows(t, name):
 
 
 def _check_distortion(d, name):
-    if isinstance(d, QuadraticDistortion):
-        if not (np.all(np.isfinite(d.state_values)) and np.all(np.isfinite(d.estimate_values))):
-            raise SpecValidationError(f"{name}: non-finite value grid")
+    if isinstance(d, QuadraticDistortion):          # validated when built
         return
     d = np.asarray(d)
     if d.ndim != 2:
         raise SpecValidationError(f"{name}: expected a 2-D matrix, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(d))[0])
-        raise SpecValidationError(f"{name}: non-finite entry at {idx}")
+    _check_finite(d, name)
     if np.any(d < 0):
         idx = tuple(int(i) for i in np.argwhere(d < 0)[0])
         raise SpecValidationError(f"{name}: negative distortion at {idx}")

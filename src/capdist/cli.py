@@ -317,8 +317,8 @@ def cmd_tradeoff(args):
     if finite and not any(p.converged for p in finite):
         print("error: no converged point on the sweep", file=sys.stderr)
         return EXIT_NUMERICAL
-    header = ("mu", "rate_bits", "distortion", "cost", "iterations", "converged")
-    rows = [(p.mu, p.rate, p.distortion, p.cost, p.iterations, p.converged)
+    header = ("mu", "rate_bits", "distortion", "cost", "iterations", "converged", "gap")
+    rows = [(p.mu, p.rate, p.distortion, p.cost, p.iterations, p.converged, p.gap)
             for p in points]
     args.clock.lap("compute")
     _write_table(args.out, args.format, dict(zip(header, zip(*rows))))

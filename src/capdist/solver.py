@@ -14,12 +14,28 @@ The per-iteration work is reduced algebraically: with
     a(x) = sum_{s,y} P_S(s) P(y|x,s) log2 P(y|x,s)
     t(x) = sum_{s,y} P_S(s) P(y|x,s) log2 P(y|s)        (depends on P_X)
 
-the plain update exponent is g(x) = log2 P_X(x) + a(x) - t(x) - lambda*b(x)
-- mu*c(x), and I(X;Y|S) = sum_x P_X(x) (a(x) - t(x)).  The solver takes the
-over-relaxed step g(x) = log2 P_X(x) + theta*(a(x) - t(x) - mu*c(x))
-- lambda*b(x) with theta = _THETA = 2 (the natural-gradient step of Matz and
-Duhamel, ITW 2004), which about halves the passes; a row whose relaxed step
-lowers J falls back to the plain step (theta = 1) for good.
+and w(x) = a(x) - t(x) - mu*c(x), J = sum_x P_X(x) w(x), and the plain
+update exponent is g(x) = log2 P_X(x) + w(x) - lambda*b(x).  The solver
+takes the over-relaxed step g(x) = log2 P_X(x) + theta*w(x) - lambda*b(x)
+with theta = _THETA = 2 (the natural-gradient step of Matz and Duhamel, ITW
+2004), which about halves the passes; a row whose relaxed step lowers J
+falls back to the plain step (theta = 1) for good.
+
+Every row stops on a certificate.  a(x) - t(x) is the divergence
+D(P(.|x,s) || P(.|s) | P_S), so for any lambda >= 0 Blahut's bound (IEEE
+T-IT 1972, conditioned on S) caps the optimum over the feasible pmfs:
+
+    max J  <=  min_{lambda >= 0} [lambda*B + max_x (w(x) - lambda*b(x))]
+
+The bound minus J is the duality gap; it is certified only at a pmf that
+meets the budget as summed, and it is minimized over lambda exactly (see
+`_gaps`).  Where BA crawls (an optimum on or near a
+face of the simplex, where it converges sublinearly), a Newton step on the
+KKT system of the row's support finishes the row: `_polish` runs at passes
+_POLISH_FIRST, 2*_POLISH_FIRST, 4*_POLISH_FIRST, ... and keeps its pmf only
+when that pmf carries its own certificate.  `converged` means gap <=
+convergence_eps, and `iterations` counts BA passes (a polish is part of the
+pass it runs in).
 
 `_BaWork` holds one (X, S, Y) law and state pmf.  Its `rates` evaluates
 I(X;Y|S) = sum_x P_X(x) a(x) - sum_{s,y} P_S(s) P(y|s) log2 P(y|s) for every
@@ -30,18 +46,17 @@ from it.
 
 One kernel, `_solve_rows`, iterates all penalties of a sweep at once: their
 pmfs are the rows of an (M, X) matrix, each starts from the uniform pmf and
-leaves the active set when its own stopping rule holds.  Its `iterations`
-count every pass, rejected relaxed steps included, and its objective trace
-holds J at the accepted passes only.  Active rows pass in blocks of at most
-`_BLOCK_ELEMENTS` // (S*Y) rows through two products with the (X, S*Y) law,
-each taken row by row, so a row's result does not depend on its block: a
-sweep point does not depend on the other mu of the grid, and `rates` takes
-its products the same way.  There are no warm starts of the pmfs.  Where
-the budget binds, `_dual_rows` solves E_lambda[b] = B for lambda by
-safeguarded Newton steps on all rows at once, each row starting from its
-lambda of the previous pass, and returns feasible pmfs.  Each `_solve_rows`
-call logs one debug record (rows, passes, dual evaluations, wall time) to the
-"capdist" logger, which is silent unless the application configures it.
+leaves the active set once its gap is certified.  Active rows pass in blocks
+of at most `_BLOCK_ELEMENTS` // (S*Y) rows through two products with the
+(X, S*Y) law, each taken row by row, so a row's result does not depend on
+its block: a sweep point does not depend on the other mu of the grid, and
+`rates` takes its products the same way.  There are no warm starts of the
+pmfs.  Where the budget binds, `_dual_rows` solves E_lambda[b] = B for
+lambda by safeguarded Newton steps on all rows at once, each row starting
+from its lambda of the previous pass, and returns feasible pmfs.  Each
+`_solve_rows` call logs one debug record (rows, passes, dual evaluations,
+polish attempts and acceptances, wall time) to the "capdist" logger, which
+is silent unless the application configures it.
 """
 
 from __future__ import annotations
@@ -57,14 +72,20 @@ from . import estimator
 from .errors import DegenerateUpdate, Infeasible, SpecValidationError
 
 _BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of each (rows, S*Y) temporary
-_LAMBDA_STEP = 1.0          # first lambda of a newly binding row, and the least doubled one
+_CURVATURE_COLUMNS = 2 ** 13  # law columns per product of `_BaWork.curvature`
+_LAMBDA_STEP = 1.0          # first scaled lambda of a newly binding row, and the least doubled one
 _LN2 = np.log(2.0)
+_EPS = np.finfo(float).eps
 _MAX_DUAL_ROUNDS = 4096     # cap on lambda evaluations of one dual solve.  Until a
                             # row finds a feasible lambda, each step doubles lambda
                             # (<= 1,024 times before overflow) or follows a step that
                             # quartered E[b] - budget (<= ~1,050 times in the float
                             # range), so a row still without one is infeasible
 _THETA = 2.0                # over-relaxation of the input update (1 = plain BA)
+_POLISH_FIRST = 8           # first pass that polishes; then every doubled pass
+_POLISH_STEPS = 6           # Newton steps of one polish
+_RIDGE = 1e-9               # relative ridge on the curvature diagonal of a Newton step
+_LOG2_FLOOR = -600.0        # log2 of the least mass a Newton step leaves on an input
 _CHECK_TOL = 1e-9           # deviation the exact no-tradeoff and degradedness checks pass
 
 
@@ -94,7 +115,7 @@ class BaConfig:
     mu: float = 0.0
     budget: float = np.inf
     max_outer_iters: int = 10000
-    convergence_eps: float = 1e-10
+    convergence_eps: float = 1e-10     # bits: the largest certified duality gap
     record_objective: bool = False
 
 
@@ -108,12 +129,13 @@ class TradeoffPoint:
     input_pmf: np.ndarray
     iterations: int
     converged: bool
+    gap: float                         # bits: Blahut's bound minus J (inf: no bound)
     objective_trace: Optional[list] = field(default=None, repr=False)
 
 
 class _BaWork:
-    """Precomputed tensors of one (X, S, Y) law and state pmf: the BA kernel
-    and I(X;Y|S) at every row of a pmf matrix."""
+    """Precomputed tensors of one (X, S, Y) law and state pmf: the BA kernel,
+    its curvature, and I(X;Y|S) at every row of a pmf matrix."""
 
     def __init__(self, law, state_pmf):
         nx = law.shape[0]
@@ -121,9 +143,10 @@ class _BaWork:
         self.ps_rep = np.repeat(state_pmf, law.shape[2])
         self.a = _xlog2x(self.law_flat) @ self.ps_rep
 
-    def _blocks(self, n):
-        """Slices of n rows, at most _BLOCK_ELEMENTS // (S*Y) rows each."""
-        step = max(1, _BLOCK_ELEMENTS // self.law_flat.shape[1])
+    def _blocks(self, n, width=None):
+        """Slices of n rows, at most _BLOCK_ELEMENTS // width rows each
+        (width S*Y by default)."""
+        step = max(1, _BLOCK_ELEMENTS // (width or self.law_flat.shape[1]))
         return (slice(lo, lo + step) for lo in range(0, n, step))
 
     def per_x(self, p):
@@ -138,6 +161,47 @@ class _BaWork:
             out[rows] = self.a - (log_pys @ law.T)[:, 0]
         return out
 
+    def unreached(self, p):
+        """Inputs whose law puts mass where P(y|s) = 0, for every row of p:
+        there a(x) - t(x), whose log2 P(y|s) `per_x` takes as 0, is +inf.
+        Only an input with no mass can be one."""
+        law = self.law_flat
+        out = np.empty(p.shape, dtype=bool)
+        for rows in self._blocks(p.shape[0]):
+            holes = (p[rows, None, :] @ law == 0.0).astype(float)
+            out[rows] = (holes @ law.T)[:, 0] > 0.0
+        return out
+
+    def curvature(self, p):
+        """(M, own) for every row of p: M, an (X, X) matrix per row, is
+        sum_{s,y} P_S(s) P(y|x,s) P(y|x',s) / (P(y|s) ln 2), minus the Hessian
+        of I(X;Y|S) in the pmf, and own(x) is the part of M(x, x) weighted
+        by x's share p(x) P(y|x,s) / P(y|s) of each output.  Each is a sum
+        over fixed blocks of _CURVATURE_COLUMNS law columns, taken in order,
+        so a row's values depend neither on its row block nor on the other
+        rows."""
+        law = self.law_flat
+        nx, ncol = law.shape
+        width = min(ncol, _CURVATURE_COLUMNS)
+        m, own = np.zeros((p.shape[0], nx, nx)), np.zeros(p.shape)
+        for rows in self._blocks(p.shape[0], nx * width):
+            pys = p[rows, None, :] @ law                     # (rows, 1, S*Y)
+            inv = np.zeros_like(pys)
+            np.divide(1.0, pys, out=inv, where=pys > 0)
+            v, pr = inv * (self.ps_rep / _LN2), p[rows, :, None]
+            for lo in range(0, ncol, width):
+                block, cols = law[:, lo:lo + width], slice(lo, lo + width)
+                # one row of M at a time: a (1, width) @ (width, X) product,
+                # the shape `per_x` takes, where a matrix product would page
+                # in another BLAS kernel (~0.3 MB of peak RSS)
+                for x in range(nx):
+                    u = block[x] * v[:, :, cols]             # (rows, 1, width)
+                    m[rows, x] += (u @ block.T)[:, 0]
+                    # x's share of each output, <= 1: no overflow at tiny masses
+                    share = block[x] * (inv[:, :, cols] * pr[:, x:x + 1])
+                    own[rows, x] += (u * block[x] * share)[:, 0].sum(axis=1)
+        return m, own
+
     def rates(self, p):
         """I(X;Y|S) = sum_x p(x) a(x) - sum_{s,y} P_S(s) P(y|s) log2 P(y|s) at
         every row of p, clamped at 0 (the difference of two rounded sums can
@@ -149,41 +213,82 @@ class _BaWork:
         return np.maximum(out, 0.0)
 
 
+def _gaps(work, p, w, j, b, budget):
+    """Blahut's duality gap at every row of p, whose w = a - t - mu*c and
+    J = sum p*w are given: min over lambda >= 0 of lambda*B + max_x (w(x) -
+    lambda*b(x)), less J; inf at a row whose E[b], as summed, exceeds B.
+
+    By LP duality the bound is the largest mean of w over the pmfs that meet
+    the budget, and that is reached at an input with b(x) <= B or at the mix
+    of an input below the budget with one above it that spends it exactly;
+    it is computed so, which stays exact where a bound in lambda would not:
+    an input with no mass whose law reaches outputs that no input reaches
+    has w(x) = +inf, and so has the bound, unless no pmf can put mass on it.
+    """
+    holes = (p == 0.0).any(axis=1)
+    if holes.any():
+        w = w.copy()
+        w[holes] = np.where(work.unreached(p[holes]), np.inf, w[holes])
+    upper = w[:, b <= budget].max(axis=1)
+    lo, hi = b < budget, b > budget
+    if lo.any() and hi.any():
+        t = (budget - b[lo]) / (b[hi, None] - b[lo])             # (hi, lo), in (0, 1)
+        mix = (1.0 - t) * w[:, None, lo] + t * w[:, hi, None]
+        upper = np.maximum(upper, mix.max(axis=(1, 2)))
+    ok = (p * b).sum(axis=1) <= budget
+    return np.where(ok, upper - j, np.inf)
+
+
 def _dual_rows(base_g, b, budget, lam0):
     """Input update under the cost constraint, per row: (pmfs, lambdas, evals).
 
     Rows with E[b] <= budget get lambda = 0 and the plain update.  For the
     others the pmf p_lambda ~ 2**(g - lambda*b) is tuned so that E_lambda[b],
     decreasing in lambda with dE/dlambda = -ln2 Var_lambda[b], meets the
-    budget, by Newton steps on all binding rows at once.  A row starts at its
-    lam0, or at _LAMBDA_STEP if lam0 is 0, and brackets the root between its
-    last infeasible lambda lo and its last feasible one hi.  While hi is
-    infinite a row doubles (to at least _LAMBDA_STEP) in place of a Newton
-    iterate that does not exceed lo or would more than double, and after a
-    step that failed to quarter the excess E[b] - budget; once hi is finite,
-    bisection replaces a Newton iterate outside (lo, hi).  Newton aims at the
-    middle of the stopping window, so it comes to rest inside it: a row stops
-    once a feasible iterate leaves slack budget - E[b] <= tol = 4 eps budget
-    (relative, as the rounding of E[b], a sum of nonnegative terms, is), or
-    once hi - lo <= 4 spacing(hi), and returns hi with its pmf, so
-    (p * b).sum(axis=1) <= budget holds as summed here.  A row's result
-    depends on that row alone.  `evals` counts the batched evaluations of the
-    lambda loop.
+    budget, by Newton steps on all binding rows at once.  Each row solves for
+    its scaled lambda x = lambda * scale, where scale is the gap between its
+    least cost on the support and its least cost above the budget, and takes
+    its pmf ~ 2**(g - x*(b - least)/scale): x stays a finite double however
+    close the two costs are.  (A row with no support cost above the budget
+    keeps least = 0 and scale = 1.)  The lambdas in and out are these
+    scaled ones.
+    A row starts at its lam0, or at _LAMBDA_STEP if lam0 is 0, and brackets
+    the root between its last infeasible x lo and its last feasible one hi.
+    While hi is infinite a row doubles (to at least _LAMBDA_STEP) in place
+    of a Newton iterate that does not exceed lo or would more than double,
+    and after a step that failed to quarter the excess E[b] - budget; once
+    hi is finite, bisection replaces a Newton iterate outside (lo, hi).
+    Newton aims at the middle of the stopping window, so it comes to rest
+    inside it: a row stops once a feasible iterate leaves slack budget -
+    E[b] <= tol = 4 eps budget (relative, as the rounding of E[b], a sum of
+    nonnegative terms, is), or once hi - lo <= 4 spacing(hi), and returns hi
+    with its pmf, so (p * b).sum(axis=1) <= budget holds as summed here.  A
+    row's result depends on that row alone.  `evals` counts the batched
+    evaluations of the lambda loop.
     """
     p = _pmfs(base_g)
     lam = np.zeros(len(p))
     bind = (p * b).sum(axis=1) > budget
     if not bind.any():
         return p, lam, 0
-    tol = 4.0 * np.finfo(float).eps * budget
+    tol = 4.0 * _EPS * budget
     target = budget - 0.5 * tol
     act = np.flatnonzero(bind)
     g, x = base_g[act], np.where(lam0[act] > 0, lam0[act], _LAMBDA_STEP)
-    if np.any(np.where(np.isfinite(g), b, np.inf).min(axis=1) > budget):
+    cost = np.where(np.isfinite(g), b, np.inf)              # b on each row's support
+    least = cost.min(axis=1)
+    if np.any(least > budget):
         raise Infeasible("cost budget unattainable on the current support")
+    above = np.where(cost > budget, cost, np.inf).min(axis=1)
+    # a row with no support cost above B exceeds it by rounding only: it
+    # keeps lambda itself (least 0, scale 1), which does reach a pmf that
+    # meets B as summed, once lambda*b swamps the exponents' differences
+    least = np.where(above < np.inf, least, 0.0)
+    scale = np.where(above < np.inf, above - least, 1.0)
+    u = (cost - least[:, None]) / scale[:, None]
     lo, hi, excess = np.zeros(act.size), np.full(act.size, np.inf), np.full(act.size, np.inf)
     for evals in range(1, _MAX_DUAL_ROUNDS + 1):
-        q = _pmfs(g - x[:, None] * b)
+        q = _pmfs(g - x[:, None] * u)
         e = (q * b).sum(axis=1)
         ok = e <= budget
         if ok.any():
@@ -193,13 +298,13 @@ def _dual_rows(base_g, b, budget, lam0):
         if not keep.all():
             if not keep.any():
                 return p, lam, evals
-            act, g, q, e, ok, x, lo, hi, excess = (
-                v[keep] for v in (act, g, q, e, ok, x, lo, hi, excess))
+            act, g, u, scale, q, e, ok, x, lo, hi, excess = (
+                v[keep] for v in (act, g, u, scale, q, e, ok, x, lo, hi, excess))
         slow = ~ok & (e - budget > 0.25 * excess)
         excess = np.where(ok, excess, e - budget)
         dev = b - e[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = x + (e - target) / (_LN2 * (q * dev * dev).sum(axis=1))
+            newton = x + scale * (e - target) / (_LN2 * (q * dev * dev).sum(axis=1))
             double = np.maximum(2.0 * lo, _LAMBDA_STEP)
         x = np.where(np.isfinite(hi),
                      np.where((newton > lo) & (newton < hi), newton, lo + 0.5 * (hi - lo)),
@@ -211,25 +316,167 @@ def _dual_rows(base_g, b, budget, lam0):
     return p, lam, evals
 
 
+def _solve(a, r):
+    """x with a @ x = r for each of a stack of square systems, by Gaussian
+    elimination with partial pivoting; a singular system gives non-finite
+    entries.  (numpy.linalg would page in ~0.3-1.3 MB of LAPACK for
+    systems this small.)"""
+    a, r = a.copy(), r.copy()
+    n, idx = a.shape[1], np.arange(len(a))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for c in range(n):
+            piv = c + np.abs(a[:, c:, c]).argmax(axis=1)
+            a[idx, c], a[idx, piv] = a[idx, piv], a[idx, c].copy()
+            r[idx, c], r[idx, piv] = r[idx, piv], r[idx, c].copy()
+            f = a[:, c + 1:, c] / a[:, c, c, None]
+            a[:, c + 1:, c:] -= f[:, :, None] * a[:, c, None, c:]
+            r[:, c + 1:] -= f * r[:, c, None]
+        x = np.zeros_like(r)
+        for c in range(n - 1, -1, -1):
+            x[:, c] = (r[:, c] - (a[:, c, c + 1:] * x[:, c + 1:]).sum(axis=1)) / a[:, c, c]
+    return x
+
+
+def _newton_step(work, p, w, bind, b, budget):
+    """One Newton step from each row of p on the KKT system of its support,
+    the inputs with mass, under two active-set rules: a pair of stepped
+    pmfs, not yet renormalized.
+
+    The step maximizes the quadratic model of J, w.d - d.M.d/2 (M from
+    `_BaWork.curvature`, its diagonal raised by _RIDGE, as M is singular
+    where the optimum is not unique), subject to sum d = 0 and, on the rows
+    in `bind` or whose step would overspend the budget, b.d = B - b.p.
+    Inputs the step would drive to or below 0 are frozen at p * exp(d/p),
+    at least 2**_LOG2_FLOOR, and the model is solved again for the others,
+    until none crosses 0; the first pmf freezes all of them at once, the
+    second only the first of them along the step (which keeps an input
+    that crossed only because another one did).  An input whose own mass
+    dominates its outputs, by at least half of M(x, x), grows by
+    p * exp(d/p): there J behaves like -p ln p, whose step in ln p is exact,
+    while p + d would barely move it off the floor.  So every input stays
+    positive: one that belongs on a face of the simplex is left at the
+    floor, where its share of J is negligible, not at 0, where an input
+    whose outputs no other input reaches has an infinite divergence and no
+    gap could be certified.
+    """
+    n, nx = p.shape
+    diag = np.arange(nx)
+    m, own = work.curvature(p)
+    scale = b.max() if b.max() > 0.0 else 1.0
+    grad = w - (p * w).sum(axis=1, keepdims=True)
+    # aim at the middle of the dual's stopping window, as `_dual_rows` does
+    with np.errstate(invalid="ignore"):
+        slack = budget * (1.0 - 2.0 * _EPS) - (p * b).sum(axis=1)
+
+    def solve(free, held, bind):
+        kkt = np.zeros((n, nx + 2, nx + 2))
+        kkt[:, :nx, :nx] = np.where(free[:, :, None] & free[:, None, :], m, 0.0)
+        kkt[:, diag, diag] = np.where(free, m[:, diag, diag] * (1.0 + _RIDGE), 1.0)
+        kkt[:, nx, :nx] = kkt[:, :nx, nx] = free
+        kkt[:, nx + 1, :nx] = kkt[:, :nx, nx + 1] = np.where(bind[:, None] & free, b / scale, 0.0)
+        kkt[:, nx + 1, nx + 1] = np.where(bind, 0.0, 1.0)
+        shift = held - p
+        rhs = np.zeros((n, nx + 2))
+        rhs[:, :nx] = np.where(free, grad - (shift[:, None, :] @ m)[:, 0], 0.0)
+        rhs[:, nx] = -shift.sum(axis=1)
+        rhs[:, nx + 1] = np.where(bind, (slack - (shift * b).sum(axis=1)) / scale, 0.0)
+        return _solve(kkt, rhs)[:, :nx]
+
+    def step(first, bind):
+        free, held = p > 0.0, p.copy()
+        d = solve(free, held, bind)
+        for _ in range(nx + 1):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = np.where(free & (p + d <= 0.0), p / -d, np.inf)   # step to 0
+            cross = np.isfinite(reach)
+            if first:
+                cross &= reach == reach.min(axis=1, keepdims=True)
+            # the budget binds once a step that frees no input would overspend it
+            spend = ~bind & ~cross.any(axis=1) & (
+                (np.where(free, p + d, held) * b).sum(axis=1) > budget)
+            if not (cross.any() or spend.any()):
+                break
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+                shrunk = np.maximum(p * np.exp2(d / (p * _LN2)), 2.0 ** _LOG2_FLOOR)
+            held, free = np.where(cross, shrunk, held), free & ~cross
+            bind = bind | spend
+            d = solve(free, held, bind)
+        # an input that dominates its outputs behaves like -p ln p, whose step
+        # in ln p is exact: from a tiny mass, p + d would barely move it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            grown = np.where((d > 0.0) & (2.0 * own >= m[:, diag, diag]),
+                             p * np.exp2(d / (p * _LN2)), p + d)
+        return np.where(free, grown, held)
+
+    return step(False, bind), step(True, bind)
+
+
+def _polish(work, cost, p, w, j, mu, bind, b, budget, tol):
+    """Up to _POLISH_STEPS Newton steps (`_newton_step`) from each row of p,
+    whose w = a - t - mu*c and J are given, each renormalized and made to
+    meet the budget by `_dual_rows`: (pmfs, J, gaps, accepted).  Each step
+    tries both rules for the inputs it drives to 0, freezing them all at
+    once or one at a time, and goes on from the pmf with the smaller gap.
+    A row is accepted at the first step whose pmf is finite, meets the
+    budget as summed, has J at least the given J (to the rounding of a sum
+    of p*w) and a gap at most tol; the other rows come back unchanged."""
+    out_p, out_j, out_gap = p.copy(), j.copy(), np.full(len(p), np.inf)
+    accepted = np.zeros(len(p), dtype=bool)
+    live, q, wq = np.arange(len(p)), p, w
+    for _ in range(_POLISH_STEPS):
+        both = _newton_step(work, q, wq, bind[live], b, budget)
+        other = np.flatnonzero((both[0] != both[1]).any(axis=1))   # the rules differ
+        rows = np.concatenate([np.arange(live.size), other])
+        q = np.concatenate([both[0], both[1][other]])
+        fine = np.isfinite(q).all(axis=1) & (q >= 0.0).all(axis=1)
+        q[~fine] = 1.0 / q.shape[1]         # placeholders, so the batch stays whole
+        # a stepped pmf misses the budget by rounding only: start lambda small
+        with np.errstate(divide="ignore"):
+            q = _dual_rows(np.log2(q), b, budget, np.full(len(q), _EPS))[0]
+        wq = work.per_x(q) - mu[live[rows]] * cost
+        jq = (q * wq).sum(axis=1)
+        gq = np.where(fine, _gaps(work, q, wq, jq, b, budget), np.inf)
+        pick = np.arange(live.size)
+        better = gq[live.size:] < gq[other]
+        pick[other[better]] = live.size + np.flatnonzero(better)
+        q, wq, jq, gq = q[pick], wq[pick], jq[pick], gq[pick]
+        good = (jq >= j[live] - 16.0 * _EPS * np.abs(wq).max(axis=1)) & (gq <= tol)
+        done = live[good]
+        out_p[done], out_j[done], out_gap[done], accepted[done] = (
+            q[good], jq[good], gq[good], True)
+        keep = ~good & np.isfinite(gq)
+        live, q, wq = live[keep], q[keep], wq[keep]
+        if live.size == 0:
+            break
+    return out_p, out_j, out_gap, accepted
+
+
 def _solve_rows(work, est, b, mus, budget, cfg, start=None):
     """One TradeoffPoint per penalty in `mus`, all iterated in lockstep; b is
     the input cost vector the budget bounds.
 
     Row i starts at `start` (a pmf, or one per row; uniform if None).  Each
-    pass evaluates J at every active row's pmf and takes the over-relaxed
-    step p * 2**(theta*(a - t - mu*c) - lambda*b), theta = _THETA.  A row
+    pass evaluates w = a - t - mu*c and J at every active row's pmf and the
+    row's duality gap (`_gaps`); a row whose gap is at most convergence_eps
+    (bits) stops there, certified.  At passes _POLISH_FIRST, 2*_POLISH_FIRST,
+    4*_POLISH_FIRST, ... every other active row tries `_polish`, and stops
+    with the polished pmf if that is accepted.  The rest take the
+    over-relaxed step p * 2**(theta*w - lambda*b), theta = _THETA.  A row
     whose relaxed step lowered J returns to its last accepted pmf, steps
-    plainly (theta = 1) from the a - t it holds for that pmf, and stays at
+    plainly (theta = 1) from the w it holds for that pmf, and stays at
     theta = 1; a plain step is always accepted, since under a binding budget
-    it can lower J by rounding.  A row stops when an accepted pass raises J
-    by less than convergence_eps or leaves its pmf unchanged; a row still
-    moving after max_outer_iters passes is unconverged.  `iterations` counts
-    passes, rejected ones included, and `objective_trace` holds J at the
-    accepted passes only.  The call logs its rows, batched passes, dual
-    evaluations and wall time at DEBUG level on the "capdist" logger.
+    it can lower J by rounding.  A row still uncertified after
+    max_outer_iters passes reports the gap of its last pmf; `converged` is
+    gap <= convergence_eps.  `iterations` counts passes, rejected ones
+    included, and `objective_trace` holds J at the accepted passes and at an
+    accepted polish.  The call logs its rows, batched passes, dual
+    evaluations, polish attempts and acceptances, and wall time at DEBUG
+    level on the "capdist" logger.
     """
     started = time.perf_counter()
     b = np.asarray(b, float)
+    if np.isnan(budget):
+        raise ValueError("budget must be a number, not nan")
     if budget < b.min():
         raise Infeasible(f"budget {budget} below min cost {b.min()}")
     mus = np.asarray(mus, float)
@@ -237,63 +484,77 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
     p = np.array(np.broadcast_to(np.full(nx, 1.0 / nx) if start is None
                                  else np.asarray(start, float), (m, nx)), order="C")
     need_dual = np.isfinite(budget) and b.max() > budget
-    iters = np.full(m, cfg.max_outer_iters)
-    converged = np.zeros(m, dtype=bool)
+    tol = cfg.convergence_eps
+    iters, gaps = np.full(m, cfg.max_outer_iters), np.full(m, np.inf)
     traces = [[] for _ in range(m)] if cfg.record_objective else None
     # state of the active rows, compacted whenever rows leave; the accepted
-    # pmf, its a - t and its J are those of the previous pass
+    # pmf, its w and its J are those of the previous pass
     act, pa, mu, lam = np.arange(m), p.copy(), mus[:, None], np.zeros(m)
     theta = np.full((m, 1), _THETA)
     relaxed = theta[:, 0] > 1.0
-    p_acc, per_acc, j_acc = None, None, np.full(m, -np.inf)
-    evals = 0
+    p_acc, w_acc, j_acc = pa, np.zeros_like(pa), np.full(m, -np.inf)
+    evals = tries = polished = 0
     for k in range(1, cfg.max_outer_iters + 1):
-        per_x = work.per_x(pa)
-        j = (pa * per_x).sum(axis=1) - mu[:, 0] * (pa * est.cost).sum(axis=1)
+        w = work.per_x(pa) - mu * est.cost
+        j = (pa * w).sum(axis=1)
         back = (j < j_acc) & relaxed
-        rejected = back.any()
-        if rejected:
+        if back.any():
             theta[back], relaxed[back] = 1.0, False
-            pa[back], per_x[back], j[back] = p_acc[back], per_acc[back], j_acc[back]
+            pa[back], w[back], j[back] = p_acc[back], w_acc[back], j_acc[back]
         if traces is not None:
             for i, v, bk in zip(act.tolist(), j.tolist(), back.tolist()):
                 if not bk:
                     traces[i].append(v)
+        gap = _gaps(work, pa, w, j, b, budget)
+        done = gap <= tol
+        if k >= _POLISH_FIRST and k & (k - 1) == 0 and not done.all():
+            todo = np.flatnonzero(~done)
+            pp, jp, gp, ok = _polish(work, est.cost, pa[todo], w[todo], j[todo],
+                                     mu[todo], lam[todo] > 0, b, budget, tol)
+            tries, polished = tries + todo.size, polished + int(ok.sum())
+            rows = todo[ok]
+            pa[rows], gap[rows], done[rows] = pp[ok], gp[ok], True
+            if traces is not None:
+                for i, v in zip(act[rows].tolist(), jp[ok].tolist()):
+                    traces[i].append(v)
+        if done.any():
+            rows = act[done]
+            p[rows], iters[rows], gaps[rows] = pa[done], k, gap[done]
+            keep = ~done
+            act, pa, w, j, p_acc, w_acc, j_acc, mu, lam, theta, relaxed = (
+                v[keep] for v in (act, pa, w, j, p_acc, w_acc, j_acc, mu, lam,
+                                  theta, relaxed))
+            if act.size == 0:
+                break
         with np.errstate(divide="ignore"):
-            base_g = np.where(pa > 0, np.log2(pa) + theta * (per_x - mu * est.cost),
-                              -np.inf)
+            base_g = np.where(pa > 0, np.log2(pa) + theta * w, -np.inf)
         if need_dual:
             p_new, lam, n = _dual_rows(base_g, b, budget, lam)
             evals += n
         else:
             p_new = _pmfs(base_g)
-        done = (p_new == pa).all(axis=1) | (j - j_acc < cfg.convergence_eps)
-        if rejected:
-            done &= ~back
-        pa, p_acc, per_acc, j_acc = p_new, pa, per_x, j
-        if done.any():
-            rows = act[done]
-            p[rows], iters[rows], converged[rows] = pa[done], k, True
-            keep = ~done
-            act, pa, p_acc, per_acc, j_acc, mu, lam, theta, relaxed = (
-                v[keep] for v in (act, pa, p_acc, per_acc, j_acc, mu, lam, theta,
-                                  relaxed))
-            if act.size == 0:
-                break
-    p[act] = pa
-    # E[b] summed as the dual search sums it, so a binding row reads <= budget
-    rates, dist, cost = work.rates(p), (p * est.cost).sum(axis=1), (p * b).sum(axis=1)
+        pa, p_acc, w_acc, j_acc = p_new, pa, w, j
+    else:
+        w = work.per_x(pa) - mu * est.cost
+        p[act], gaps[act] = pa, _gaps(work, pa, w, (pa * w).sum(axis=1), b, budget)
+    # E[b] summed as the dual search sums it, so a binding row reads <= budget;
+    # E[c] as c_min plus a sum of nonnegative terms, so no row reads below
+    # the least c(x) (the unconstrained mu = inf anchor) by rounding
+    c_min = est.cost.min()
+    rates, cost = work.rates(p), (p * b).sum(axis=1)
+    dist = c_min + (p * (est.cost - c_min)).sum(axis=1)
     # a process that never imported logging configured no handler that could
     # show the record; importing it here would cost ~10 ms and 0.3 MB
     logging = sys.modules.get("logging")
     if logging is not None:
         logging.getLogger("capdist").debug(
-            "solve: %d rows, %d passes, %d dual evaluations, %.4f s", m,
-            iters.max(initial=0), evals, time.perf_counter() - started)
+            "solve: %d rows, %d passes, %d dual evaluations, %d polish attempts, "
+            "%d accepted, %.4f s", m, iters.max(initial=0), evals, tries, polished,
+            time.perf_counter() - started)
     return [TradeoffPoint(mu=float(mus[i]), budget=budget, rate=float(rates[i]),
                           distortion=float(dist[i]), cost=float(cost[i]),
                           input_pmf=p[i], iterations=int(iters[i]),
-                          converged=bool(converged[i]),
+                          converged=bool(gaps[i] <= tol), gap=float(gaps[i]),
                           objective_trace=None if traces is None else traces[i])
             for i in range(m)]
 
@@ -326,7 +587,7 @@ def sweep_frontier(spec, budget, mu_grid, threads=1):
     points = [TradeoffPoint(
         mu=np.inf, budget=budget, rate=float(work.rates(dm_pmf[None])[0]),
         distortion=dm_val, cost=float(dm_pmf @ spec.cost),
-        input_pmf=dm_pmf, iterations=0, converged=True)]
+        input_pmf=dm_pmf, iterations=0, converged=True, gap=0.0)]
     points += _solve_rows(work, est, spec.cost, mus, budget, BaConfig())
     points.sort(key=lambda pt: (pt.distortion, -pt.rate, -pt.mu))
     return points
@@ -338,15 +599,14 @@ def baseline_ts(spec, budget=np.inf):
     Segments are ((rate, distortion), (rate, distortion)) endpoint pairs:
     basic connects the pure-sensing point (0, D_min) with the estimation-blind
     capacity point (C_NoEst, D_trivial); improved connects (R_min, D_min)
-    with (C_NoEst, D_max).  C_NoEst is solved at mu = 0 with
-    convergence_eps = 1e-15.
+    with (C_NoEst, D_max).  C_NoEst is solved at mu = 0 under the default
+    `BaConfig`, so its duality gap is certified to 1e-10 bits.
     """
     est = estimator.build_estimator(spec)
     work = _BaWork(spec.law_y, spec.state_pmf)
     dm_val, dm_pmf = estimator.d_min(spec, budget, est=est)
     r_min = float(work.rates(dm_pmf[None])[0])
-    cap, = _solve_rows(work, est, spec.cost, [0.0], budget,
-                       BaConfig(convergence_eps=1e-15))
+    cap, = _solve_rows(work, est, spec.cost, [0.0], budget, BaConfig())
     d_max = estimator.expected_distortion(est, cap.input_pmf)
     d_triv = estimator.d_trivial(spec)
     return {

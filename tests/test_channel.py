@@ -89,6 +89,42 @@ def test_joint_law_is_stored_as_its_two_marginals(seed, sizes):
         assert not got.flags.writeable
 
 
+@pytest.mark.parametrize("field", ["law", "law_y", "state_pmf", "cost"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_entries_rejected(field, value):
+    # NaN passed every check (NaN < 0 and |NaN - 1| > atol are both false)
+    # and ended in misleading solver errors
+    base = small_spec()
+    kw = dict(state_pmf=np.array(base.state_pmf), law_y=np.array(base.law_y),
+              law_z=np.array(base.law_z), distortion=base.distortion,
+              cost=np.array([0.0, 1.0]))
+    if field == "law":
+        del kw["law_y"], kw["law_z"]
+        kw["law"] = small_law()
+        kw["law"][1, 0, 0, 0] = value
+    else:
+        kw[field][(0,) * kw[field].ndim] = value
+    with pytest.raises(SpecValidationError, match=f"{field}.*non-finite"):
+        SdmcSpec(**kw)
+
+
+def test_non_finite_broadcast_law_rejected():
+    bc = examples.binary_bc_spec(0.6, 0.5)
+    law = np.array(bc.law)
+    law[0, 0, 0, 0, 0, 0] = np.nan
+    with pytest.raises(SpecValidationError, match="non-finite"):
+        SdmbcSpec(joint_state_pmf=bc.joint_state_pmf, law=law,
+                  distortion_1=bc.distortion_1, distortion_2=bc.distortion_2)
+
+
+@pytest.mark.parametrize("grid", ["state_values", "estimate_values"])
+def test_quadratic_distortion_rejects_non_finite_values(grid):
+    values = {"state_values": [0.0, 1.0], "estimate_values": [0.0, 1.0]}
+    values[grid] = [0.0, np.nan]
+    with pytest.raises(SpecValidationError, match=f"{grid}.*non-finite"):
+        QuadraticDistortion(**values)
+
+
 def test_distortion_shape_checked():
     with pytest.raises(SpecValidationError, match="distortion"):
         SdmcSpec(state_pmf=[0.6, 0.4], law=small_law(),

@@ -250,7 +250,10 @@ def test_tradeoff_is_deterministic_and_manifested(tmp_path, capsys):
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().strip().splitlines()
-    assert lines[0] == "mu,rate_bits,distortion,cost,iterations,converged"
+    assert lines[0] == "mu,rate_bits,distortion,cost,iterations,converged,gap"
+    # every finite-mu row certifies its duality gap; the anchor is exact
+    assert all(row.split(",")[5] == "1" and float(row.split(",")[6]) <= 1e-10
+               for row in lines[1:])
     # 5 grid points plus the mu = inf anchor, sorted by distortion
     assert len(lines) == 7
     assert lines[1].split(",")[0] == "inf"
@@ -456,17 +459,17 @@ def test_bc_region_csv_formats_are_pinned(capsys):
         "distortion,sum_rate", "0.15625,1.0", "0.1875,0.8125"]
     assert text("bc", "erasure", "--format", "json") == as_json(
         [{"d1_threshold": 0.17600000000000002, "d2_threshold": 0.27999999999999997}])
-    # the other tables: the mu = inf anchor, converged as 1 or true, and
-    # integer iterations
+    # the other tables: the mu = inf anchor, converged as 1 or true,
+    # integer iterations, and the certified duality gap
     erasure = ["tradeoff", "--builtin", "erasure", "--mu-grid", "0:1:2"]
     assert text(*erasure).splitlines() == [
-        "mu,rate_bits,distortion,cost,iterations,converged",
-        "1.0,0.5,0.0,0.0,1,1", "0.0,0.5,0.0,0.0,1,1", "inf,0.0,0.0,0.0,0,1"]
-    keys = ("mu", "rate_bits", "distortion", "cost", "iterations", "converged")
+        "mu,rate_bits,distortion,cost,iterations,converged,gap",
+        "1.0,0.5,0.0,0.0,1,1,0.0", "0.0,0.5,0.0,0.0,1,1,0.0", "inf,0.0,0.0,0.0,0,1,0.0"]
+    keys = ("mu", "rate_bits", "distortion", "cost", "iterations", "converged", "gap")
     assert text(*erasure, "--format", "json") == as_json(
-        [dict(zip(keys, row)) for row in ((1.0, 0.5, 0.0, 0.0, 1, True),
-                                          (0.0, 0.5, 0.0, 0.0, 1, True),
-                                          (np.inf, 0.0, 0.0, 0.0, 0, True))])
+        [dict(zip(keys, row)) for row in ((1.0, 0.5, 0.0, 0.0, 1, True, 0.0),
+                                          (0.0, 0.5, 0.0, 0.0, 1, True, 0.0),
+                                          (np.inf, 0.0, 0.0, 0.0, 0, True, 0.0))])
     assert text("baselines", "--builtin", "binary", "--format", "json") == as_json(
         [{"name": name, "rate_bits": rate, "distortion": dist} for name, rate, dist in (
             ("d_min_point", 0.0, 0.0), ("capacity_point", 0.4, 0.2),

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capdist import cli, estimator, examples, solver
-from capdist.channel import MappingTable, SdmcSpec
+from capdist.channel import MappingTable, SdmcSpec, simplex_lattice
 from capdist.errors import DegenerateUpdate, Infeasible, SpecValidationError
 from capdist.solver import (BaConfig, baseline_ts,
                             conditional_mutual_information, no_tradeoff_check,
@@ -118,6 +118,42 @@ def test_kernel_step_matches_reference_updates():
             assert np.max(np.abs(pt.input_pmf - ref)) <= 1e-12
 
 
+def test_curvature_matches_direct_sums(monkeypatch):
+    # M(x, x') = sum P_S W(y|x,s) W(y|x',s) / (q ln 2) and its own part,
+    # weighted by x's share of each output; row blocks change nothing
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        spec = random_spec(rng, *rng.integers(2, 5, size=4))
+        work = solver._BaWork(spec.law_y, spec.state_pmf)
+        p = rng.dirichlet(np.ones(spec.input_size), size=3)
+        law, ps = spec.law_y, spec.state_pmf
+        q = np.einsum("nx,xsy->nsy", p, law)
+        m_ref = np.einsum("s,xsy,zsy,nsy->nxz", ps, law, law, 1.0 / q) / np.log(2.0)
+        own_ref = np.einsum("s,xsy,nx,nsy->nx", ps, law ** 3, p, 1.0 / q ** 2) / np.log(2.0)
+        m, own = work.curvature(p)
+        assert np.allclose(m, m_ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(own, own_ref, rtol=1e-12, atol=0.0)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_BLOCK_ELEMENTS", 1)
+            assert all(np.array_equal(a, b) for a, b in zip(work.curvature(p), (m, own)))
+
+
+def test_gap_is_infinite_where_a_massless_input_reaches_new_outputs():
+    # at p = [1, 0] on the binary channel only x = 1 reaches y = 1, so its
+    # divergence from the output law is infinite: no bound, however small
+    # the a - t that takes log2 P(y|s) = 0 there
+    spec = examples.binary_multiplicative_spec(0.4)
+    work = solver._BaWork(spec.law_y, spec.state_pmf)
+    p = np.array([[1.0, 0.0]])
+    w = work.per_x(p)
+    assert np.isfinite(w).all()
+    gap = solver._gaps(work, p, w, (p * w).sum(axis=1), np.zeros(2), np.inf)
+    assert gap[0] == np.inf
+    # the budget can rule that input out: then the bound is w(0) = J
+    gap = solver._gaps(work, p, w, (p * w).sum(axis=1), np.array([0.0, 1.0]), 0.0)
+    assert gap[0] == 0.0
+
+
 def test_degenerate_update_raises():
     with pytest.raises(DegenerateUpdate):
         solver._pmfs(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
@@ -162,6 +198,13 @@ def test_budget_below_min_cost_is_infeasible():
     costly = dataclasses.replace(spec, cost=[2.0, 3.0])
     with pytest.raises(Infeasible):
         solve_fixed_mu(costly, BaConfig(mu=0.0, budget=1.0))
+
+
+def test_nan_budget_raises():
+    # a NaN budget skipped both budget checks and came back converged
+    spec = dataclasses.replace(examples.binary_multiplicative_spec(0.4), cost=[0.0, 1.0])
+    with pytest.raises(ValueError, match="nan"):
+        solve_fixed_mu(spec, BaConfig(budget=np.nan))
 
 
 def test_objective_trace_monotone_on_random_channels():
@@ -268,10 +311,11 @@ def test_gaussian_reduced_sweep_rows_converge_within_225_passes():
 def test_relaxed_sweep_is_no_worse_than_plain(sizes, seed):
     spec = random_spec(np.random.default_rng(seed), *sizes)
     grid = np.logspace(-2, 2, 7)
+    tol = BaConfig().convergence_eps
 
     def sweep(budget):
         points = [p for p in sweep_frontier(spec, budget, grid) if np.isfinite(p.mu)]
-        assert all(p.converged for p in points)
+        assert all(p.converged and p.gap <= tol for p in points)
         return points
 
     def objectives(points):     # by mu: rows tied in distortion may swap
@@ -285,9 +329,68 @@ def test_relaxed_sweep_is_no_worse_than_plain(sizes, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_THETA", 1.0)
         plain = [objectives(sweep(np.inf)), objectives(sweep(budget))]
+    # both certify J within tol of the optimum, so they agree within tol
     for r, q in zip(relaxed, plain):
         assert r.keys() == q.keys()
-        assert all(r[mu] >= q[mu] - 1e-12 for mu in q)
+        assert all(abs(r[mu] - q[mu]) <= tol for mu in q)
+
+
+def _lattice_objectives(spec, mu, budget, k=100):
+    """I(X;Y|S) - mu*c at every pmf of the step-1/k simplex lattice whose
+    cost meets the budget, from the law directly."""
+    pmfs = simplex_lattice(spec.input_size, k)
+    pmfs = pmfs[pmfs @ spec.cost <= budget]
+    law, ps = spec.law_y, spec.state_pmf
+    pys = np.einsum("nx,xsy->nsy", pmfs, law)
+    used = (pmfs[:, :, None, None] > 0) & (law[None] > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(used, law[None] * np.log2(law[None] / pys[:, None]), 0.0)
+    rate = np.einsum("nx,s,nxsy->n", pmfs, ps, terms)
+    return rate - mu * (pmfs @ estimator.build_estimator(spec).cost)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(sizes=st.tuples(*[st.integers(2, 3)] * 4), seed=st.integers(0, 2**32 - 1),
+       binding=st.booleans())
+def test_no_lattice_pmf_beats_a_certified_row(sizes, seed, binding):
+    # a converged row's J is within tol of the optimum: a bound that is not
+    # one would stop rows early, below some feasible lattice pmf
+    spec = random_spec(np.random.default_rng(seed), *sizes)
+    grid = np.logspace(-2, 2, 7)
+    tol = BaConfig().convergence_eps
+    budget = np.inf
+    if binding:     # below every unconstrained row's cost
+        free = [p for p in sweep_frontier(spec, np.inf, grid) if np.isfinite(p.mu)]
+        budget = spec.cost.min() + 0.5 * (min(p.cost for p in free) - spec.cost.min())
+    for p in sweep_frontier(spec, budget, grid):
+        if np.isfinite(p.mu):
+            assert p.converged and p.gap <= tol and p.cost <= budget
+            best = _lattice_objectives(spec, p.mu, budget).max()
+            assert best <= p.rate - p.mu * p.distortion + tol
+
+
+def test_face_bound_row_converges():
+    # this row's optimum lies near a face of the simplex, where BA crawls:
+    # it was unconverged after 10,000 passes, raising J by 6.7e-10 per pass
+    spec = random_spec(np.random.default_rng(414284), 2, 2, 2, 3)
+    points = [p for p in sweep_frontier(spec, np.inf, np.logspace(-2, 2, 7))
+              if np.isfinite(p.mu)]
+    row, = [p for p in points if p.mu == pytest.approx(10 ** (-4 / 3))]
+    assert all(p.converged and p.gap <= 1e-10 for p in points)
+    assert row.iterations <= 16               # one Newton polish at pass 8 or 16
+
+
+def test_budget_fixed_row_stops_at_once():
+    # criterion 6's first spec at its median budget: two inputs, so the
+    # budget fixes the pmf, and the uniform start already spends it exactly.
+    # Its gap is 0 after one pass; the J-step rule took 3 passes
+    rng = np.random.default_rng(2024)
+    spec = random_spec(rng, *rng.integers(2, 4, size=4))
+    budget = float(np.quantile(spec.cost, 0.5))
+    mu = [m for m in np.logspace(-3, 3, 120) if abs(m - 110.158) < 1e-3][0]
+    pt = solve_fixed_mu(spec, BaConfig(mu=mu, budget=budget))
+    assert pt.converged and pt.gap <= 1e-10 and pt.cost <= budget
+    assert pt.iterations == 1
 
 
 def test_binding_sweep_rows_stay_within_budget():
@@ -310,8 +413,7 @@ def test_dmin_anchor_stays_within_budget(seed):
     grid = cli._parse_mu_grid("auto")
     free = [p for p in sweep_frontier(spec, np.inf, grid) if np.isfinite(p.mu)]
     budget = 0.5 * (spec.cost.min() + min(p.cost for p in free))
-    anchor = sweep_frontier(spec, budget, grid)[0]
-    assert anchor.mu == np.inf
+    anchor, = [p for p in sweep_frontier(spec, budget, grid) if p.mu == np.inf]
     assert anchor.cost <= budget
 
 
@@ -446,11 +548,24 @@ def test_no_tradeoff_matches_joint_reference(family, sizes, seed, data):
 # the cost dual
 # ---------------------------------------------------------------------------
 
-def _bisection_lambda(g, b, budget):
-    """The least lambda >= 0 whose pmf ~ 2**(g - lambda*b) has E[b] <= budget,
-    by doubling and plain bisection."""
-    def cost(lam):
-        e = np.exp2(g - lam * b - np.max(g - lam * b))
+def _scaled_costs(g, b, budget):
+    """(u, scale): `_dual_rows` solves for x = lambda * scale with the pmf
+    ~ 2**(g - x*u), u = (b - least)/scale on the support of g, where least
+    is the least cost there and scale its gap to the least cost above B
+    (least 0 and scale 1 if no cost there is above B)."""
+    cost = np.where(np.isfinite(g), b, np.inf)
+    if not (cost[np.isfinite(cost)] > budget).any():
+        return cost, 1.0
+    least = cost.min()
+    scale = cost[cost > budget].min() - least
+    return (cost - least) / scale, scale
+
+
+def _bisection_lambda(g, u, b, budget):
+    """The least x >= 0 whose pmf ~ 2**(g - x*u) has E[b] <= budget, by
+    doubling and plain bisection."""
+    def cost(x):
+        e = np.exp2(g - x * u - np.max(g - x * u))
         return (e / e.sum() * b).sum()
 
     lo, hi = 0.0, 1.0
@@ -479,9 +594,7 @@ def test_dual_rows_properties(data, rows, nx, frac):
     least = np.where(np.isfinite(g), b, np.inf).min(axis=1)   # on each row's support
     lowest, highest = least.max(), free.max()
     assume(highest > lowest)
-    # lambda grows like 1 / (the least cost gap): it must stay a finite double
-    gaps = np.diff(np.unique(b))
-    assume(gaps.size == 0 or gaps.min() >= 1e-300)
+    # any cost gap, down to the least subnormal: the scaled lambda stays finite
     budget = lowest + frac * (highest - lowest)
 
     p, lam, _ = solver._dual_rows(g, b, budget, lam0)
@@ -492,6 +605,7 @@ def test_dual_rows_properties(data, rows, nx, frac):
         if free[i] <= budget:
             assert lam[i] == 0.0 and np.array_equal(p[i], base[i])
             continue
+        u, scale = _scaled_costs(g[i], b, budget)
         # the stop rule: slack at rounding level, or an infeasible lambda
         # (the bracket's lower end) within 4 spacings below the returned one
         if budget - cost[i] > tol:
@@ -499,17 +613,32 @@ def test_dual_rows_properties(data, rows, nx, frac):
             while lower > 0.0 and lower > lam[i] - 4.0 * np.spacing(lam[i]):
                 lower = np.nextafter(lower, 0.0)
                 below.append(lower)
-            costs = (solver._pmfs(g[i] - np.array(below)[:, None] * b) * b).sum(axis=1)
+            costs = (solver._pmfs(g[i] - np.array(below)[:, None] * u) * b).sum(axis=1)
             assert np.any(costs > budget)
         one_p, one_lam, _ = solver._dual_rows(g[i:i + 1], b, budget, lam0[i:i + 1])
         assert np.array_equal(one_p[0], p[i]) and one_lam[0] == lam[i]
         # the lambdas agree to 1e-9, or to the width of the slack window,
-        # tol / |dE/dlambda|, where E[b] is too flat in lambda for that
-        ref = _bisection_lambda(g[i], b, budget)
-        q = solver._pmfs(g[i] - ref * b)
-        with np.errstate(divide="ignore"):              # a point mass: any lambda
-            flat = tol / (np.log(2.0) * (q * (b - (q * b).sum()) ** 2).sum())
+        # tol / |dE/dx|, where E[b] is too flat in lambda for that; with
+        # b = least + scale*u on the support, dE[b]/dx = -ln2 scale Var[u],
+        # which stays a normal double at subnormal cost gaps.  At a
+        # subnormal budget E[b] rounds in steps of the least subnormal, not
+        # of eps*budget
+        ref = _bisection_lambda(g[i], u, b, budget)
+        q = solver._pmfs(g[i] - ref * u)
+        uq = np.where(q > 0, u, 0.0)
+        var = (q * (uq - (q * uq).sum()) ** 2).sum()
+        rounding = max(tol, 4 * nx * np.finfo(float).smallest_subnormal)
+        with np.errstate(divide="ignore", over="ignore"):   # a point mass: any lambda
+            flat = rounding / scale / (np.log(2.0) * var)
         assert abs(lam[i] - ref) <= 1e-9 * ref + 2.0 * flat
+
+
+def test_dual_rows_keeps_lambda_finite_between_close_costs():
+    # the budget between two costs 2.2e-313 apart: lambda itself, about
+    # 1 / the gap, overflows a double, and the dual called it infeasible
+    g, b = np.zeros((1, 2)), np.array([0.0, 2.2250738585e-313])
+    p, lam, _ = solver._dual_rows(g, b, 1.1e-313, np.zeros(1))
+    assert np.isfinite(lam).all() and (p * b).sum() <= 1.1e-313 and p[0, 1] > 0.0
 
 
 def test_dual_rows_budget_below_support_is_infeasible():
@@ -538,7 +667,11 @@ def test_binding_gaussian_solve_needs_few_dual_evaluations(monkeypatch):
     monkeypatch.setattr(solver, "_dual_rows", counting_dual_rows)
     pt = solve_fixed_mu(spec, BaConfig(mu=0.0, budget=10.0))
     assert pt.converged and pt.cost == pytest.approx(10.0, abs=1e-12)   # binding
-    assert counts["calls"] == pt.iterations
+    # one call per pass that steps (all but the certified last one), and one
+    # per Newton step of each polish, at passes 8, 16, 32, ...
+    polishes = sum(1 for k in range(1, pt.iterations + 1)
+                   if k >= solver._POLISH_FIRST and k & (k - 1) == 0)
+    assert counts["calls"] <= pt.iterations - 1 + solver._POLISH_STEPS * polishes
     assert counts["pmfs"] <= 6 * counts["calls"]
 
 
@@ -564,9 +697,13 @@ def test_solve_logs_one_debug_record_per_call(caplog):
         points = [p for p in sweep_frontier(costly, 0.3, grid) if np.isfinite(p.mu)]
     records = [r for r in caplog.records if r.name == "capdist"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    rows, passes, evals, wall = re.fullmatch(
-        r"solve: (\d+) rows, (\d+) passes, (\d+) dual evaluations, ([\d.]+) s",
+    rows, passes, evals, tries, accepted, wall = re.fullmatch(
+        r"solve: (\d+) rows, (\d+) passes, (\d+) dual evaluations, "
+        r"(\d+) polish attempts, (\d+) accepted, ([\d.]+) s",
         records[0].getMessage()).groups()
     assert int(rows) == len(grid)
     assert int(passes) == max(p.iterations for p in points)
-    assert int(evals) >= int(passes) and float(wall) >= 0.0
+    # every pass but the last steps, and under the binding budget each step
+    # evaluates the dual at least once
+    assert int(evals) >= int(passes) - 1 and float(wall) >= 0.0
+    assert int(accepted) <= int(tries)
