@@ -10,9 +10,10 @@ Region samples are record arrays (see `region_samples`): one row per
 sample, with columns r0, r1, r2, d1, d2 and the parameters that produced it.
 Receiver k's rates, estimator and no-tradeoff check are the single-user
 ones on its view `channel.receiver_spec(bc, k)`; every rate comes from
-`solver._BaWork.rates`, and both regions take their bounds on an auxiliary U
-from one kernel, `_superposition`, through the chain rule over U - X - Y,
-I(U;Y|S) = I(X;Y|S) - sum_u P_U(u) I(X;Y|S, U=u).
+`solver._BaWork.rates`, whose rows do not depend on each other (so the
+degraded region rates each distinct P_X once), and both regions take their
+bounds on an auxiliary U from one kernel, `_superposition`, through the
+chain rule over U - X - Y, I(U;Y|S) = I(X;Y|S) - sum_u P_U(u) I(X;Y|S, U=u).
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ def degraded_region(bc, u_size=None, resolution=32):
     |U| is u_size, |X| + 1 if None.  Per sample emits r1 = I(X;Y1|U,S1),
     r2 = I(U;Y2|S2) (the R0+R2 cap) and the two expected distortions; r0 is
     reported as 0.  The p_ux column holds the flattened (U, X) pmf.
+    I(X;Yk|Sk) is evaluated once per distinct P_X row (by its bytes): a
+    row's rate depends on that row alone, so every repeat gets the same bits.
     """
     nx = bc.input_size
     if u_size is None:
@@ -122,8 +125,10 @@ def degraded_region(bc, u_size=None, resolution=32):
     p_x = p_ux.sum(axis=1)                        # (N, X)
     d1 = p_x @ est1.cost
     d2 = p_x @ est2.cost
+    _, first, inverse = np.unique(p_x.view(f"V{p_x.itemsize * nx}")[:, 0],
+                                  return_index=True, return_inverse=True)
     (r1, _), (_, r2) = _superposition(p_ux.transpose(0, 2, 1), works,
-                                      [work.rates(p_x) for work in works])
+                                      [work.rates(p_x[first])[inverse] for work in works])
     return region_samples(0.0, r1, r2, d1, d2, p_ux=grid)
 
 

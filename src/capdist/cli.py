@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
+import itertools
 import json
 import platform
 import sys
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+_WRITE_ROWS = 1 << 16                         # CSV rows per write
 
 
 # ---------------------------------------------------------------------------
@@ -209,33 +211,40 @@ def _spec_digest(spec):
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _write_text(path, text):
-    """Write text to the file at path, or to stdout when path is empty."""
+def _write_text(path, chunks):
+    """Write the strings of chunks to the file at path, or to stdout if path is empty."""
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cells(column):
-    """CSV cells of one column of Python scalars: bools as 1/0, anything else
-    by str (for a float, its shortest round-trip decimal)."""
-    if column and isinstance(column[0], bool):
+    """CSV cells of one column, Python scalars or a 1-D array: bools as 1/0,
+    anything else by str (for a float, its shortest round-trip decimal).  An
+    array is formatted once per distinct value, a float one once per distinct
+    bit pattern, so 0.0 and -0.0 stay apart."""
+    if isinstance(column, np.ndarray):
+        key = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
+        distinct, inverse = np.unique(key, return_inverse=True)
+        return np.array(_cells(distinct.view(column.dtype).tolist()), object)[inverse]
+    if len(column) and isinstance(column[0], bool):
         return ["1" if v else "0" for v in column]
     return list(map(str, column))
 
 
 def _write_table(path, fmt, columns):
-    """Write {name: column}, columns of Python scalars all of one length, as
-    CSV or as a JSON list of one object per row."""
+    """Write {name: column}, columns all of one length, as CSV (in blocks of
+    _WRITE_ROWS rows) or as a JSON list of one object per row."""
     if fmt == "json":
         rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        text = json.dumps(rows, indent=1) + "\n"
+        chunks = [json.dumps(rows, indent=1) + "\n"]
     else:
         lines = map(",".join, zip(*map(_cells, columns.values())))
-        text = "\n".join([",".join(columns), *lines]) + "\n"
-    _write_text(path, text)
+        blocks = iter(lambda: "".join(f"{s}\n" for s in itertools.islice(lines, _WRITE_ROWS)), "")
+        chunks = itertools.chain([",".join(columns) + "\n"], blocks)
+    _write_text(path, chunks)
 
 
 def _write_manifest(args, command, digest, config):
@@ -302,7 +311,7 @@ def cmd_gen(args):
     spec, digest, _ = _load_instance(args)
     text = json.dumps(channel.spec_to_dict(spec), indent=1) + "\n"
     args.clock.lap("compute")
-    _write_text(args.out, text)
+    _write_text(args.out, [text])
     _write_manifest(args, "gen", digest, {"builtin": args.builtin})
     return EXIT_OK
 
@@ -353,9 +362,9 @@ def _region_columns(samples):
     its scalar parameter columns as 'k=v;...' sorted by name (vector columns
     such as pmfs are left out)."""
     names = samples.dtype.names
-    columns = {k: samples[k].tolist() for k in names[:5]}
+    columns = {k: samples[k] for k in names[:5]}
     scalar = sorted(k for k in names[5:] if samples.dtype[k].ndim == 0)
-    parts = [[f"{k}={c}" for c in _cells(samples[k].tolist())] for k in scalar]
+    parts = [[f"{k}={c}" for c in _cells(samples[k])] for k in scalar]
     columns["params"] = ([";".join(p) for p in zip(*parts)] if parts
                          else [""] * len(samples))
     return columns
@@ -470,7 +479,7 @@ def cmd_verify(args):
         report.update(vars(rep))
     else:                                    # pragma: no cover
         raise CliInputError(f"unknown check {check}")
-    _write_text(args.out, json.dumps(report, indent=1) + "\n")
+    _write_text(args.out, [json.dumps(report, indent=1) + "\n"])
     print("PASS" if report["passed"] else "FAIL", file=sys.stderr)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
 

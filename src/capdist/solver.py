@@ -90,9 +90,10 @@ _CHECK_TOL = 1e-9           # deviation the exact no-tradeoff and degradedness c
 
 
 def _xlog2x(p):
-    out = np.zeros_like(p)
-    np.log2(p, out=out, where=p > 0)
-    return p * out
+    out = np.where(p > 0, p, 1.0)           # log2 1 = 0: p log2 p is 0 where p <= 0
+    np.log2(out, out=out)
+    out *= p
+    return out
 
 
 def conditional_mutual_information(spec, p_x):
@@ -155,8 +156,8 @@ class _BaWork:
         out = np.empty_like(p)
         for rows in self._blocks(p.shape[0]):
             pys = p[rows, None, :] @ law                     # (rows, 1, S*Y)
-            log_pys = np.zeros_like(pys)
-            np.log2(pys, out=log_pys, where=pys > 0)
+            log_pys = np.where(pys > 0, pys, 1.0)            # log2 taken as 0 where P(y|s) = 0
+            np.log2(log_pys, out=log_pys)
             log_pys *= self.ps_rep
             out[rows] = self.a - (log_pys @ law.T)[:, 0]
         return out

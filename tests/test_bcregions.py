@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capdist import channel, estimator, examples, solver, verify
+from capdist import bcregions, channel, estimator, examples, solver, verify
 from capdist.bcregions import (binary_bc_region, binary_entropy,
                                degraded_region, dueck_distortion, dueck_dmin,
                                dueck_inner, dueck_outer, envelope_value,
@@ -70,6 +70,46 @@ def test_degraded_region_matches_closed_form_identity():
     assert (s.r1 / q + s.r2 / (gamma * q)
             == pytest.approx(binary_entropy(p), abs=1e-9))
     assert s.d1 == pytest.approx(p * min(q, 1 - q), abs=1e-12)
+
+
+def _random_bc(seed, nx=3):
+    rng = np.random.default_rng(seed)
+    return channel.SdmbcSpec(
+        joint_state_pmf=rng.dirichlet(np.ones(4)).reshape(2, 2),
+        law=rng.dirichlet(np.ones(8), size=(2, 2, nx)).reshape(2, 2, nx, 2, 2, 2),
+        distortion_1=1.0 - np.eye(2), distortion_2=1.0 - np.eye(2))
+
+
+@pytest.mark.parametrize("make, resolution", [
+    (lambda: examples.binary_bc_spec(0.61, 0.47), 6),
+    (lambda: examples.flipped_bc_spec(0.6, 0.5), 5),
+    (lambda: _random_bc(5), 3)],
+    ids=["binary-bc", "flipped-bc", "random"])
+def test_degraded_region_matches_rows_rated_one_at_a_time(make, resolution):
+    # degraded_region rates each distinct P_X once and copies the rate to the
+    # rows that repeat it; that must be bit for bit what every row gets alone
+    bc = make()
+    s = degraded_region(bc, resolution=resolution)
+    nx = bc.input_size
+    p_ux = s.p_ux.reshape(len(s), nx + 1, nx)
+    p_x = p_ux.sum(axis=1)
+    assert len(np.unique(p_x, axis=0)) < len(s)         # the lattice repeats P_X
+    views = [channel.receiver_spec(bc, k) for k in (1, 2)]
+    works = [solver._BaWork(v.law_y, v.state_pmf) for v in views]
+    r1, r2 = [], []
+    for i in range(len(s)):
+        (a, _), (_, b) = bcregions._superposition(
+            p_ux[i:i + 1].transpose(0, 2, 1), works,
+            [work.rates(p_x[i:i + 1]) for work in works])
+        r1.append(a[0])
+        r2.append(b[0])
+    assert np.array(r1).tobytes() == s.r1.tobytes()
+    assert np.array(r2).tobytes() == s.r2.tobytes()
+    # distortions are one matrix product over all rows, as without the dedup
+    # (a one-row product may sum in another order)
+    for k, view in enumerate(views, start=1):
+        d = p_x @ estimator.build_estimator(view).cost
+        assert d.tobytes() == s[f"d{k}"].tobytes()
 
 
 def test_degraded_region_independent_aux_gives_zero_r2():

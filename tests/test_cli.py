@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capdist
 from capdist import channel, cli
@@ -476,6 +478,47 @@ def test_bc_region_csv_formats_are_pinned(capsys):
             ("d_trivial_point", 0.4, 0.4), ("basic_ts_start", 0.0, 0.0),
             ("basic_ts_end", 0.4, 0.4), ("improved_ts_start", 0.0, 0.0),
             ("improved_ts_end", 0.4, 0.2))])
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-308,
+                   np.finfo(float).tiny, 1.0, 0.1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_cells_of_a_float_array_are_str_of_each_value(data):
+    # formatted once per distinct bit pattern: 0.0 and -0.0 stay apart
+    pool = data.draw(st.lists(st.floats(allow_subnormal=True), max_size=6)) + _SPECIAL_FLOATS
+    column = data.draw(st.lists(st.sampled_from(pool), max_size=40)) + _SPECIAL_FLOATS
+    column = data.draw(st.permutations(column))
+    assert list(cli._cells(np.array(column, dtype=float))) == [str(v) for v in column]
+
+
+def test_cells_of_bool_int_and_string_columns():
+    flags = [True, False, False, True]
+    assert list(cli._cells(flags)) == list(cli._cells(np.array(flags))) == ["1", "0", "0", "1"]
+    ints = [3, -1, 3, 0, 2**62]
+    assert list(cli._cells(ints)) == list(cli._cells(np.array(ints))) == list(map(str, ints))
+    names = ["identity", "random1", "identity", ""]
+    assert list(cli._cells(names)) == list(cli._cells(np.array(names))) == names
+    # a column of Python scalars is formatted value by value, as given
+    assert cli._cells([1, 1.0, True, -0.0]) == ["1", "1.0", "True", "-0.0"]
+    assert list(cli._cells(np.array([1.0, -0.0, 0.0]))) == ["1.0", "-0.0", "0.0"]
+    assert list(cli._cells(np.zeros(0))) == []
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5, 6, 7])
+def test_csv_row_blocks_write_the_same_bytes(tmp_path, capsys, monkeypatch, rows):
+    columns = {"a": np.arange(rows) / 3.0, "flag": [v % 2 == 0 for v in range(rows)],
+               "name": [f"n{v}" for v in range(rows)]}
+    cli._write_table(str(tmp_path / "one.csv"), "csv", columns)
+    monkeypatch.setattr(cli, "_WRITE_ROWS", 3)
+    cli._write_table(str(tmp_path / "blocks.csv"), "csv", columns)
+    cli._write_table("", "csv", columns)
+    one = (tmp_path / "one.csv").read_bytes()
+    assert (tmp_path / "blocks.csv").read_bytes() == one
+    assert capsys.readouterr().out.encode() == one
+    assert one.count(b"\n") == rows + 1
 
 
 # ---------------------------------------------------------------------------

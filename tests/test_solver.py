@@ -70,6 +70,27 @@ def test_rates_rows_do_not_depend_on_blocks_and_are_nonnegative(monkeypatch):
         assert work.rates(p).tolist() == singles
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sizes=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_rates_are_row_independent_bit_for_bit(sizes, seed, data):
+    # degraded_region rates each distinct P_X once and copies the rate to the
+    # rows that repeat it, so a row's rate may depend on nothing else
+    nx, ns, ny = sizes
+    rng = np.random.default_rng(seed)
+    law = rng.dirichlet(np.full(ny, 0.3), size=(nx, ns))       # some entries ~0
+    law[rng.random(law.shape) < 0.3] = 0.0
+    law[:, :, 0] += law.sum(axis=2) == 0.0                     # rows keep mass
+    law /= law.sum(axis=2, keepdims=True)
+    work = solver._BaWork(law, rng.dirichlet(np.ones(ns)))
+    distinct = np.vstack([np.eye(nx), rng.dirichlet(np.full(nx, 0.5), size=3)])
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+    p = distinct[picks]
+    rates = work.rates(p)
+    assert np.concatenate([work.rates(p[i:i + 1]) for i in range(len(p))]).tobytes() \
+        == rates.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # BA updates
 # ---------------------------------------------------------------------------
@@ -293,6 +314,35 @@ def test_sweep_invariant_under_relabelling(sizes, seed, data):
     assert a.keys() == b.keys()
     for mu in a:
         assert a[mu] == pytest.approx(b[mu], abs=1e-8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(sizes=st.tuples(*[st.integers(2, 3)] * 4),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_duplicated_input_leaves_frontier_unchanged(sizes, seed, data):
+    # a copy of input k (its law rows and cost; the distortion is indexed by
+    # states) adds no (rate, distortion, cost) that a pmf could not reach
+    spec = random_spec(np.random.default_rng(seed), *sizes)
+    k = data.draw(st.integers(0, spec.input_size - 1))
+    rows = [*range(spec.input_size), k]
+    doubled = SdmcSpec(state_pmf=spec.state_pmf, law_y=spec.law_y[rows],
+                       law_z=spec.law_z[rows], distortion=spec.distortion,
+                       cost=spec.cost[rows])
+    budget = float(np.quantile(spec.cost, 0.7))
+    grid = np.logspace(-2, 2, 7)
+
+    def points(s):
+        return {p.mu: p for p in sweep_frontier(s, budget, grid) if np.isfinite(p.mu)}
+
+    a, b = points(spec), points(doubled)
+    assert a.keys() == b.keys()
+    tol = BaConfig().convergence_eps
+    for mu in a:
+        assert a[mu].converged and b[mu].converged
+        j_a, j_b = (p.rate - mu * p.distortion for p in (a[mu], b[mu]))
+        assert j_a == pytest.approx(j_b, abs=2 * tol + 1e-12)
+        assert (a[mu].rate, a[mu].distortion) == pytest.approx(
+            (b[mu].rate, b[mu].distortion), abs=1e-8)
 
 
 def test_gaussian_reduced_sweep_rows_converge_within_225_passes():
