@@ -30,12 +30,14 @@ T-IT 1972, conditioned on S) caps the optimum over the feasible pmfs:
 The bound minus J is the duality gap; it is certified only at a pmf that
 meets the budget as summed, and it is minimized over lambda exactly (see
 `_gaps`).  Where BA crawls (an optimum on or near a
-face of the simplex, where it converges sublinearly), a Newton step on the
-KKT system of the row's support finishes the row: `_polish` runs at passes
-_POLISH_FIRST, 2*_POLISH_FIRST, 4*_POLISH_FIRST, ... and keeps its pmf only
-when that pmf carries its own certificate.  `converged` means gap <=
-convergence_eps, and `iterations` counts BA passes (a polish is part of the
-pass it runs in).
+face of the simplex, where it converges sublinearly), Newton steps on the
+KKT system of the row's support finish the row: `_polish` runs at passes
+_POLISH_FIRST, 2*_POLISH_FIRST, 4*_POLISH_FIRST, ... and keeps a pmf only
+when that pmf carries its own certificate.  Each step starts from masses
+at least 2**_LOG2_FLOOR, so it can move every input, and holds the first
+input it would drive below 0 at a small mass, at least that floor.
+`converged` means gap <= convergence_eps, and `iterations` counts BA passes
+(a polish is part of the pass it runs in).
 
 `_BaWork` holds one (X, S, Y) law and state pmf.  Its `rates` evaluates
 I(X;Y|S) = sum_x P_X(x) a(x) - sum_{s,y} P_S(s) P(y|s) log2 P(y|s) for every
@@ -85,7 +87,7 @@ _THETA = 2.0                # over-relaxation of the input update (1 = plain BA)
 _POLISH_FIRST = 8           # first pass that polishes; then every doubled pass
 _POLISH_STEPS = 6           # Newton steps of one polish
 _RIDGE = 1e-9               # relative ridge on the curvature diagonal of a Newton step
-_LOG2_FLOOR = -600.0        # log2 of the least mass a Newton step leaves on an input
+_LOG2_FLOOR = -600.0        # log2 of the least mass a Newton step starts from or leaves
 _CHECK_TOL = 1e-9           # deviation the exact no-tradeoff and degradedness checks pass
 
 
@@ -180,7 +182,8 @@ class _BaWork:
         by x's share p(x) P(y|x,s) / P(y|s) of each output.  Each is a sum
         over fixed blocks of _CURVATURE_COLUMNS law columns, taken in order,
         so a row's values depend neither on its row block nor on the other
-        rows."""
+        rows.  Every mass of p must be at least 2**_LOG2_FLOOR: where P(y|s)
+        is subnormal, 1/P(y|s) overflows and M is not finite."""
         law = self.law_flat
         nx, ncol = law.shape
         width = min(ncol, _CURVATURE_COLUMNS)
@@ -339,26 +342,24 @@ def _solve(a, r):
 
 
 def _newton_step(work, p, w, bind, b, budget):
-    """One Newton step from each row of p on the KKT system of its support,
-    the inputs with mass, under two active-set rules: a pair of stepped
-    pmfs, not yet renormalized.
+    """One Newton step from each row of p, whose masses must all be at least
+    2**_LOG2_FLOOR (see `_BaWork.curvature`), on the KKT system of J: the
+    stepped pmfs, not yet renormalized.
 
     The step maximizes the quadratic model of J, w.d - d.M.d/2 (M from
     `_BaWork.curvature`, its diagonal raised by _RIDGE, as M is singular
     where the optimum is not unique), subject to sum d = 0 and, on the rows
-    in `bind` or whose step would overspend the budget, b.d = B - b.p.
-    Inputs the step would drive to or below 0 are frozen at p * exp(d/p),
-    at least 2**_LOG2_FLOOR, and the model is solved again for the others,
-    until none crosses 0; the first pmf freezes all of them at once, the
-    second only the first of them along the step (which keeps an input
-    that crossed only because another one did).  An input whose own mass
-    dominates its outputs, by at least half of M(x, x), grows by
-    p * exp(d/p): there J behaves like -p ln p, whose step in ln p is exact,
-    while p + d would barely move it off the floor.  So every input stays
-    positive: one that belongs on a face of the simplex is left at the
-    floor, where its share of J is negligible, not at 0, where an input
-    whose outputs no other input reaches has an infinite divergence and no
-    gap could be certified.
+    in `bind` or whose step would overspend the budget, b.d = B - b.p.  The
+    first input along the step that it drives to or below 0 is frozen at
+    p * exp(d/p), at least 2**_LOG2_FLOOR, and the model is solved again for
+    the others, until none crosses 0 (so an input that crossed only because
+    another one did stays free).  An input whose own mass dominates its
+    outputs, by at least half of M(x, x), grows by p * exp(d/p): there J
+    behaves like -p ln p, whose step in ln p is exact, while p + d would
+    barely move it off the floor.  So every input stays positive: one that
+    belongs on a face of the simplex is left at the floor, where its share
+    of J is negligible, not at 0, where an input whose outputs no other
+    input reaches has an infinite divergence and no gap could be certified.
     """
     n, nx = p.shape
     diag = np.arange(nx)
@@ -383,64 +384,58 @@ def _newton_step(work, p, w, bind, b, budget):
         rhs[:, nx + 1] = np.where(bind, (slack - (shift * b).sum(axis=1)) / scale, 0.0)
         return _solve(kkt, rhs)[:, :nx]
 
-    def step(first, bind):
-        free, held = p > 0.0, p.copy()
+    free, held = np.ones(p.shape, dtype=bool), p
+    d = solve(free, held, bind)
+    for _ in range(nx + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where(free & (p + d <= 0.0), p / -d, np.inf)   # step to 0
+        cross = np.isfinite(reach) & (reach == reach.min(axis=1, keepdims=True))
+        # the budget binds once a step that frees no input would overspend it
+        spend = ~bind & ~cross.any(axis=1) & (
+            (np.where(free, p + d, held) * b).sum(axis=1) > budget)
+        if not (cross.any() or spend.any()):
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            shrunk = np.maximum(p * np.exp2(d / (p * _LN2)), 2.0 ** _LOG2_FLOOR)
+        held, free = np.where(cross, shrunk, held), free & ~cross
+        bind = bind | spend
         d = solve(free, held, bind)
-        for _ in range(nx + 1):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                reach = np.where(free & (p + d <= 0.0), p / -d, np.inf)   # step to 0
-            cross = np.isfinite(reach)
-            if first:
-                cross &= reach == reach.min(axis=1, keepdims=True)
-            # the budget binds once a step that frees no input would overspend it
-            spend = ~bind & ~cross.any(axis=1) & (
-                (np.where(free, p + d, held) * b).sum(axis=1) > budget)
-            if not (cross.any() or spend.any()):
-                break
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-                shrunk = np.maximum(p * np.exp2(d / (p * _LN2)), 2.0 ** _LOG2_FLOOR)
-            held, free = np.where(cross, shrunk, held), free & ~cross
-            bind = bind | spend
-            d = solve(free, held, bind)
-        # an input that dominates its outputs behaves like -p ln p, whose step
-        # in ln p is exact: from a tiny mass, p + d would barely move it
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            grown = np.where((d > 0.0) & (2.0 * own >= m[:, diag, diag]),
-                             p * np.exp2(d / (p * _LN2)), p + d)
-        return np.where(free, grown, held)
-
-    return step(False, bind), step(True, bind)
+    # an input that dominates its outputs behaves like -p ln p, whose step
+    # in ln p is exact: from a tiny mass, p + d would barely move it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        grown = np.where((d > 0.0) & (2.0 * own >= m[:, diag, diag]),
+                         p * np.exp2(d / (p * _LN2)), p + d)
+    return np.where(free, grown, held)
 
 
 def _polish(work, cost, p, w, j, mu, bind, b, budget, tol):
     """Up to _POLISH_STEPS Newton steps (`_newton_step`) from each row of p,
     whose w = a - t - mu*c and J are given, each renormalized and made to
-    meet the budget by `_dual_rows`: (pmfs, J, gaps, accepted).  Each step
-    tries both rules for the inputs it drives to 0, freezing them all at
-    once or one at a time, and goes on from the pmf with the smaller gap.
-    A row is accepted at the first step whose pmf is finite, meets the
-    budget as summed, has J at least the given J (to the rounding of a sum
-    of p*w) and a gap at most tol; the other rows come back unchanged."""
+    meet the budget by `_dual_rows`: (pmfs, J, gaps, accepted).  Before each
+    step, masses below 2**_LOG2_FLOOR (BA's update can underflow one to 0,
+    and a step cannot move an input with no mass) are raised to it, and w
+    is taken again on the rows that changed.  A row is accepted at the
+    first step whose pmf is finite, meets the budget as summed, has J at
+    least the given J (to the rounding of a sum of p*w) and a gap at most
+    tol; the other rows come back unchanged."""
     out_p, out_j, out_gap = p.copy(), j.copy(), np.full(len(p), np.inf)
     accepted = np.zeros(len(p), dtype=bool)
     live, q, wq = np.arange(len(p)), p, w
+    floor = 2.0 ** _LOG2_FLOOR
     for _ in range(_POLISH_STEPS):
-        both = _newton_step(work, q, wq, bind[live], b, budget)
-        other = np.flatnonzero((both[0] != both[1]).any(axis=1))   # the rules differ
-        rows = np.concatenate([np.arange(live.size), other])
-        q = np.concatenate([both[0], both[1][other]])
+        low = (q < floor).any(axis=1)
+        if low.any():
+            q, wq = np.maximum(q, floor), wq.copy()
+            wq[low] = work.per_x(q[low]) - mu[live[low]] * cost
+        q = _newton_step(work, q, wq, bind[live], b, budget)
         fine = np.isfinite(q).all(axis=1) & (q >= 0.0).all(axis=1)
         q[~fine] = 1.0 / q.shape[1]         # placeholders, so the batch stays whole
         # a stepped pmf misses the budget by rounding only: start lambda small
         with np.errstate(divide="ignore"):
             q = _dual_rows(np.log2(q), b, budget, np.full(len(q), _EPS))[0]
-        wq = work.per_x(q) - mu[live[rows]] * cost
+        wq = work.per_x(q) - mu[live] * cost
         jq = (q * wq).sum(axis=1)
         gq = np.where(fine, _gaps(work, q, wq, jq, b, budget), np.inf)
-        pick = np.arange(live.size)
-        better = gq[live.size:] < gq[other]
-        pick[other[better]] = live.size + np.flatnonzero(better)
-        q, wq, jq, gq = q[pick], wq[pick], jq[pick], gq[pick]
         good = (jq >= j[live] - 16.0 * _EPS * np.abs(wq).max(axis=1)) & (gq <= tol)
         done = live[good]
         out_p[done], out_j[done], out_gap[done], accepted[done] = (

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,40 @@ def test_duplicated_input_leaves_frontier_unchanged(sizes, seed, data):
             (b[mu].rate, b[mu].distortion), abs=1e-8)
 
 
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(sizes=st.tuples(*[st.integers(2, 3)] * 4), seed=st.integers(0, 2**32 - 1),
+       binding=st.booleans(), data=st.data())
+def test_dominated_input_leaves_frontier_unchanged(sizes, seed, binding, data):
+    # an input with input k's channel law, k's feedback garbled (so its
+    # estimation cost is no lower) and a cost no lower is never better than
+    # k: the optimum sits on a face of the simplex, where the Newton polish
+    # has to finish the row
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, *sizes)
+    k = data.draw(st.integers(0, spec.input_size - 1))
+    garble = rng.dirichlet(np.ones(spec.law_z.shape[2]), size=spec.law_z.shape[2])
+    extra = data.draw(st.floats(0.0, 1.0))
+    dominated = SdmcSpec(state_pmf=spec.state_pmf,
+                         law_y=np.concatenate([spec.law_y, spec.law_y[k, None]]),
+                         law_z=np.concatenate([spec.law_z, (spec.law_z[k] @ garble)[None]]),
+                         distortion=spec.distortion,
+                         cost=np.append(spec.cost, spec.cost[k] + extra))
+    c = estimator.build_estimator(dominated).cost
+    assert c[-1] >= c[k] - 1e-12                     # garbling never helps
+    budget = float(np.quantile(spec.cost, 0.7)) if binding else np.inf
+    grid = np.logspace(-2, 2, 7)
+
+    def points(s):
+        return {p.mu: p for p in sweep_frontier(s, budget, grid) if np.isfinite(p.mu)}
+
+    a, b = points(spec), points(dominated)
+    assert a.keys() == b.keys()
+    for mu in a:
+        assert a[mu].converged and b[mu].converged
+        j_a, j_b = (p.rate - mu * p.distortion for p in (a[mu], b[mu]))
+        assert j_a == pytest.approx(j_b, abs=2e-10)
+
+
 def test_gaussian_reduced_sweep_rows_converge_within_225_passes():
     # criterion 3's reduced Gaussian at B = 10 on the CLI `auto` grid; under
     # the binding budget a plain step can lower J by rounding, and a row that
@@ -428,6 +463,39 @@ def test_face_bound_row_converges():
     row, = [p for p in points if p.mu == pytest.approx(10 ** (-4 / 3))]
     assert all(p.converged and p.gap <= 1e-10 for p in points)
     assert row.iterations <= 16               # one Newton polish at pass 8 or 16
+
+
+def test_polish_lifts_massless_inputs_of_gaussian_rows():
+    # BA underflows the inner inputs of these rows to 0, and a Newton step
+    # cannot move an input with no mass: its outputs are reached by no
+    # other input, so the gap stayed inf for 10,000 passes
+    spec = cli.BUILTINS["gaussian-reduced"](state_points=100)
+    work = solver._BaWork(spec.law_y, spec.state_pmf)
+    pts = solver._solve_rows(work, estimator.build_estimator(spec), spec.cost,
+                             [701.7038286703837, 1000.0], np.inf,
+                             BaConfig(max_outer_iters=64))
+    assert all(p.converged and p.gap <= 1e-10 for p in pts)
+
+
+def test_polish_from_zero_and_subnormal_masses_is_warning_free():
+    # a noiseless ternary channel at p = [1, 0, 2**-1070]: input 1 reaches
+    # an output no other input reaches, and input 2's output has a
+    # subnormal P(y), whose reciprocal overflowed in the curvature (inf * 0
+    # put NaN into M); raised to the floor, both move and the polish
+    # reaches the uniform capacity pmf
+    spec = SdmcSpec(state_pmf=np.ones(1), law_y=np.eye(3)[:, None, :],
+                    law_z=np.ones((3, 1, 1)), distortion=np.zeros((1, 1)),
+                    cost=np.zeros(3))
+    est = estimator.build_estimator(spec)
+    work = solver._BaWork(spec.law_y, spec.state_pmf)
+    p, mu = np.array([[1.0, 0.0, 2.0 ** -1070]]), np.zeros((1, 1))
+    w = work.per_x(p) - mu * est.cost
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, _, gap, ok = solver._polish(work, est.cost, p, w, (p * w).sum(axis=1), mu,
+                                       np.zeros(1, dtype=bool), spec.cost, np.inf, 1e-10)
+    assert ok[0] and gap[0] <= 1e-10
+    assert q[0] == pytest.approx(np.full(3, 1.0 / 3.0), abs=1e-9)
 
 
 def test_budget_fixed_row_stops_at_once():
