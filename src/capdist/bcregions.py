@@ -26,10 +26,9 @@ from . import channel, estimator, solver
 
 
 def binary_entropy(p):
+    """h(p) in bits for p in [0, 1]; +0.0 at p = 0 and 1."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    for v in (p, 1.0 - p):
-        out -= np.where((v > 0) & (v < 1), v * np.log2(np.where(v > 0, v, 1.0)), 0.0)
+    out = 0.0 - solver._xlog2x(p) - solver._xlog2x(1.0 - p)
     return out if out.ndim else float(out)
 
 
@@ -81,6 +80,15 @@ def _superposition(joint, works, rates_x):
 # physically degraded test and region
 # ---------------------------------------------------------------------------
 
+def _receivers(bc, p_x):
+    """Per receiver k = 1, 2 of bc, its view's `_BaWork`, and then the
+    distortions d1 and d2 of its estimator at every row of p_x."""
+    views = [channel.receiver_spec(bc, k) for k in (1, 2)]
+    works = [solver._BaWork(v.law_y, v.state_pmf) for v in views]
+    d1, d2 = (p_x @ estimator.build_estimator(v).cost for v in views)
+    return works, d1, d2
+
+
 def is_physically_degraded(bc):
     """Test X - (S1,Y1) - (S2,Y2).
 
@@ -118,13 +126,8 @@ def degraded_region(bc, u_size=None, resolution=32):
         u_size = nx + 1
     grid = channel.simplex_lattice(u_size * nx, resolution)
     p_ux = grid.reshape(-1, u_size, nx)           # (N, U, X)
-
-    views = [channel.receiver_spec(bc, k) for k in (1, 2)]
-    works = [solver._BaWork(v.law_y, v.state_pmf) for v in views]
-    est1, est2 = (estimator.build_estimator(v) for v in views)
     p_x = p_ux.sum(axis=1)                        # (N, X)
-    d1 = p_x @ est1.cost
-    d2 = p_x @ est2.cost
+    works, d1, d2 = _receivers(bc, p_x)
     _, first, inverse = np.unique(p_x.view(f"V{p_x.itemsize * nx}")[:, 0],
                                   return_index=True, return_inverse=True)
     (r1, _), (_, r2) = _superposition(p_ux.transpose(0, 2, 1), works,
@@ -152,11 +155,7 @@ def outer_bound_samples(bc, resolution=32, seed=0):
     s1, s2, _, y1, y2, _ = bc.law.shape           # P(y1 y2 | x, s1 s2), flat pairs
     pair_law = bc.law.sum(axis=5).transpose(2, 0, 1, 3, 4).reshape(nx, s1 * s2, y1 * y2)
     sum_rate = solver._BaWork(pair_law, bc.joint_state_pmf.ravel()).rates(grid)
-    views = [channel.receiver_spec(bc, k) for k in (1, 2)]
-    works = [solver._BaWork(v.law_y, v.state_pmf) for v in views]
-    est1, est2 = (estimator.build_estimator(v) for v in views)
-    d1 = grid @ est1.cost
-    d2 = grid @ est2.cost
+    works, d1, d2 = _receivers(bc, grid)
     rates_x = [work.rates(grid) for work in works]
 
     ident = np.zeros((nx, u_size))

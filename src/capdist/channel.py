@@ -35,19 +35,19 @@ def _freeze(a):
     return a
 
 
-def renormalize_rows(t, name="law", atol=RENORM_ATOL):
+def renormalize_rows(t, name="law"):
     """Renormalize the last axis of `t` to sum to 1.
 
-    Rows whose sums deviate from 1 by more than `atol` are rejected: that is
-    a modeling error, not text-format rounding.
+    Rows whose sums deviate from 1 by more than RENORM_ATOL are rejected:
+    that is a modeling error, not text-format rounding.
     """
     t = np.asarray(t, dtype=float)
     sums = t.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > atol
+    bad = np.abs(sums - 1.0) > RENORM_ATOL
     if np.any(bad):
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise SpecValidationError(
-            f"{name}: row {idx} sums to {sums[bad].flat[0]}, off by more than {atol}")
+            f"{name}: row {idx} sums to {sums[bad].flat[0]}, off by more than {RENORM_ATOL}")
     return t / sums[..., None]
 
 

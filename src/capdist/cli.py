@@ -442,8 +442,7 @@ def cmd_verify(args):
         report.update(analytic=analytic, oracle=oracle, gap=gap,
                       passed=bool(gap <= 1e-12))
     elif check == "frontier":
-        est = estimator.build_estimator(spec)
-        dmin, _ = estimator.d_min(spec, args.budget, est=est)
+        dmin, _ = estimator.d_min(spec, args.budget)
         dmax = estimator.d_trivial(spec)
         worst = 0.0
         mu_grid = [0.0] + list(np.logspace(-3, 3, 120))

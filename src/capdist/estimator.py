@@ -39,11 +39,11 @@ def _weights(spec):
     return spec.state_pmf[None, :, None] * spec.law_z
 
 
-def _argmin_ties_low(values, rtol=TIE_RTOL):
-    """Argmin along the last axis; ties within relative tolerance go to the
-    lowest index."""
+def _argmin_ties_low(values):
+    """Argmin along the last axis; ties within relative tolerance TIE_RTOL go
+    to the lowest index."""
     m = values.min(axis=-1, keepdims=True)
-    thresh = m + rtol * np.maximum(1.0, np.abs(m))
+    thresh = m + TIE_RTOL * np.maximum(1.0, np.abs(m))
     return np.argmax(values <= thresh, axis=-1)
 
 
@@ -95,47 +95,54 @@ def expected_distortion(est, p_x):
     return float(np.dot(np.asarray(p_x, float), est.cost))
 
 
-def d_min(spec, budget=np.inf, est=None):
-    """Minimum distortion under the cost budget, with an attaining pmf.
-
-    The objective and the single constraint are both linear in P_X, so an
-    optimizer exists supported on at most two symbols; we search those
-    supports in closed form.  A NaN budget raises ValueError.
-    """
+def _check_budget(b, budget):
+    """Reject a NaN budget (ValueError) and one below the least cost of b
+    (Infeasible)."""
     if np.isnan(budget):
         raise ValueError("budget must be a number, not nan")
-    if est is None:
-        est = build_estimator(spec)
-    c = est.cost
-    b = np.asarray(spec.cost, float)
-    n = c.size
     if budget < b.min():
         raise Infeasible(f"budget {budget} below min cost {b.min()}")
-    best_val = np.inf
-    best_pmf = None
-    feas = b <= budget
-    if np.any(feas):
-        i = int(np.flatnonzero(feas)[np.argmin(c[feas])])
-        best_val = c[i]
-        best_pmf = np.zeros(n)
-        best_pmf[i] = 1.0
-    for i in range(n):
-        if b[i] > budget:
-            continue
-        for j in range(n):
-            # mix a feasible i with an infeasible-alone j up to the budget
-            if b[j] <= budget or b[j] <= b[i]:
-                continue
-            wj = (budget - b[i]) / (b[j] - b[i])
-            pmf = np.zeros(n)
-            pmf[i], pmf[j] = 1 - wj, wj
-            while pmf @ b > budget:      # the rounded mix can cost an ulp above B
-                wj = np.nextafter(wj, 0.0)
-                pmf[i], pmf[j] = 1 - wj, wj
-            val = (1 - wj) * c[i] + wj * c[j]
-            if val < best_val - 1e-15:
-                best_val, best_pmf = val, pmf
-    return float(best_val), best_pmf
+
+
+def _budget_lp(v, b, budget):
+    """The budget LP, per row of v: (value, i, j, t), the largest mean of
+    the row over the pmfs with p.b <= B, and a pmf that reaches it, with
+    mass 1 - t on input i and t on j.  An optimal vertex is one input with
+    b <= B (j = i, t = 0) or the mix of an i with b_i < B and a j with
+    b_j > B that spends B.  The first largest candidate is taken (singles,
+    then mixes i-major), so the value is exact; a +inf in v makes every
+    candidate with mass on that input +inf."""
+    rows, singles = np.arange(len(v)), np.where(b <= budget, v, -np.inf)
+    lo, hi = np.flatnonzero(b < budget), np.flatnonzero(b > budget)
+    if lo.size == 0 or hi.size == 0:        # no mix, so nothing to index in lo or hi
+        k = singles.argmax(axis=1)
+        return singles[rows, k], k, k, np.zeros(len(v))
+    t = (budget - b[lo, None]) / (b[hi] - b[lo, None])          # (lo, hi), in (0, 1)
+    mix = (1.0 - t) * v[:, lo, None] + t * v[:, None, hi]
+    cand = np.concatenate([singles, mix.reshape(len(v), -1)], axis=1)
+    k = cand.argmax(axis=1)
+    l, h = np.divmod(np.maximum(k - b.size, 0), hi.size)
+    single = k < b.size
+    return (cand[rows, k], np.where(single, k, lo[l]), np.where(single, k, hi[h]),
+            np.where(single, 0.0, t[l, h]))
+
+
+def d_min(spec, budget=np.inf, est=None):
+    """Minimum distortion under the cost budget, with an attaining pmf:
+    minus the budget LP (`_budget_lp`) of -c, its mix rounded to meet the
+    budget as summed.  A NaN budget raises ValueError, one below the least
+    cost Infeasible."""
+    b = np.asarray(spec.cost, float)
+    _check_budget(b, budget)
+    c = (build_estimator(spec) if est is None else est).cost
+    _, (i,), (j,), (t,) = _budget_lp(-c[None], b, budget)
+    pmf = np.zeros(c.size)
+    while True:
+        pmf[j], pmf[i] = t, 1.0 - t     # i last: j = i for a single input
+        if pmf @ b <= budget:           # the rounded mix can cost an ulp above B
+            break
+        t = np.nextafter(t, 0.0)
+    return float((1.0 - t) * c[i] + t * c[j]), pmf
 
 
 def d_trivial(spec):

@@ -222,23 +222,17 @@ def _gaps(work, p, w, j, b, budget):
     J = sum p*w are given: min over lambda >= 0 of lambda*B + max_x (w(x) -
     lambda*b(x)), less J; inf at a row whose E[b], as summed, exceeds B.
 
-    By LP duality the bound is the largest mean of w over the pmfs that meet
-    the budget, and that is reached at an input with b(x) <= B or at the mix
-    of an input below the budget with one above it that spends it exactly;
-    it is computed so, which stays exact where a bound in lambda would not:
-    an input with no mass whose law reaches outputs that no input reaches
-    has w(x) = +inf, and so has the bound, unless no pmf can put mass on it.
+    By LP duality the bound is the budget LP of w (`estimator._budget_lp`),
+    the largest mean of w over the pmfs that meet the budget, which stays
+    exact where a bound in lambda would not: an input with no mass whose
+    law reaches outputs that no input reaches has w(x) = +inf, and so has
+    the bound, unless no pmf can put mass on it.
     """
     holes = (p == 0.0).any(axis=1)
     if holes.any():
         w = w.copy()
         w[holes] = np.where(work.unreached(p[holes]), np.inf, w[holes])
-    upper = w[:, b <= budget].max(axis=1)
-    lo, hi = b < budget, b > budget
-    if lo.any() and hi.any():
-        t = (budget - b[lo]) / (b[hi, None] - b[lo])             # (hi, lo), in (0, 1)
-        mix = (1.0 - t) * w[:, None, lo] + t * w[:, hi, None]
-        upper = np.maximum(upper, mix.max(axis=(1, 2)))
+    upper = estimator._budget_lp(w, b, budget)[0]
     ok = (p * b).sum(axis=1) <= budget
     return np.where(ok, upper - j, np.inf)
 
@@ -471,15 +465,11 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
     """
     started = time.perf_counter()
     b = np.asarray(b, float)
-    if np.isnan(budget):
-        raise ValueError("budget must be a number, not nan")
-    if budget < b.min():
-        raise Infeasible(f"budget {budget} below min cost {b.min()}")
+    estimator._check_budget(b, budget)
     mus = np.asarray(mus, float)
     m, nx = mus.size, b.size
     p = np.array(np.broadcast_to(np.full(nx, 1.0 / nx) if start is None
                                  else np.asarray(start, float), (m, nx)), order="C")
-    need_dual = np.isfinite(budget) and b.max() > budget
     tol = cfg.convergence_eps
     iters, gaps = np.full(m, cfg.max_outer_iters), np.full(m, np.inf)
     traces = [[] for _ in range(m)] if cfg.record_objective else None
@@ -524,12 +514,8 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
                 break
         with np.errstate(divide="ignore"):
             base_g = np.where(pa > 0, np.log2(pa) + theta * w, -np.inf)
-        if need_dual:
-            p_new, lam, n = _dual_rows(base_g, b, budget, lam)
-            evals += n
-        else:
-            p_new = _pmfs(base_g)
-        pa, p_acc, w_acc, j_acc = p_new, pa, w, j
+        p_new, lam, n = _dual_rows(base_g, b, budget, lam)
+        pa, p_acc, w_acc, j_acc, evals = p_new, pa, w, j, evals + n
     else:
         w = work.per_x(pa) - mu * est.cost
         p[act], gaps[act] = pa, _gaps(work, pa, w, (pa * w).sum(axis=1), b, budget)
@@ -562,8 +548,19 @@ def solve_fixed_mu(spec, config):
     return _solve_rows(work, est, spec.cost, [config.mu], config.budget, config)[0]
 
 
+def _anchor(spec, work, est, budget):
+    """The mu = inf point: D_min under the budget (`estimator.d_min`), with
+    I(X;Y|S) and E[b] at the pmf that d_min returns."""
+    dm_val, dm_pmf = estimator.d_min(spec, budget, est=est)
+    return TradeoffPoint(
+        mu=np.inf, budget=budget, rate=float(work.rates(dm_pmf[None])[0]),
+        distortion=dm_val, cost=float(dm_pmf @ spec.cost),
+        input_pmf=dm_pmf, iterations=0, converged=True, gap=0.0)
+
+
 def sweep_frontier(spec, budget, mu_grid, threads=1):
-    """One solve per mu plus the two analytic anchors, sorted by distortion.
+    """One solve per mu, mu = 0 included, plus the mu = inf anchor
+    (`_anchor`), sorted by distortion.
 
     All mu iterate from the uniform pmf in lockstep, in row blocks (see
     `_solve_rows`), under the default `BaConfig`; there are no warm starts.
@@ -577,13 +574,7 @@ def sweep_frontier(spec, budget, mu_grid, threads=1):
         raise ValueError("mu_grid must be nonempty")
     if mus[0] > 0.0:
         mus = [0.0] + mus
-
-    # mu -> infinity anchor: the d_min point, evaluated analytically
-    dm_val, dm_pmf = estimator.d_min(spec, budget, est=est)
-    points = [TradeoffPoint(
-        mu=np.inf, budget=budget, rate=float(work.rates(dm_pmf[None])[0]),
-        distortion=dm_val, cost=float(dm_pmf @ spec.cost),
-        input_pmf=dm_pmf, iterations=0, converged=True, gap=0.0)]
+    points = [_anchor(spec, work, est, budget)]
     points += _solve_rows(work, est, spec.cost, mus, budget, BaConfig())
     points.sort(key=lambda pt: (pt.distortion, -pt.rate, -pt.mu))
     return points
@@ -594,23 +585,23 @@ def baseline_ts(spec, budget=np.inf):
 
     Segments are ((rate, distortion), (rate, distortion)) endpoint pairs:
     basic connects the pure-sensing point (0, D_min) with the estimation-blind
-    capacity point (C_NoEst, D_trivial); improved connects (R_min, D_min)
-    with (C_NoEst, D_max).  C_NoEst is solved at mu = 0 under the default
-    `BaConfig`, so its duality gap is certified to 1e-10 bits.
+    capacity point (C_NoEst, D_trivial); improved connects (R_min, D_min),
+    the mu = inf anchor of `sweep_frontier`, with (C_NoEst, D_max).  C_NoEst
+    is solved at mu = 0 under the default `BaConfig`, so its duality gap is
+    certified to 1e-10 bits.
     """
     est = estimator.build_estimator(spec)
     work = _BaWork(spec.law_y, spec.state_pmf)
-    dm_val, dm_pmf = estimator.d_min(spec, budget, est=est)
-    r_min = float(work.rates(dm_pmf[None])[0])
+    low = _anchor(spec, work, est, budget)
     cap, = _solve_rows(work, est, spec.cost, [0.0], budget, BaConfig())
     d_max = estimator.expected_distortion(est, cap.input_pmf)
     d_triv = estimator.d_trivial(spec)
     return {
-        "d_min": dm_val, "r_min": r_min,
+        "d_min": low.distortion, "r_min": low.rate,
         "c_noest": cap.rate, "d_max": d_max, "d_trivial": d_triv,
-        "basic": ((0.0, dm_val), (cap.rate, d_triv)),
-        "improved": ((r_min, dm_val), (cap.rate, d_max)),
-        "capacity_pmf": cap.input_pmf, "dmin_pmf": dm_pmf,
+        "basic": ((0.0, low.distortion), (cap.rate, d_triv)),
+        "improved": ((low.rate, low.distortion), (cap.rate, d_max)),
+        "capacity_pmf": cap.input_pmf, "dmin_pmf": low.input_pmf,
     }
 
 

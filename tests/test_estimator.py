@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from capdist import channel, estimator, examples
 from capdist.channel import SdmcSpec
@@ -109,6 +112,51 @@ def test_d_min_infeasible_budget_raises():
     tight = dataclasses.replace(spec, cost=[2.0, 3.0])
     with pytest.raises(Infeasible):
         d_min(tight, budget=1.0)
+
+
+# tied values come from the small set, duplicate costs from the 1/16 grid,
+# on which HiGHS's coefficient and feasibility tolerances cannot blur them
+_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 1.0]), st.floats(-1.0, 1.0))
+_COSTS = st.integers(0, 48).map(lambda k: k / 16)
+_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data(), n=st.integers(1, 5), where=st.sampled_from(
+    ["min", "between", "max", "inf"]))
+def test_budget_lp_matches_linprog(data, n, where):
+    # an independent oracle: HiGHS on max v.p s.t. sum p = 1, p.b <= B, p >= 0
+    b = np.array(data.draw(st.lists(_COSTS, min_size=n, max_size=n)))
+    rows = data.draw(st.lists(st.lists(_VALUES, min_size=n, max_size=n),
+                              min_size=1, max_size=3))
+    budget = {"min": b.min(), "max": b.max(), "inf": np.inf,
+              "between": b.min() + data.draw(st.integers(1, 15)) / 16 * np.ptp(b)}[where]
+    bounded = dict(A_ub=b[None], b_ub=[budget]) if np.isfinite(budget) else {}
+    v = np.array(rows)
+
+    def oracle(row):
+        res = linprog(-row, A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0, None),
+                      method="highs", options=_TIGHT, **bounded)
+        assert res.status == 0
+        return -res.fun
+
+    for row, got, i, j, t in zip(v, *estimator._budget_lp(v, b, budget)):
+        want = oracle(row)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        # the returned vertex reaches the value and meets the budget
+        assert (1.0 - t) * row[i] + t * row[j] == got
+        assert (i == j and t == 0.0 and b[i] <= budget) or (
+            b[i] < budget < b[j] and t == (budget - b[i]) / (b[j] - b[i]))
+    # d_min is -LP(-c); its pmf meets the budget as summed and attains D_min
+    c = v[0]
+    spec = SdmcSpec(state_pmf=[1.0], law=np.ones((n, 1, 1, 1)),
+                    distortion=np.zeros((1, 1)), cost=b)
+    est = EstimatorTable(table=np.zeros((n, 1), dtype=np.int64), cost=c)
+    val, pmf = d_min(spec, budget, est=est)
+    assert abs(val + oracle(-c)) <= 1e-9 * max(1.0, abs(val))
+    assert (pmf >= 0.0).all() and pmf.sum() == pytest.approx(1.0, abs=1e-15)
+    assert pmf @ b <= budget
+    assert abs(pmf @ c - val) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
