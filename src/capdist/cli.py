@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import hashlib
 import itertools
 import json
@@ -45,14 +46,6 @@ _WRITE_ROWS = 1 << 16                         # CSV rows per write
 # builtin registry
 # ---------------------------------------------------------------------------
 
-def _builtin_binary(q=0.4):
-    return examples.binary_multiplicative_spec(q)
-
-
-def _builtin_erasure(p_s=0.5):
-    return examples.erasure_spec(p_s)
-
-
 def _builtin_gaussian(**kv):
     for k, v in kv.items():
         if k.endswith("points"):
@@ -62,44 +55,26 @@ def _builtin_gaussian(**kv):
     return examples.gaussian_quantized_spec(examples.GaussianQuantConfig(**kv))
 
 
-def _builtin_gaussian_reduced(**kv):
-    base = dict(pam_points=8, noise_points=25, state_points=500,
-                output_spacing_factor=1.0)
-    base.update(kv)
-    return _builtin_gaussian(**base)
-
-
-def _builtin_dueck_reduction(q=0.75, receiver=1):
-    return examples.dueck_reduction_spec(q, receiver=receiver)
-
-
-def _builtin_binary_bc(q=0.6, gamma=0.5):
-    return examples.binary_bc_spec(q, gamma)
-
-
-def _builtin_flipped_bc(q=0.6, gamma=0.5):
-    return examples.flipped_bc_spec(q, gamma)
-
-
-def _builtin_dueck(q=0.75):
-    return examples.dueck_bc_spec(q)
+def _erasure_pairs(e1, s1, e2, s2):
+    """Pair pmfs P(e_k, s_k) = P(e_k) P(s_k) of the erasure BC's two receivers."""
+    return [np.outer([1.0 - e, e], [1.0 - s, s]) for e, s in ((e1, s1), (e2, s2))]
 
 
 def _builtin_erasure_bc(e1=0.2, s1=0.12, e2=0.4, s2=0.3):
-    p1 = np.outer([1.0 - e1, e1], [1.0 - s1, s1])
-    p2 = np.outer([1.0 - e2, e2], [1.0 - s2, s2])
-    return examples.erasure_bc_spec(p1, p2)
+    return examples.erasure_bc_spec(*_erasure_pairs(e1, s1, e2, s2))
 
 
+# each builder's keyword defaults are the builtin's
 BUILTINS = {
-    "binary": _builtin_binary,
-    "erasure": _builtin_erasure,
+    "binary": examples.binary_multiplicative_spec,
+    "erasure": examples.erasure_spec,
     "gaussian": _builtin_gaussian,
-    "gaussian-reduced": _builtin_gaussian_reduced,
-    "dueck-reduction": _builtin_dueck_reduction,
-    "binary-bc": _builtin_binary_bc,
-    "flipped-bc": _builtin_flipped_bc,
-    "dueck": _builtin_dueck,
+    "gaussian-reduced": functools.partial(_builtin_gaussian, pam_points=8, noise_points=25,
+                                          state_points=500, output_spacing_factor=1.0),
+    "dueck-reduction": examples.dueck_reduction_spec,
+    "binary-bc": examples.binary_bc_spec,
+    "flipped-bc": examples.flipped_bc_spec,
+    "dueck": examples.dueck_bc_spec,
     "erasure-bc": _builtin_erasure_bc,
 }
 
@@ -408,9 +383,8 @@ def cmd_bc(args):
             columns = dict(zip(("distortion", "sum_rate"), zip(*hull)))
         config = {"q": args.q, "resolution": args.resolution}
     elif sub == "erasure":
-        p1 = np.outer([1.0 - args.e1, args.e1], [1.0 - args.s1, args.s1])
-        p2 = np.outer([1.0 - args.e2, args.e2], [1.0 - args.s2, args.s2])
-        t1, t2 = bcregions.erasure_bc_distortion_region(p1, p2)
+        t1, t2 = bcregions.erasure_bc_distortion_region(
+            *_erasure_pairs(args.e1, args.s1, args.e2, args.s2))
         columns = {"d1_threshold": [t1], "d2_threshold": [t2]}
         config = {"e1": args.e1, "s1": args.s1, "e2": args.e2, "s2": args.s2}
     else:                                    # pragma: no cover

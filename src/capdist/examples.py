@@ -21,7 +21,7 @@ HAMMING2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 # binary multiplicative channel (single user)
 # ---------------------------------------------------------------------------
 
-def binary_multiplicative_spec(q):
+def binary_multiplicative_spec(q=0.4):
     """Y = S*X with S ~ Bernoulli(q), perfect feedback Z = Y, Hamming
     distortion, zero input cost."""
     law = np.zeros((2, 2, 2))
@@ -36,8 +36,8 @@ def binary_multiplicative_cd(q, distortion):
     """Closed-form tradeoff C(D) = q * H_b(D / min{q, 1-q}), capped at the
     capacity once D reaches D_max."""
     dmax_scale = min(q, 1.0 - q)
-    if dmax_scale == 0.0:
-        return 0.0
+    if dmax_scale == 0.0:                  # a known state: D_max = 0
+        return q
     p = min(distortion / dmax_scale, 0.5)
     return q * binary_entropy(p)
 
@@ -46,7 +46,7 @@ def binary_multiplicative_cd(q, distortion):
 # state-dependent erasure channel (single user, no tradeoff)
 # ---------------------------------------------------------------------------
 
-def erasure_spec(p_s):
+def erasure_spec(p_s=0.5):
     """S ~ Bernoulli(p_s); Y = X when S=0 and '?' (index 2) when S=1;
     perfect feedback Z = Y; Hamming distortion on the state."""
     law = np.zeros((2, 2, 3))
@@ -82,13 +82,13 @@ def _binary_bc_spec(q, gamma, flip):
                      law=law, distortion_1=HAMMING2.copy(), distortion_2=HAMMING2.copy())
 
 
-def binary_bc_spec(q, gamma):
+def binary_bc_spec(q=0.6, gamma=0.5):
     """Physically degraded binary BC: Y_k = S_k X, output feedback
     Z = (Y1, Y2) with z = 2*y1 + y2."""
     return _binary_bc_spec(q, gamma, flip=0)
 
 
-def flipped_bc_spec(q, gamma):
+def flipped_bc_spec(q=0.6, gamma=0.5):
     """Binary BC with flipping input: Y1 = S1 X, Y2 = S2 (1-X)."""
     return _binary_bc_spec(q, gamma, flip=1)
 
@@ -144,7 +144,7 @@ def erasure_bc_psis():
 # Dueck broadcast example
 # ---------------------------------------------------------------------------
 
-def dueck_bc_spec(q):
+def dueck_bc_spec(q=0.75):
     """State-dependent Dueck BC.
 
     Input x = 4*x0 + 2*x1 + x2; states S_k iid Bernoulli(q); outputs
@@ -167,7 +167,7 @@ def dueck_bc_spec(q):
                      distortion_1=HAMMING2.copy(), distortion_2=HAMMING2.copy())
 
 
-def dueck_reduction_spec(q, receiver=1):
+def dueck_reduction_spec(q=0.75, receiver=1):
     """Single-user reduction of the Dueck BC used by the oracles.
 
     The common bit x0 is dropped (it never affects sensing): input
@@ -227,8 +227,6 @@ def _gaussian_atoms(sigma, n_points, halfwidth):
     the edge atoms so the pmf is exactly normalized."""
     from scipy import stats
 
-    if sigma == 0.0:
-        return np.array([0.0]), np.array([1.0])
     vals = np.linspace(-halfwidth * sigma, halfwidth * sigma, n_points)
     mids = (vals[:-1] + vals[1:]) / 2.0
     cdf = stats.norm.cdf(mids, scale=sigma)
@@ -362,24 +360,19 @@ def gaussian_two_pam_analytic(amplitude, sigma_fb2=1.0):
 
 
 def gaussian_two_pam_point(spec, budget):
-    """Best antipodal two-point input {-v, +v} within the cost budget:
-    the feasible pair with the smallest expected distortion.
+    """Best antipodal two-point input {-v, +v} within the cost budget: the
+    feasible pair of least expected distortion (the first, on a tie).
 
     Returns (rate, distortion, pmf).
     """
     m = spec.input_size
+    i = np.arange(m // 2)
+    pairs = np.zeros((i.size, m))
+    pairs[i, i] = pairs[i, m - 1 - i] = 0.5
     est = estimator.build_estimator(spec)
-    best = None
-    for i in range(m // 2):
-        j = m - 1 - i
-        if spec.cost[j] > budget:
-            continue
-        pmf = np.zeros(m)
-        pmf[i] = pmf[j] = 0.5
-        dist = estimator.expected_distortion(est, pmf)
-        if best is None or dist < best[1]:
-            rate = solver.conditional_mutual_information(spec, pmf)
-            best = (rate, dist, pmf)
-    if best is None:
+    dist = np.where(spec.cost[m - 1 - i] > budget, np.inf, pairs @ est.cost)
+    k = int(np.argmin(dist))
+    if dist[k] == np.inf:
         raise ValueError("no antipodal pair satisfies the budget")
-    return best
+    return (solver.conditional_mutual_information(spec, pairs[k]), float(dist[k]),
+            pairs[k])

@@ -132,7 +132,8 @@ class TradeoffPoint:
     input_pmf: np.ndarray
     iterations: int
     converged: bool
-    gap: float                         # bits: Blahut's bound minus J (inf: no bound)
+    gap: float                         # bits: Blahut's bound minus J, exact to
+                                       # rounding, floored at 0 (inf: no bound)
     objective_trace: Optional[list] = field(default=None, repr=False)
 
 
@@ -220,7 +221,8 @@ class _BaWork:
 def _gaps(work, p, w, j, b, budget):
     """Blahut's duality gap at every row of p, whose w = a - t - mu*c and
     J = sum p*w are given: min over lambda >= 0 of lambda*B + max_x (w(x) -
-    lambda*b(x)), less J; inf at a row whose E[b], as summed, exceeds B.
+    lambda*b(x)), less J, exact to rounding, floored at 0 (the bound sums J's
+    terms in another order); inf at a row whose E[b], as summed, exceeds B.
 
     By LP duality the bound is the budget LP of w (`estimator._budget_lp`),
     the largest mean of w over the pmfs that meet the budget, which stays
@@ -234,7 +236,7 @@ def _gaps(work, p, w, j, b, budget):
         w[holes] = np.where(work.unreached(p[holes]), np.inf, w[holes])
     upper = estimator._budget_lp(w, b, budget)[0]
     ok = (p * b).sum(axis=1) <= budget
-    return np.where(ok, upper - j, np.inf)
+    return np.where(ok, np.maximum(upper - j, 0.0), np.inf)
 
 
 def _dual_rows(base_g, b, budget, lam0):

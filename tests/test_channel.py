@@ -37,11 +37,55 @@ def joint_doc():
 # validation
 # ---------------------------------------------------------------------------
 
-def test_validate_accepts_builtin_examples():
-    # construction validates: building each spec is the whole check
-    small_spec()
-    examples.erasure_spec(0.3)
-    examples.binary_bc_spec(0.6, 0.5)
+@pytest.mark.parametrize("name", sorted(cli.BUILTINS))
+def test_validate_accepts_builtin_examples(name, tmp_path):
+    # construction validates: building each spec at its defaults (the
+    # Gaussian ones on small grids) is the check; `gen` then round-trips it
+    grids = {"gaussian": ",pam_points=2,noise_points=5,state_points=4",
+             "gaussian-reduced": ",state_points=4"}
+    spec, again = gen_and_load(name + grids.get(name, ""), tmp_path / "spec.json")
+    assert again.labels == spec.labels
+    assert_same_spec(again, spec)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SdmcSpec(state_pmf=[[0.5, 0.5]], law=small_law(), distortion=np.eye(2)),
+     "state_pmf: expected 1-D"),
+    (lambda: SdmcSpec(state_pmf=[0.5, 0.5], law_y=np.full((2, 2, 2), 0.5),
+                      law_z=np.full((3, 2, 2), 0.5), distortion=np.eye(2)),
+     "disagree on (x,s) shape"),
+    (lambda: SdmcSpec(state_pmf=[0.5, 0.5], law=small_law()), "spec needs a distortion"),
+    (lambda: SdmcSpec(state_pmf=[0.5, 0.5], law=small_law(), distortion=np.eye(2),
+                      cost=[0.0, 1.0, 2.0]), "cost: wrong shape"),
+    (lambda: SdmcSpec(state_pmf=[0.5, 0.5], law=small_law()[..., 0], distortion=np.eye(2)),
+     "law: expected 4-D"),
+    (lambda: SdmcSpec(state_pmf=[1.0], law=small_law(), distortion=np.eye(2)),
+     "law: state axis does not match state_pmf"),
+    (lambda: SdmcSpec(state_pmf=[0.5, 0.5], law=small_law(), distortion=np.ones(2)),
+     "distortion: expected a 2-D matrix"),
+    (lambda: SdmcSpec(state_pmf=[0.5, 0.5], law=small_law(), distortion=-np.eye(2)),
+     "distortion: negative distortion at (0, 0)"),
+    (lambda: dataclasses.replace(examples.binary_bc_spec(), joint_state_pmf=[0.5, 0.5]),
+     "joint_state_pmf must be 2-D"),
+    (lambda: dataclasses.replace(examples.binary_bc_spec(),
+                                 law=examples.binary_bc_spec().law[..., 0]),
+     "law: expected 6-D"),
+    (lambda: dataclasses.replace(examples.binary_bc_spec(), joint_state_pmf=[[0.5, 0.5]]),
+     "law: state axes do not match joint_state_pmf"),
+    (lambda: dataclasses.replace(examples.binary_bc_spec(), distortion_2=np.eye(3)),
+     "distortion_2: state axis does not match S2"),
+    (lambda: spec_from_dict([small_spec()]), "must be an object"),
+    (lambda: spec_from_dict({**spec_to_dict(small_spec()),
+                             "distortion": {"kind": "cubic", "state_values": [0.0, 1.0],
+                                            "estimate_values": [0.0, 1.0]}}),
+     "unknown distortion kind 'cubic'"),
+    (lambda: spec_to_dict(small_law()), "not a channel spec"),
+    (lambda: MappingTable(np.zeros(3), 1), "mapping table must be 2-D"),
+])
+def test_validation_errors_name_their_fault(build, message):
+    with pytest.raises(SpecValidationError) as info:
+        build()
+    assert message in str(info.value)
 
 
 def test_state_pmf_must_normalize():
@@ -245,6 +289,18 @@ def _round_trip_spec(seed, sizes, form, quadratic, costly):
                     cost=rng.random(nx) if costly else None)
 
 
+def assert_same_spec(got, want):
+    """got is a spec of want's type whose arrays are want's within 1e-15
+    (the parser divides each law row and the state pmf by its sum, which
+    moves entries by an ulp or two)."""
+    assert type(got) is type(want)
+    want, got = _spec_arrays(want), _spec_arrays(got)
+    assert want.keys() == got.keys()
+    for name in want:
+        assert got[name].shape == want[name].shape, name
+        assert np.max(np.abs(got[name] - want[name]), initial=0.0) <= 1e-15, name
+
+
 def _spec_arrays(spec):
     """Every array a spec holds, by field name; a quadratic distortion by
     its two value grids."""
@@ -264,16 +320,8 @@ def _spec_arrays(spec):
        form=st.sampled_from(["joint", "factored", "broadcast"]),
        quadratic=st.booleans(), costly=st.booleans())
 def test_json_round_trip_property(seed, sizes, form, quadratic, costly):
-    # the parser divides each law row and the state pmf by its sum, which
-    # moves entries by an ulp or two, hence the tolerance
     spec = _round_trip_spec(seed, sizes, form, quadratic, costly)
-    again = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
-    assert type(again) is type(spec)
-    want, got = _spec_arrays(spec), _spec_arrays(again)
-    assert want.keys() == got.keys()
-    for name in want:
-        assert got[name].shape == want[name].shape, name
-        assert np.max(np.abs(got[name] - want[name]), initial=0.0) <= 1e-15, name
+    assert_same_spec(spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))), spec)
 
 
 def test_unknown_fields_rejected():

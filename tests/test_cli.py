@@ -69,6 +69,21 @@ def test_bad_builtin_param_is_input_error(capsys):
     assert "not k=v" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tradeoff", "--builtin", "binary", "--mu-grid", "0:1:0"], "needs n >= 1"),
+    (["tradeoff", "--builtin", "binary", "--budget", "abc"], "must be a number"),
+    (["gen", "--builtin", "binary,q=x"], "'q=x' is not numeric"),
+    (["baselines", "--builtin", "dueck"], "expects a single-receiver spec"),
+])
+def test_bad_arguments_exit_2(capsys, argv, message):
+    try:                                  # argparse exits on a bad --budget
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and message in err
+
+
 def test_dueck_reduction_rejects_bad_receiver(capsys):
     # any receiver but 1 once selected receiver 2's state bit
     for receiver in ("3", "1.5"):
@@ -378,6 +393,13 @@ def test_bc_degraded_requires_broadcast_spec(capsys):
     code, _, err = run(capsys, "bc", "degraded", "--builtin", "binary")
     assert code == 2
     assert "broadcast" in err
+
+
+def test_bc_degraded_warns_on_a_channel_that_is_not_degraded(capsys):
+    code, out, err = run(capsys, "bc", "degraded", "--builtin", "erasure-bc",
+                         "--resolution", "2")
+    assert code == 0 and out.startswith("r0,r1,r2,d1,d2,params\n")
+    assert err.startswith("warning: spec is not physically degraded")
 
 
 def test_bc_degraded_runs_on_builtin(capsys):

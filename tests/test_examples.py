@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capdist import channel, estimator, examples
+from capdist import channel, estimator, examples, solver
 from capdist.bcregions import dueck_distortion
 from capdist.channel import QuadraticDistortion
 from capdist.errors import MemoryGuard
@@ -23,6 +23,16 @@ def test_binary_cd_curve_values():
     assert binary_multiplicative_cd(0.4, 0.2) == pytest.approx(0.4)
     assert binary_multiplicative_cd(0.4, 0.9) == pytest.approx(0.4)  # clamp
     assert binary_multiplicative_cd(0.7, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_binary_cd_at_a_known_state_is_the_capacity(q):
+    # the state costs nothing to sense, so C(D) is the capacity at every D:
+    # 0 bits for Y = 0 (q = 0), 1 bit for Y = X (q = 1), where it read 0
+    points = solver.sweep_frontier(binary_multiplicative_spec(q), np.inf, [0.0, 1.0])
+    assert max(p.rate for p in points) == pytest.approx(q, abs=1e-10)
+    for d in (0.0, 0.3, 1.0):
+        assert binary_multiplicative_cd(q, d) == q
 
 
 def test_binary_spec_is_deterministic():
@@ -81,6 +91,13 @@ def test_gaussian_atoms_normalized_and_symmetric():
     assert probs.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(vals, -vals[::-1])
     assert np.allclose(probs, probs[::-1])
+
+
+def test_noiseless_feedback_shares_the_output_law():
+    cfg = GaussianQuantConfig(pam_points=4, noise_points=5, state_points=4,
+                              feedback_variance=0.0)
+    spec = gaussian_quantized_spec(cfg)
+    assert np.array_equal(spec.law_z, spec.law_y)
 
 
 def test_snap_ties_to_lower_index():

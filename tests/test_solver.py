@@ -176,6 +176,15 @@ def test_gap_is_infinite_where_a_massless_input_reaches_new_outputs():
     assert gap[0] == 0.0
 
 
+def test_certified_gaps_are_never_negative():
+    # the bound and J sum the same terms in different orders, so rows at the
+    # optimum (mu = 41.25, 58.78 and 1000 here) once read an ulp below 0
+    spec = cli.BUILTINS["gaussian-reduced"](state_points=100)
+    points = sweep_frontier(spec, 0.5, cli._parse_mu_grid("auto"))
+    assert all(p.gap >= 0.0 for p in points)
+    assert all(p.converged for p in points)
+
+
 def test_degenerate_update_raises():
     with pytest.raises(DegenerateUpdate):
         solver._pmfs(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))

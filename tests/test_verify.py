@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from capdist import examples, estimator, verify
-from capdist.channel import MAX_LATTICE_POINTS, simplex_lattice
+from capdist.channel import (MAX_LATTICE_POINTS, QuadraticDistortion, SdmcSpec,
+                             simplex_lattice)
 from capdist.errors import InfeasibleConstraints, InstanceTooLarge
 from capdist.verify import (brute_force_tradeoff, exhaustive_estimator_search,
                             simulate_distortion)
@@ -146,3 +147,19 @@ def test_estimator_search_guard():
     big = dataclasses.replace(spec, distortion=np.zeros((3, 16)))
     with pytest.raises(InstanceTooLarge):
         exhaustive_estimator_search(big, np.full(3, 1 / 3))
+
+
+def test_oracles_read_a_quadratic_distortion_as_its_matrix():
+    # the quadratic form is looked up entry by entry, the dense one indexed
+    rng = np.random.default_rng(8)
+    law_z = rng.multinomial(8, np.full(3, 1 / 3), size=(2, 3)) / 8.0
+    quad = SdmcSpec(state_pmf=[0.25, 0.5, 0.25], law_y=law_z, law_z=law_z,
+                    distortion=QuadraticDistortion([-1.0, 0.0, 2.0], [-1.0, 0.5, 2.0]))
+    dense = dataclasses.replace(quad, distortion=quad.distortion.as_matrix())
+    p_x = [0.375, 0.625]
+    a, b = (simulate_distortion(spec, p_x, 4000, seed=3) for spec in (quad, dense))
+    assert a.empirical_value == b.empirical_value
+    assert a.analytic_value == pytest.approx(b.analytic_value, abs=1e-12)
+    (ta, va), (tb, vb) = (exhaustive_estimator_search(spec, p_x) for spec in (quad, dense))
+    assert np.array_equal(ta, tb)
+    assert va == vb
