@@ -245,11 +245,16 @@ def _check_rows(t, name):
     """Every row (last axis) of t is a pmf: finite, nonnegative, summing to 1
     within PMF_ATOL; a 1-D t is one pmf.  Messages name the field and the
     index."""
-    _check_finite(t, name)
-    if np.any(t < 0):
-        idx = tuple(int(i) for i in np.argwhere(t < 0)[0])
-        raise SpecValidationError(f"{name}: negative probability at {idx}")
-    sums = t.sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = t.sum(axis=-1)
+    # NaN, -inf and negative entries fail the min, +inf the sums; the scans
+    # that name the first fault run only then
+    if not (np.min(t, initial=0.0) >= 0 and np.isfinite(sums).all()):
+        _check_finite(t, name)
+        if np.any(t < 0):
+            idx = tuple(int(i) for i in np.argwhere(t < 0)[0])
+            raise SpecValidationError(f"{name}: negative probability at {idx}")
+        sums = t.sum(axis=-1)    # finite entries that overflow warn, as they did
     bad = np.abs(sums - 1.0) > PMF_ATOL
     if np.any(bad):
         idx = tuple(int(i) for i in np.argwhere(bad)[0])

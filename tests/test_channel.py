@@ -26,6 +26,14 @@ def small_law():
     return law
 
 
+def small_law_with(*cells):
+    """small_law with each (index, value) of `cells` written in."""
+    law = small_law()
+    for idx, value in cells:
+        law[idx] = value
+    return law
+
+
 def joint_doc():
     """small_spec as a spec document with the joint law."""
     doc = spec_to_dict(small_spec())
@@ -65,6 +73,20 @@ def test_validate_accepts_builtin_examples(name, tmp_path):
      "distortion: expected a 2-D matrix"),
     (lambda: SdmcSpec(state_pmf=[0.5, 0.5], law=small_law(), distortion=-np.eye(2)),
      "distortion: negative distortion at (0, 0)"),
+    # -inf is non-finite before it is negative, and a non-finite entry is
+    # named before a negative one in an earlier row
+    (lambda: SdmcSpec(state_pmf=[0.6, 0.4], law=small_law_with(((1, 0, 0, 0), -np.inf)),
+                      distortion=np.eye(2)),
+     "law row (x,s): non-finite entry at (1, 0, 0)"),
+    (lambda: SdmcSpec(state_pmf=[0.6, 0.4],
+                      law=small_law_with(((0, 0, 0, 0), -0.1), ((1, 1, 0, 0), np.nan)),
+                      distortion=np.eye(2)),
+     "law row (x,s): non-finite entry at (1, 1, 0)"),
+    # finite entries whose sum overflows: the sum, not an entry, is at fault
+    pytest.param(lambda: SdmcSpec(state_pmf=[1e308, 1e308], law=small_law(),
+                                  distortion=np.eye(2)),
+                 "state_pmf: sums to inf, not 1",
+                 marks=pytest.mark.filterwarnings("ignore:overflow")),
     (lambda: dataclasses.replace(examples.binary_bc_spec(), joint_state_pmf=[0.5, 0.5]),
      "joint_state_pmf must be 2-D"),
     (lambda: dataclasses.replace(examples.binary_bc_spec(),

@@ -100,6 +100,39 @@ def test_noiseless_feedback_shares_the_output_law():
     assert np.array_equal(spec.law_z, spec.law_y)
 
 
+def _per_atom_scatter(mean_pos, kernel_off, kernel_pr):
+    # the law as first written: one fancy-indexed add per kernel atom, so each
+    # cell sums its masses in kernel order
+    lo = int(np.floor(mean_pos.min() + kernel_off.min()))
+    hi = int(np.ceil(mean_pos.max() + kernel_off.max())) + 1
+    out = np.zeros(mean_pos.shape + (hi - lo + 1,))
+    rows = np.arange(mean_pos.shape[0])[:, None]
+    cols = np.arange(mean_pos.shape[1])[None, :]
+    for off, pr in zip(kernel_off, kernel_pr):
+        out[rows, cols, examples._snap(mean_pos + off) - lo] += pr
+    return out
+
+
+@pytest.mark.parametrize("kw", [
+    dict(pam_points=2, noise_points=5, state_points=4),
+    dict(pam_points=4, noise_points=25, state_points=6, feedback_variance=0.0,
+         output_spacing_factor=3.0),
+    dict(pam_points=4, noise_points=21, state_points=9, output_spacing_factor=3.0),
+    dict(pam_points=3, noise_points=25, state_points=50,   # 300 rows: 256 + 44
+         output_spacing_factor=3.0),
+])
+def test_block_scatter_matches_per_atom_adds(monkeypatch, kw):
+    # the block bincount must give every law the same bits as adding the
+    # atoms one at a time; at 3 noise steps per output step a cell gets
+    # enough atoms that adding them in another order changes its last bits
+    cfg = GaussianQuantConfig(**kw)
+    spec = gaussian_quantized_spec(cfg)
+    monkeypatch.setattr(examples, "_scatter", _per_atom_scatter)
+    ref = gaussian_quantized_spec(cfg)
+    for got, want in ((spec.law_y, ref.law_y), (spec.law_z, ref.law_z)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_snap_ties_to_lower_index():
     assert examples._snap(0.5) == 0
     assert examples._snap(1.5) == 1
@@ -172,6 +205,25 @@ def test_two_pam_analytic_monotone():
     dists = [p[1] for p in pts]
     assert rates == sorted(rates)
     assert dists == sorted(dists, reverse=True)
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 0.7, 3.0, 10.0])
+def test_two_pam_analytic_density_is_scipys(amplitude):
+    # the inlined normal density gives the floats of a stats.norm.pdf integrand
+    from scipy import integrate, stats
+
+    gh_x, gh_w = np.polynomial.hermite_e.hermegauss(151)
+
+    def i_bpsk(snr):
+        arg = -2.0 * snr - 2.0 * np.sqrt(snr) * gh_x
+        val = np.log1p(np.exp(np.minimum(arg, 700.0))) / np.log(2.0)
+        return 1.0 - float(np.dot(gh_w, val)) / np.sqrt(2.0 * np.pi)
+
+    def integrand(s_abs):
+        return 2.0 * stats.norm.pdf(s_abs) * i_bpsk(s_abs * s_abs * amplitude ** 2)
+
+    rate, _ = integrate.quad(integrand, 0.0, 10.0, limit=200)
+    assert gaussian_two_pam_analytic(amplitude)[0] == float(rate)
 
 
 def test_quantized_two_pam_tracks_analytic():
