@@ -5,15 +5,14 @@ Modules:
                 single-user view of each broadcast receiver
   estimator  -- optimal symbol-wise state estimator, D_min/D_trivial
   solver     -- conditional mutual information, modified Blahut-Arimoto,
-                frontier sweeps, baselines, no-tradeoff certification
-  bcregions  -- broadcast-channel regions (degraded, outer bound, closed forms)
+                frontier sweeps, baselines, no-tradeoff decision (psi* derived)
+  bcregions  -- broadcast regions (degraded, outer bound, closed forms, CD = C x D)
   verify     -- Monte-Carlo and brute-force oracles, reference BA updates
   examples   -- paper-style example builders (binary, erasure, Dueck, Gaussian)
   cli        -- command-line interface
 """
 
-from .channel import (MappingTable, QuadraticDistortion, SdmbcSpec, SdmcSpec,
-                      receiver_spec)
+from .channel import QuadraticDistortion, SdmbcSpec, SdmcSpec, receiver_spec
 from .estimator import (EstimatorTable, build_estimator,
                         d_min, d_trivial, expected_distortion)
 from .solver import (BaConfig, TradeoffPoint, baseline_ts,

@@ -2,9 +2,9 @@
 
 Covers: the physically-degraded region (auxiliary-grid sweep of the
 superposition bounds), the general outer bound, the product-region
-(no-tradeoff) certification, and the closed-form regions of the binary and
-Dueck broadcast examples, including the upper concave hull the Dueck inner
-bound requires.
+(CD = C x D) decision, from the channel alone, and the closed-form regions
+of the binary and Dueck broadcast examples, including the upper concave hull
+the Dueck inner bound requires.
 
 Region samples are record arrays (see `region_samples`): one row per
 sample, with columns r0, r1, r2, d1, d2 and the parameters that produced it.
@@ -185,21 +185,21 @@ def outer_bound_samples(bc, resolution=32, seed=0):
 
 @dataclass
 class ProductRegionReport:
-    passed: bool
-    worst_independence: tuple
+    worst_independence: tuple        # fields in `verify no-tradeoff` JSON order
     worst_markov: tuple
     tol: float
+    passed: bool
 
 
-def product_region_check(bc, psi1, psi2):
-    """Certify CD = C x D exactly: the single-user no-tradeoff check of
-    T_k = psi_k(X,Z) on each receiver's view; deviations are (receiver 1, 2)."""
-    r1, r2 = (solver.no_tradeoff_check(channel.receiver_spec(bc, k), psi)
-              for k, psi in ((1, psi1), (2, psi2)))
+def product_region_check(bc):
+    """Decide CD = C x D from the channel: the single-user no-tradeoff check
+    (at its canonical map psi*) on each receiver's view; deviations are
+    (receiver 1, 2)."""
+    r1, r2 = (solver.no_tradeoff_check(channel.receiver_spec(bc, k)) for k in (1, 2))
     return ProductRegionReport(
-        passed=r1.passed and r2.passed,
         worst_independence=(r1.worst_independence, r2.worst_independence),
-        worst_markov=(r1.worst_markov, r2.worst_markov), tol=r1.tol)
+        worst_markov=(r1.worst_markov, r2.worst_markov), tol=r1.tol,
+        passed=r1.passed and r2.passed)
 
 
 def erasure_bc_distortion_region(p_e1s1, p_e2s2):

@@ -91,22 +91,6 @@ def distortion_lookup(d, s_idx, shat_idx):
 
 
 @dataclass(frozen=True)
-class MappingTable:
-    """A total function psi: X x Z -> T, stored as an integer table."""
-    table: np.ndarray
-    codomain_size: int
-
-    def __post_init__(self):
-        t = np.ascontiguousarray(np.asarray(self.table, dtype=np.int64))
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-        if t.ndim != 2:
-            raise SpecValidationError("mapping table must be 2-D (X x Z)")
-        if t.size and (t.min() < 0 or t.max() >= self.codomain_size):
-            raise SpecValidationError("mapping table image outside codomain")
-
-
-@dataclass(frozen=True)
 class SdmcSpec:
     """Single-receiver state-dependent memoryless channel.
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import estimator, solver
 from .bcregions import binary_entropy
-from .channel import MappingTable, QuadraticDistortion, SdmbcSpec, SdmcSpec
+from .channel import QuadraticDistortion, SdmbcSpec, SdmcSpec
 from .errors import MemoryGuard
 
 # SciPy is imported inside the three Gaussian functions that use it: at module
@@ -55,13 +55,6 @@ def erasure_spec(p_s=0.5):
         law[x, 1, 2] = 1.0
     return SdmcSpec(state_pmf=np.array([1.0 - p_s, p_s]), law_y=law, law_z=law,
                     distortion=HAMMING2.copy())
-
-
-def erasure_psi():
-    """psi(x, z) = 1{z = '?'}; reveals exactly the state."""
-    table = np.zeros((2, 3), dtype=np.int64)
-    table[:, 2] = 1
-    return MappingTable(table=table, codomain_size=2)
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +122,6 @@ def erasure_bc_spec(p_e1s1, p_e2s2):
                      distortion_1=d.copy(), distortion_2=d.copy())
 
 
-def erasure_bc_psis():
-    """psi_k(x, z) = 1{z_k = '?'} for the 9-symbol joint feedback."""
-    t1 = np.zeros((2, 9), dtype=np.int64)
-    t2 = np.zeros((2, 9), dtype=np.int64)
-    for z in range(9):
-        z1, z2 = divmod(z, 3)
-        t1[:, z] = int(z1 == 2)
-        t2[:, z] = int(z2 == 2)
-    return MappingTable(t1, 2), MappingTable(t2, 2)
-
-
 # ---------------------------------------------------------------------------
 # Dueck broadcast example
 # ---------------------------------------------------------------------------
@@ -191,11 +173,6 @@ def dueck_reduction_spec(q=0.75, receiver=1):
         bit = (s >> 1) & 1 if receiver == 1 else s & 1
         d[s, :] = [bit != 0, bit != 1]
     return SdmcSpec(state_pmf=state_pmf, law_y=law, law_z=law, distortion=d)
-
-
-def dueck_input_pmf(t):
-    """Input pmf over (x1, x2) with P(X1 != X2) = t, symmetric otherwise."""
-    return np.array([(1 - t) / 2, t / 2, t / 2, (1 - t) / 2])
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +312,6 @@ def gaussian_quantized_spec(cfg=None):
                                                    estimate_values=s_vals),
                     cost=x_vals ** 2,
                     labels={"x_values": x_vals.tolist()})
-
-
-def gaussian_analytic_anchors(power, sigma_fb2=1.0, mc_samples=200_000, seed=0):
-    """Continuous-model anchor values (no quantization).
-
-    c_noest and d_max by seeded Monte-Carlo, d_min in closed form, r_min by
-    numerical integration of the 2-PAM conditional mutual information over
-    the fading state.
-    """
-    rng = np.random.default_rng(seed)
-    s = rng.standard_normal(mc_samples)
-    c_noest = float(np.mean(0.5 * np.log2(1.0 + s * s * power)))
-    x = rng.normal(0.0, np.sqrt(power), mc_samples)
-    d_max = float((1.0 + sigma_fb2) * np.mean(1.0 / (1.0 + x * x + sigma_fb2)))
-    r_min, d_min = gaussian_two_pam_analytic(np.sqrt(power), sigma_fb2)
-    return {"c_noest": c_noest, "d_max": d_max, "d_min": d_min,
-            "r_min": r_min}
 
 
 def gaussian_two_pam_analytic(amplitude, sigma_fb2=1.0):

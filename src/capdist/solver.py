@@ -59,10 +59,15 @@ from its lambda of the previous pass, and returns feasible pmfs.  Each
 `_solve_rows` call logs one debug record (rows, passes, dual evaluations,
 polish attempts and acceptances, wall time) to the "capdist" logger, which
 is silent unless the application configures it.
+
+`no_tradeoff_check` decides the paper's sufficient no-tradeoff condition
+from the channel alone, at psi*, the class of the posterior P(s|x,z): it
+passes exactly when some map T = psi(X,Z) does.
 """
 
 from __future__ import annotations
 
+import collections
 import sys
 import time
 from dataclasses import dataclass, field
@@ -71,7 +76,7 @@ from typing import Optional
 import numpy as np
 
 from . import estimator
-from .errors import DegenerateUpdate, Infeasible, SpecValidationError
+from .errors import DegenerateUpdate, Infeasible
 
 _BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of each (rows, S*Y) temporary
 _CURVATURE_COLUMNS = 2 ** 13  # law columns per product of `_BaWork.curvature`
@@ -89,6 +94,7 @@ _POLISH_STEPS = 6           # Newton steps of one polish
 _RIDGE = 1e-9               # relative ridge on the curvature diagonal of a Newton step
 _LOG2_FLOOR = -600.0        # log2 of the least mass a Newton step starts from or leaves
 _CHECK_TOL = 1e-9           # deviation the exact no-tradeoff and degradedness checks pass
+_POSTERIOR_TOL = 1e-9       # L1 distance within which two posteriors P(s|x,z) are one class of psi*
 
 
 def _xlog2x(p):
@@ -619,29 +625,84 @@ class NoTradeoffReport:
     passed: bool
 
 
-def no_tradeoff_check(spec, psi):
-    """Test the sufficient no-tradeoff conditions for T = psi(X,Z), exactly.
+def _posterior_classes(spec):
+    """psi*(x, z): the class of the posterior P(s|x,z), as an (X, Z) table
+    whose labels are pair indices; P(s|x,z) = P_S(s) P(z|x,s) / P(z|x).
 
-    Let W(x,s,t) = sum_{z: psi(x,z)=t} P_S(s) P(z|x,s); the input pmf cancels.
-    (i) (S,T) is independent of X for every P_X iff W(x,.,.) is the same at
-    every x; given (i), (ii) S - T - (X,Z) is a Markov chain iff
-    P_S(s) P(z|x,s) W(t|x) = W(x,s,t) P(z|x) at t = psi(x,z).  The report
-    holds the largest spread of W over x and the largest gap in (ii).  A pass
-    certifies that the estimation cost is constant in P_X, i.e.
-    communication and sensing do not trade off; it needs both at most
-    _CHECK_TOL.
+    Pairs are visited in the order of a key, their posterior's projection
+    on a fixed vector in [0, 1]^S, and each joins the first class whose
+    first posterior lies within _POSTERIOR_TOL of its own in L1 distance, or
+    opens one.  Posteriors that close have keys within _POSTERIOR_TOL (plus
+    rounding), so a pair meets only the classes opened within
+    2 * _POSTERIOR_TOL of its key, and no (X, Z, S) array is built.  Each
+    pair with P(z|x) = 0 is a class of its own.
     """
-    w = spec.state_pmf[None, :, None] * spec.law_z                    # (X, S, Z)
-    nx, ns, nz = w.shape
-    if psi.table.shape != (nx, nz):
-        raise SpecValidationError(f"psi table has shape {psi.table.shape}, "
-                                  f"not (|X|, |Z|) = {(nx, nz)}")
-    w_st = np.zeros((nx, ns, psi.codomain_size))                      # W(x, s, t)
-    np.add.at(w_st, (np.arange(nx)[:, None], slice(None), psi.table),
-              w.transpose(0, 2, 1))
-    w_at = np.take_along_axis(w_st, psi.table[:, None, :], axis=2)    # at t = psi(x, z)
-    worst1 = float(np.ptp(w_st, axis=0).max())
-    worst2 = float(np.abs(w * w_at.sum(axis=1)[:, None]
-                          - w_at * w.sum(axis=1)[:, None]).max())
+    nx, ns, nz = spec.law_z.shape
+    p_z = np.einsum("s,xsz->xz", spec.state_pmf, spec.law_z)
+    v = np.random.default_rng(0).random(ns)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        key = np.where(p_z > 0, np.einsum("s,xsz->xz", spec.state_pmf * v, spec.law_z) / p_z,
+                       np.inf).ravel()
+    table = np.arange(nx * nz)
+    opened = collections.deque()          # (key, first posterior, class) within reach
+    for i in np.argsort(key, kind="stable")[:np.count_nonzero(p_z)]:
+        x, z = divmod(int(i), nz)
+        post = spec.state_pmf * spec.law_z[x, :, z] / p_z[x, z]
+        while opened and opened[0][0] < key[i] - 2.0 * _POSTERIOR_TOL:
+            opened.popleft()
+        table[i] = next((t for _, first, t in opened
+                         if np.abs(post - first).sum() <= _POSTERIOR_TOL), i)
+        if table[i] == i:
+            opened.append((key[i], post, i))
+    return table.reshape(nx, nz)
+
+
+def no_tradeoff_check(spec):
+    """Decide the paper's sufficient no-tradeoff condition from the channel.
+
+    The condition asks for a map T = psi(X,Z) with (i) (S,T) independent of
+    X and (ii) S - T - (X,Z) a Markov chain; then the estimation cost is
+    constant in P_X, so communication and sensing do not trade off.  It is
+    tested, exactly, at psi* = `_posterior_classes`.  With
+    W(x,s,t) = sum_{z: psi(x,z)=t} P_S(s) P(z|x,s), in which P_X cancels,
+    (i) holds for every P_X iff W(x,.,.) is the same at every x, and given
+    (i), (ii) holds iff P_S(s) P(z|x,s) W(t|x) = W(x,s,t) P(z|x) at
+    t = psi(x,z).  The report holds the largest spread of W over x and the
+    largest gap in (ii); a pass needs both at most _CHECK_TOL.
+
+    Sound: a pass is an exact certificate for the psi* tested, however its
+    pairs were grouped; a grouping that merges unequal posteriors can only
+    cause a false FAIL.  Complete: under (ii), P(s|x,z) = P(s|T), so psi* is
+    a function of any valid T.  (S, psi*) is then a function of (S, T), which
+    (i) makes independent of X, so (i) holds for psi*; (ii) holds for psi*
+    by construction.  So psi* passes whenever some psi does.
+
+    W is built one input at a time.  Only the classes that every input
+    reaches keep a running max and min of W over x; any other class has
+    W = 0 at some input, so its spread is its largest W.
+    """
+    table = _posterior_classes(spec)
+    nx, ns, _ = spec.law_z.shape
+    reached = np.bincount(np.concatenate([np.unique(row) for row in table]),
+                          minlength=table.size)
+    shared = np.flatnonzero(reached == nx)             # classes every input reaches
+    hi = np.full((shared.size, ns), -np.inf)
+    lo = -hi
+    worst1 = worst2 = 0.0
+    for x in range(nx):
+        w = spec.state_pmf[:, None] * spec.law_z[x]                   # (S, Z)
+        labels, inv = np.unique(table[x], return_inverse=True)
+        order = np.argsort(inv, kind="stable")
+        w_t = np.add.reduceat(w[:, order], np.searchsorted(inv[order], np.arange(labels.size)),
+                              axis=1).T                               # W(x, ., t)
+        p_z = w.sum(axis=0)
+        every = np.isin(labels, shared)
+        c = np.searchsorted(shared, labels[every])
+        hi[c] = np.maximum(hi[c], w_t[every])
+        lo[c] = np.minimum(lo[c], w_t[every])
+        worst1 = max(worst1, w_t[~every].max(initial=0.0))
+        worst2 = max(worst2, np.abs(w * np.bincount(inv, weights=p_z)[inv]
+                                    - w_t[inv].T * p_z).max())
+    worst1, worst2 = float(max(worst1, (hi - lo).max(initial=0.0))), float(worst2)
     return NoTradeoffReport(worst1, worst2, _CHECK_TOL,
                             passed=max(worst1, worst2) <= _CHECK_TOL)

@@ -1,4 +1,4 @@
-"""Random channel specs shared by the test modules."""
+"""Random channel specs, and input pmfs, shared by the test modules."""
 
 import numpy as np
 
@@ -14,3 +14,9 @@ def random_spec(rng, nx=3, ns=3, ny=3, nz=3):
     np.fill_diagonal(d, 0.0)
     return SdmcSpec(state_pmf=state, law=law, distortion=d,
                     cost=rng.random(nx))
+
+
+def dueck_input_pmf(t):
+    """Input pmf of `examples.dueck_reduction_spec` over (x1, x2) with
+    P(X1 != X2) = t, symmetric otherwise."""
+    return np.array([(1 - t) / 2, t / 2, t / 2, (1 - t) / 2])

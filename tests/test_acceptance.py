@@ -16,7 +16,7 @@ from capdist.examples import (GaussianQuantConfig, binary_multiplicative_cd,
                               gaussian_quantized_spec, gaussian_two_pam_analytic,
                               gaussian_two_pam_point)
 from capdist.solver import BaConfig, solve_fixed_mu, sweep_frontier
-from random_specs import random_spec
+from random_specs import dueck_input_pmf, random_spec
 
 
 def report(num, name, ok, detail=""):
@@ -242,19 +242,14 @@ def test_criterion_6_random_channels_vs_oracles():
 
 def test_criterion_7_no_tradeoff_certificates():
     start = time.time()
-    erasure = solver.no_tradeoff_check(examples.erasure_spec(0.3),
-                                       examples.erasure_psi())
+    erasure = solver.no_tradeoff_check(examples.erasure_spec(0.3))
     pass_ok = (erasure.passed
                and max(erasure.worst_independence, erasure.worst_markov)
                <= 1e-12)
     p1 = np.array([[0.58, 0.10], [0.12, 0.20]])
     p2 = np.array([[0.30, 0.20], [0.30, 0.20]])
-    bc_rep = bcregions.product_region_check(
-        examples.erasure_bc_spec(p1, p2), *examples.erasure_bc_psis())
-    from capdist.channel import MappingTable
-    binary = solver.no_tradeoff_check(
-        binary_multiplicative_spec(0.4),
-        MappingTable(np.array([[0, 1], [0, 1]]), 2))
+    bc_rep = bcregions.product_region_check(examples.erasure_bc_spec(p1, p2))
+    binary = solver.no_tradeoff_check(binary_multiplicative_spec(0.4))
     fail_ok = (not binary.passed
                and max(binary.worst_independence, binary.worst_markov) > 1e-3)
     elapsed = time.time() - start
@@ -277,7 +272,7 @@ def test_criterion_8_monte_carlo_distortion():
     ok_bin = (abs(binary.z_score) <= 4.0
               and abs(binary.analytic_value - 0.2) <= 1e-12)
     dueck = verify.simulate_distortion(examples.dueck_reduction_spec(0.75),
-                                       examples.dueck_input_pmf(0.5), n,
+                                       dueck_input_pmf(0.5), n,
                                        seed=9)
     ok_dueck = (abs(dueck.z_score) <= 4.0
                 and abs(dueck.analytic_value - 11 / 64) <= 1e-12)

@@ -8,8 +8,6 @@ from capdist.bcregions import (binary_bc_region, binary_entropy,
                                erasure_bc_distortion_region, flipped_bc_region,
                                is_physically_degraded, outer_bound_samples,
                                product_region_check, upper_concave_hull)
-from capdist.channel import MappingTable
-from capdist.errors import SpecValidationError
 from random_specs import random_spec
 
 
@@ -251,28 +249,29 @@ def test_erasure_bc_thresholds():
 
 
 def test_product_region_erasure_bc_passes():
+    # each receiver's feedback reveals its state exactly when it is erased;
+    # psi* finds that map with no table given
     bc = examples.erasure_bc_spec(*erasure_pairs())
-    psi1, psi2 = examples.erasure_bc_psis()
-    rep = product_region_check(bc, psi1, psi2)
+    rep = product_region_check(bc)
     assert rep.passed
     assert max(rep.worst_independence + rep.worst_markov) <= 1e-12
 
 
 def test_product_region_corollary4_fails():
-    bc = examples.binary_bc_spec(0.6, 0.5)
-    # psi_k(x, z) = y_k read out of the joint feedback z = 2*y1 + y2
-    t1 = np.tile((np.arange(4) // 2)[None, :], (2, 1))
-    t2 = np.tile((np.arange(4) % 2)[None, :], (2, 1))
-    rep = product_region_check(bc, MappingTable(t1, 2), MappingTable(t2, 2))
+    rep = product_region_check(examples.binary_bc_spec(0.6, 0.5))
     assert not rep.passed
-    assert max(rep.worst_independence + rep.worst_markov) > 1e-3
+    assert rep.worst_independence == pytest.approx((0.6, 0.7), abs=1e-12)
 
 
-def test_product_region_rejects_psi_of_wrong_shape():
-    bc = examples.erasure_bc_spec(*erasure_pairs())
-    psi1, _ = examples.erasure_bc_psis()
-    with pytest.raises(SpecValidationError, match="psi table"):
-        product_region_check(bc, psi1, MappingTable(psi1.table[:1], 2))
+@pytest.mark.parametrize("make", [lambda: _random_bc(3), examples.dueck_bc_spec],
+                         ids=["random", "dueck"])
+def test_product_region_is_each_receivers_check(make):
+    bc = make()
+    r1, r2 = (solver.no_tradeoff_check(channel.receiver_spec(bc, k)) for k in (1, 2))
+    rep = product_region_check(bc)
+    assert rep.worst_independence == (r1.worst_independence, r2.worst_independence)
+    assert rep.worst_markov == (r1.worst_markov, r2.worst_markov)
+    assert rep.passed == (r1.passed and r2.passed) and rep.tol == r1.tol
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capdist import cli, estimator, examples
-from capdist.channel import (MappingTable, QuadraticDistortion, SdmbcSpec,
-                             SdmcSpec, receiver_spec, renormalize_rows,
-                             spec_from_dict, spec_to_dict)
+from capdist.channel import (QuadraticDistortion, SdmbcSpec, SdmcSpec,
+                             receiver_spec, renormalize_rows, spec_from_dict,
+                             spec_to_dict)
 from capdist.errors import SpecValidationError
 
 
@@ -102,7 +102,6 @@ def test_validate_accepts_builtin_examples(name, tmp_path):
                                             "estimate_values": [0.0, 1.0]}}),
      "unknown distortion kind 'cubic'"),
     (lambda: spec_to_dict(small_law()), "not a channel spec"),
-    (lambda: MappingTable(np.zeros(3), 1), "mapping table must be 2-D"),
 ])
 def test_validation_errors_name_their_fault(build, message):
     with pytest.raises(SpecValidationError) as info:
@@ -229,11 +228,6 @@ def test_quadratic_distortion_matrix_agrees_with_lookup():
     for s in range(3):
         for t in range(2):
             assert m[s, t] == qd.lookup(s, t)
-
-
-def test_mapping_table_image_checked():
-    with pytest.raises(SpecValidationError, match="codomain"):
-        MappingTable(np.array([[0, 3]]), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -564,59 +564,71 @@ def test_verify_no_tradeoff_erasure_passes(capsys):
                         "worst_markov", "tol", "passed"}
 
 
-def test_verify_no_tradeoff_binary_fails_with_psi(tmp_path, capsys):
-    psi = tmp_path / "psi.json"
-    psi.write_text(json.dumps({"table": [[0, 1], [0, 1]],
-                               "codomain_size": 2}))
-    code, out, err = run(capsys, "verify", "no-tradeoff", "--builtin",
-                         "binary", "--psi", str(psi))
-    assert code == 1
-    assert json.loads(out)["passed"] is False
-    assert "FAIL" in err
+_NO_TRADEOFF_VERDICTS = {           # builtin: (passed, worst_independence)
+    "erasure": (True, 0.0),
+    "binary": (False, 0.6),
+    "dueck-reduction": (False, 0.28125),
+    "gaussian,state_points=100": (False, 0.0257),
+    "gaussian-reduced": (False, 0.0121),
+    "erasure-bc": (True, (0.0, 0.0)),
+    "binary-bc": (False, (0.6, 0.7)),
+    "flipped-bc": (False, (0.4, 0.3)),
+    "dueck": (False, (0.375, 0.375)),
+}
 
 
-@pytest.mark.parametrize("builtin, table", [
-    ("erasure", [[0, 0, 1]]),          # 1 x 3 for |X| = 2: once broadcast to PASS
-    ("binary", [[0, 1]]),
-])
-def test_verify_no_tradeoff_rejects_psi_of_wrong_shape(tmp_path, capsys, builtin, table):
-    psi = tmp_path / "psi.json"
-    psi.write_text(json.dumps({"table": table, "codomain_size": 2}))
-    code, out, err = run(capsys, "verify", "no-tradeoff", "--builtin", builtin,
-                         "--psi", str(psi))
-    assert code == 2 and out == ""
-    assert "error: psi table has shape" in err
+@pytest.mark.parametrize("builtin", list(_NO_TRADEOFF_VERDICTS))
+def test_verify_no_tradeoff_every_builtin(capsys, builtin):
+    passed, worst_independence = _NO_TRADEOFF_VERDICTS[builtin]
+    # psi* comes from the channel; a broadcast spec runs CD = C x D and
+    # reports each deviation as a (receiver 1, receiver 2) pair
+    code, out, err = run(capsys, "verify", "no-tradeoff", "--builtin", builtin)
+    assert code == (0 if passed else 1)
+    assert err == ("PASS\n" if passed else "FAIL\n")
+    rep = json.loads(out)
+    assert list(rep) == ["check", "source", "spec_digest_sha256", "worst_independence",
+                         "worst_markov", "tol", "passed"]
+    assert rep["passed"] is passed and rep["tol"] == 1e-9
+    if isinstance(worst_independence, tuple):
+        assert len(rep["worst_independence"]) == len(rep["worst_markov"]) == 2
+        worst_independence = list(worst_independence)
+    assert rep["worst_independence"] == pytest.approx(worst_independence, rel=5e-3)
+    if passed:
+        assert max(np.ravel(rep["worst_markov"])) <= 1e-12
 
 
-@pytest.mark.parametrize("content, message", [
-    (None, "cannot read --psi file"),
-    ("{not json", "invalid --psi file"),
-    (json.dumps({"table": [[0, 1], [0, 1]]}), "missing field 'codomain_size'"),
-    (json.dumps({"codomain_size": 2}), "missing field 'table'"),
-])
-def test_verify_bad_psi_file_is_input_error(tmp_path, capsys, content, message):
-    # each once died with a traceback and exit 1, the verification-failure code
-    psi = tmp_path / "psi.json"
-    if content is not None:
-        psi.write_text(content)
-    code, out, err = run(capsys, "verify", "no-tradeoff", "--builtin", "binary",
-                         "--psi", str(psi))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and message in err
+def test_verify_no_tradeoff_reads_a_broadcast_spec_file(tmp_path, capsys):
+    # the spec's type, not an option, picks the CD = C x D check
+    spec = tmp_path / "erasure-bc.json"
+    assert run(capsys, "gen", "--builtin", "erasure-bc", "--out", str(spec))[0] == 0
+    code, out, _ = run(capsys, "verify", "no-tradeoff", "--spec", str(spec))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["source"] == str(spec) and len(rep["worst_markov"]) == 2
 
 
-@pytest.mark.parametrize("check", ["estimator", "frontier", "distortion-mc",
-                                   "no-tradeoff"])
+@pytest.mark.skipif(platform.system() != "Linux", reason="ru_maxrss is in KiB on Linux")
+def test_verify_no_tradeoff_full_gaussian_in_bounded_memory(tmp_path):
+    # psi* has 1,662 classes on the full grid: a dense W(x, s, t) would need GBs
+    src = str(Path(capdist.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "report.json"
+    proc = subprocess.Popen([sys.executable, "-m", "capdist.cli", "verify", "no-tradeoff",
+                             "--builtin", "gaussian", "--out", str(out)],
+                            env=env, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 1
+    assert json.loads(out.read_text())["passed"] is False
+    assert usage.ru_maxrss <= 1.5e9 / 1024
+
+
+@pytest.mark.parametrize("check", ["estimator", "frontier", "distortion-mc"])
 def test_verify_rejects_broadcast_spec(capsys, check):
     code, out, err = run(capsys, "verify", check, "--builtin", "dueck")
     assert code == 2 and out == ""
     assert f"error: {check} check expects a single-receiver spec" in err
-
-
-def test_verify_no_tradeoff_needs_psi(capsys):
-    code, _, err = run(capsys, "verify", "no-tradeoff", "--builtin", "binary")
-    assert code == 2
-    assert "--psi" in err
 
 
 def test_verify_distortion_mc(capsys):

@@ -7,10 +7,9 @@ from capdist.channel import QuadraticDistortion
 from capdist.errors import MemoryGuard
 from capdist.examples import (GaussianQuantConfig, binary_multiplicative_cd,
                               binary_multiplicative_spec, dueck_bc_spec,
-                              dueck_input_pmf, dueck_reduction_spec,
-                              gaussian_analytic_anchors,
-                              gaussian_quantized_spec,
+                              dueck_reduction_spec, gaussian_quantized_spec,
                               gaussian_two_pam_analytic)
+from random_specs import dueck_input_pmf
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +176,17 @@ def test_gaussian_config_validation():
 
 
 def test_gaussian_analytic_anchors_continuous_model():
-    a = gaussian_analytic_anchors(10.0, mc_samples=400_000, seed=1)
-    assert a["d_min"] == pytest.approx(1.0 / 6.0, abs=1e-12)
-    assert a["r_min"] == pytest.approx(0.733, abs=2e-2)
-    # independent Gauss-Hermite evaluation of the two Monte-Carlo anchors
-    gh_x, gh_w = np.polynomial.hermite_e.hermegauss(301)
-    gh_w = gh_w / gh_w.sum()
-    assert a["c_noest"] == pytest.approx(
-        float(gh_w @ (0.5 * np.log2(1 + 10 * gh_x ** 2))), abs=1e-2)
-    x = gh_x * np.sqrt(10.0)
-    assert a["d_max"] == pytest.approx(
-        float(gh_w @ (2.0 / (2.0 + x ** 2))), abs=1e-2)
+    # the antipodal input at full power is the continuous model's D_min point
+    r_min, d_min = gaussian_two_pam_analytic(np.sqrt(10.0))
+    assert d_min == pytest.approx(1.0 / 6.0, abs=1e-12)
+    assert r_min == pytest.approx(0.733, abs=2e-2)
 
 
 def test_gaussian_anchor_limits():
-    tiny = gaussian_analytic_anchors(1e-6, mc_samples=50_000, seed=0)
-    assert tiny["c_noest"] == pytest.approx(0.0, abs=1e-4)
-    blind = gaussian_analytic_anchors(10.0, sigma_fb2=1e6,
-                                      mc_samples=50_000, seed=0)
-    assert blind["d_max"] == pytest.approx(1.0, abs=1e-3)
+    assert gaussian_two_pam_analytic(1e-6)[0] == pytest.approx(0.0, abs=1e-4)
+    # feedback that sees nothing leaves the prior's unit variance
+    assert gaussian_two_pam_analytic(np.sqrt(10.0), sigma_fb2=1e6)[1] == pytest.approx(
+        1.0, abs=1e-3)
 
 
 def test_two_pam_analytic_monotone():
