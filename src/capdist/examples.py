@@ -12,7 +12,9 @@ from .channel import QuadraticDistortion, SdmbcSpec, SdmcSpec
 from .errors import MemoryGuard
 
 # SciPy is imported inside the three Gaussian functions that use it: at module
-# level its import took most of the CLI's start-up time.
+# level its import took most of the CLI's start-up time.  The quantized laws
+# take the normal and chi-square distribution functions from `scipy.special`,
+# which `scipy.stats` wraps and whose import is much lighter.
 
 HAMMING2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -202,11 +204,11 @@ class GaussianQuantConfig:
 def _gaussian_atoms(sigma, n_points, halfwidth):
     """Equal-spaced quantization of a centered normal; tail mass folded into
     the edge atoms so the pmf is exactly normalized."""
-    from scipy import stats
+    from scipy import special
 
     vals = np.linspace(-halfwidth * sigma, halfwidth * sigma, n_points)
     mids = (vals[:-1] + vals[1:]) / 2.0
-    cdf = stats.norm.cdf(mids, scale=sigma)
+    cdf = special.ndtr(mids / sigma)                 # the normal cdf
     probs = np.diff(np.concatenate(([0.0], cdf, [1.0])))
     return vals, probs
 
@@ -256,7 +258,7 @@ def gaussian_quantized_spec(cfg=None):
     block, which adds every cell's noise-atom masses in kernel order, so
     the law does not depend on the block size.
     """
-    from scipy import stats
+    from scipy import special
 
     if cfg is None:
         cfg = GaussianQuantConfig()
@@ -264,9 +266,9 @@ def gaussian_quantized_spec(cfg=None):
     kappa = np.sqrt(3.0 * cfg.power / (m * m - 1.0))
     x_vals = (2.0 * np.arange(1, m + 1) - 1.0 - m) * kappa
 
-    s2_max = stats.chi2.isf(cfg.state_tail_mass, df=1)
+    s2_max = special.chdtri(1.0, cfg.state_tail_mass)   # chi-square(1) isf and cdf
     edges = np.linspace(0.0, s2_max, cfg.state_points + 1)
-    cdf = stats.chi2.cdf(edges, df=1)
+    cdf = special.chdtr(1.0, edges)
     cell = np.diff(cdf)
     cell[-1] += 1.0 - cdf[-1]
     reps = np.sqrt((edges[:-1] + edges[1:]) / 2.0)

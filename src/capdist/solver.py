@@ -48,17 +48,18 @@ from it.
 
 One kernel, `_solve_rows`, iterates all penalties of a sweep at once: their
 pmfs are the rows of an (M, X) matrix, each starts from the uniform pmf and
-leaves the active set once its gap is certified.  Active rows pass in blocks
-of at most `_BLOCK_ELEMENTS` // (S*Y) rows through two products with the
-(X, S*Y) law, each taken row by row, so a row's result does not depend on
-its block: a sweep point does not depend on the other mu of the grid, and
-`rates` takes its products the same way.  There are no warm starts of the
-pmfs.  Where the budget binds, `_dual_rows` solves E_lambda[b] = B for
-lambda by safeguarded Newton steps on all rows at once, each row starting
-from its lambda of the previous pass, and returns feasible pmfs.  Each
-`_solve_rows` call logs one debug record (rows, passes, dual evaluations,
-polish attempts and acceptances, wall time) to the "capdist" logger, which
-is silent unless the application configures it.
+leaves the active set once its gap is certified.  Every `_BaWork` kernel
+takes P(y|s) from `_pys`, in row blocks of at most `_BLOCK_ELEMENTS` //
+columns rows over all S*Y law columns or one curvature block of them: no
+(rows, columns) temporary exceeds `_BLOCK_ELEMENTS` elements.  Products
+are taken row by row, so a row's result does not depend on its block: a
+sweep point does not depend on the other mu of the grid.  There are no
+warm starts.  Where the budget binds, `_dual_rows` solves E_lambda[b] = B
+for lambda by safeguarded Newton steps on all rows at once, each row
+starting from its lambda of the previous pass, and returns feasible pmfs.
+Each `_solve_rows` call logs one debug record (rows, passes, dual
+evaluations, polish attempts and acceptances, wall time) to the "capdist"
+logger, which is silent unless the application configures it.
 
 `no_tradeoff_check` decides the paper's sufficient no-tradeoff condition
 from the channel alone, at psi*, the class of the posterior P(s|x,z): it
@@ -78,7 +79,7 @@ import numpy as np
 from . import estimator
 from .errors import DegenerateUpdate, Infeasible
 
-_BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of each (rows, S*Y) temporary
+_BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of every (rows, columns) temporary of `_BaWork`
 _CURVATURE_COLUMNS = 2 ** 13  # law columns per product of `_BaWork.curvature`
 _LAMBDA_STEP = 1.0          # first scaled lambda of a newly binding row, and the least doubled one
 _LN2 = np.log(2.0)
@@ -153,33 +154,32 @@ class _BaWork:
         self.ps_rep = np.repeat(state_pmf, law.shape[2])
         self.a = _xlog2x(self.law_flat) @ self.ps_rep
 
-    def _blocks(self, n, width=None):
-        """Slices of n rows, at most _BLOCK_ELEMENTS // width rows each
-        (width S*Y by default)."""
-        step = max(1, _BLOCK_ELEMENTS // (width or self.law_flat.shape[1]))
-        return (slice(lo, lo + step) for lo in range(0, n, step))
+    def _pys(self, p, cols=slice(None)):
+        """(rows, P(y|s) over law columns `cols`, shaped (rows, 1, columns))
+        for consecutive row blocks of p of at most _BLOCK_ELEMENTS // columns
+        rows; each row's product is its own, so its block changes no bit."""
+        law = self.law_flat[:, cols]
+        step = max(1, _BLOCK_ELEMENTS // law.shape[1])
+        for lo in range(0, p.shape[0], step):
+            yield slice(lo, lo + step), p[lo:lo + step, None, :] @ law
 
     def per_x(self, p):
         """a(x) - t(x) for every row of p; P_S is folded into log2 P(y|s)."""
-        law = self.law_flat
         out = np.empty_like(p)
-        for rows in self._blocks(p.shape[0]):
-            pys = p[rows, None, :] @ law                     # (rows, 1, S*Y)
+        for rows, pys in self._pys(p):
             log_pys = np.where(pys > 0, pys, 1.0)            # log2 taken as 0 where P(y|s) = 0
             np.log2(log_pys, out=log_pys)
             log_pys *= self.ps_rep
-            out[rows] = self.a - (log_pys @ law.T)[:, 0]
+            out[rows] = self.a - (log_pys @ self.law_flat.T)[:, 0]
         return out
 
     def unreached(self, p):
         """Inputs whose law puts mass where P(y|s) = 0, for every row of p:
         there a(x) - t(x), whose log2 P(y|s) `per_x` takes as 0, is +inf.
         Only an input with no mass can be one."""
-        law = self.law_flat
         out = np.empty(p.shape, dtype=bool)
-        for rows in self._blocks(p.shape[0]):
-            holes = (p[rows, None, :] @ law == 0.0).astype(float)
-            out[rows] = (holes @ law.T)[:, 0] > 0.0
+        for rows, pys in self._pys(p):
+            out[rows] = ((pys == 0.0).astype(float) @ self.law_flat.T)[:, 0] > 0.0
         return out
 
     def curvature(self, p):
@@ -187,29 +187,29 @@ class _BaWork:
         sum_{s,y} P_S(s) P(y|x,s) P(y|x',s) / (P(y|s) ln 2), minus the Hessian
         of I(X;Y|S) in the pmf, and own(x) is the part of M(x, x) weighted
         by x's share p(x) P(y|x,s) / P(y|s) of each output.  Each is a sum
-        over fixed blocks of _CURVATURE_COLUMNS law columns, taken in order,
-        so a row's values depend neither on its row block nor on the other
-        rows.  Every mass of p must be at least 2**_LOG2_FLOOR: where P(y|s)
-        is subnormal, 1/P(y|s) overflows and M is not finite."""
+        over fixed blocks of _CURVATURE_COLUMNS law columns, each with its
+        own P(y|s), taken in order, so a row's values depend neither on its
+        row block nor on the other rows.  Every mass of p must be at least
+        2**_LOG2_FLOOR: where P(y|s) is subnormal, 1/P(y|s) overflows and M
+        is not finite."""
         law = self.law_flat
         nx, ncol = law.shape
         width = min(ncol, _CURVATURE_COLUMNS)
         m, own = np.zeros((p.shape[0], nx, nx)), np.zeros(p.shape)
-        for rows in self._blocks(p.shape[0], nx * width):
-            pys = p[rows, None, :] @ law                     # (rows, 1, S*Y)
-            inv = np.zeros_like(pys)
-            np.divide(1.0, pys, out=inv, where=pys > 0)
-            v, pr = inv * (self.ps_rep / _LN2), p[rows, :, None]
-            for lo in range(0, ncol, width):
-                block, cols = law[:, lo:lo + width], slice(lo, lo + width)
+        for lo in range(0, ncol, width):
+            block, ps = law[:, lo:lo + width], self.ps_rep[lo:lo + width] / _LN2
+            for rows, pys in self._pys(p, slice(lo, lo + width)):   # (rows, 1, width)
+                inv = np.zeros_like(pys)
+                np.divide(1.0, pys, out=inv, where=pys > 0)
+                v, pr = inv * ps, p[rows, :, None]
                 # one row of M at a time: a (1, width) @ (width, X) product,
                 # the shape `per_x` takes, where a matrix product would page
                 # in another BLAS kernel (~0.3 MB of peak RSS)
                 for x in range(nx):
-                    u = block[x] * v[:, :, cols]             # (rows, 1, width)
+                    u = block[x] * v
                     m[rows, x] += (u @ block.T)[:, 0]
                     # x's share of each output, <= 1: no overflow at tiny masses
-                    share = block[x] * (inv[:, :, cols] * pr[:, x:x + 1])
+                    share = block[x] * (inv * pr[:, x:x + 1])
                     own[rows, x] += (u * block[x] * share)[:, 0].sum(axis=1)
         return m, own
 
@@ -218,8 +218,7 @@ class _BaWork:
         every row of p, clamped at 0 (the difference of two rounded sums can
         fall an ulp below it)."""
         out = (p[:, None, :] @ self.a)[:, 0]
-        for rows in self._blocks(p.shape[0]):
-            pys = p[rows, None, :] @ self.law_flat
+        for rows, pys in self._pys(p):
             out[rows] -= (_xlog2x(pys) @ self.ps_rep)[:, 0]
         return np.maximum(out, 0.0)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -142,10 +143,14 @@ def test_kernel_step_matches_reference_updates():
 
 def test_curvature_matches_direct_sums(monkeypatch):
     # M(x, x') = sum P_S W(y|x,s) W(y|x',s) / (q ln 2) and its own part,
-    # weighted by x's share of each output; row blocks change nothing
+    # weighted by x's share of each output; row blocks change nothing.  The
+    # last three laws, S*Y = 8, 9 and 20, are summed in several blocks of
+    # three columns, the last one ragged where 3 does not divide S*Y
     rng = np.random.default_rng(31)
-    for _ in range(5):
-        spec = random_spec(rng, *rng.integers(2, 5, size=4))
+    for sizes in [None] * 5 + [(3, 2, 4, 2), (2, 3, 3, 2), (4, 4, 5, 2)]:
+        if sizes is not None:
+            monkeypatch.setattr(solver, "_CURVATURE_COLUMNS", 3)
+        spec = random_spec(rng, *(rng.integers(2, 5, size=4) if sizes is None else sizes))
         work = solver._BaWork(spec.law_y, spec.state_pmf)
         p = rng.dirichlet(np.ones(spec.input_size), size=3)
         law, ps = spec.law_y, spec.state_pmf
@@ -158,6 +163,24 @@ def test_curvature_matches_direct_sums(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(solver, "_BLOCK_ELEMENTS", 1)
             assert all(np.array_equal(a, b) for a, b in zip(work.curvature(p), (m, own)))
+
+
+def test_curvature_working_set_is_one_column_block():
+    # a (4, 1024, 128) law has 131,072 S*Y columns; the curvature at 16 rows
+    # takes them _CURVATURE_COLUMNS at a time, so its traced peak stays below
+    # one (16, S*Y) array of floats, 16 MB
+    rng = np.random.default_rng(41)
+    law = rng.random((4, 1024, 128))
+    law /= law.sum(axis=2, keepdims=True)
+    work = solver._BaWork(law, np.full(1024, 1.0 / 1024))
+    p = rng.dirichlet(np.ones(4), size=16)
+    tracemalloc.start()
+    try:
+        work.curvature(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * law[0].size * 8
 
 
 def test_gap_is_infinite_where_a_massless_input_reaches_new_outputs():
