@@ -247,6 +247,16 @@ def _check_rows(t, name):
             f"{name}:{row} sums to {float(sums[idx]):.12g}, not 1 within {PMF_ATOL}")
 
 
+def _check_pmf(p, size, name):
+    """p as a float array, once it is one pmf over `size` entries
+    (`_check_rows`)."""
+    p = np.asarray(p, float)
+    if p.shape != (size,):
+        raise SpecValidationError(f"{name}: expected {size} entries, got shape {p.shape}")
+    _check_rows(p, name)
+    return p
+
+
 def _check_distortion(d, name):
     if isinstance(d, QuadraticDistortion):          # validated when built
         return

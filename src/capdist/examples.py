@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,7 @@ from .bcregions import binary_entropy
 from .channel import QuadraticDistortion, SdmbcSpec, SdmcSpec
 from .errors import MemoryGuard
 
-# SciPy is imported inside the three Gaussian functions that use it: at module
+# SciPy is imported inside the two Gaussian builders that use it: at module
 # level its import took most of the CLI's start-up time.  The quantized laws
 # take the normal and chi-square distribution functions from `scipy.special`,
 # which `scipy.stats` wraps and whose import is much lighter.
@@ -316,29 +317,32 @@ def gaussian_quantized_spec(cfg=None):
                     labels={"x_values": x_vals.tolist()})
 
 
+_TWO_PAM_NODES = (400, 151)   # Gauss-Legendre nodes over |S| in [0, 10], Gauss-Hermite over the noise
+
+
+@functools.cache
+def _two_pam_rule(fading_nodes, noise_nodes):
+    """Product rule for E f(|S|, U), S and U independent standard normals:
+    magnitude nodes s on [0, 10] with weights 2 phi(s) ds (the tail beyond
+    10 holds under 1e-22), noise nodes u with weights that sum to 1."""
+    s, ws = np.polynomial.legendre.leggauss(fading_nodes)
+    s = 5.0 * (s + 1.0)
+    ws = 10.0 * ws * np.exp(-s ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
+    u, wu = np.polynomial.hermite_e.hermegauss(noise_nodes)
+    return s, ws, u, wu / np.sqrt(2.0 * np.pi)
+
+
 def gaussian_two_pam_analytic(amplitude, sigma_fb2=1.0):
     """Continuous-model (rate, distortion) of the antipodal input {-a, +a}:
     rate by integrating the BPSK mutual information over the fading state,
     distortion from the Gaussian MMSE closed form."""
-    from scipy import integrate
-
-    gh_x, gh_w = np.polynomial.hermite_e.hermegauss(151)
-
-    def i_bpsk(snr):
-        # 1 - E_U log2(1 + exp(-2 snr - 2 sqrt(snr) U)), U ~ N(0,1)
-        arg = -2.0 * snr - 2.0 * np.sqrt(snr) * gh_x
-        val = np.log1p(np.exp(np.minimum(arg, 700.0))) / np.log(2.0)
-        return 1.0 - float(np.dot(gh_w, val)) / np.sqrt(2.0 * np.pi)
-
-    def integrand(s_abs):
-        # the standard normal density as scipy.stats.norm.pdf computes it,
-        # without its per-call argument checks
-        pdf = np.exp(-s_abs ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
-        return 2.0 * pdf * i_bpsk(s_abs * s_abs * amplitude ** 2)
-
-    rate, _ = integrate.quad(integrand, 0.0, 10.0, limit=200)
+    s, ws, u, wu = _two_pam_rule(*_TWO_PAM_NODES)
+    snr = (s * s * amplitude ** 2)[:, None]
+    # I_BPSK(snr) = 1 - E_U log2(1 + exp(-2 snr - 2 sqrt(snr) U)), U ~ N(0,1)
+    arg = -2.0 * snr - 2.0 * np.sqrt(snr) * u
+    i_bpsk = 1.0 - (np.log1p(np.exp(np.minimum(arg, 700.0))) @ wu) / np.log(2.0)
     dist = (1.0 + sigma_fb2) / (1.0 + amplitude ** 2 + sigma_fb2)
-    return float(rate), float(dist)
+    return float(ws @ i_bpsk), float(dist)
 
 
 def gaussian_two_pam_point(spec, budget):

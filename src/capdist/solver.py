@@ -76,7 +76,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import estimator
+from . import channel, estimator
 from .errors import DegenerateUpdate, Infeasible
 
 _BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of every (rows, columns) temporary of `_BaWork`
@@ -106,9 +106,14 @@ def _xlog2x(p):
 
 
 def conditional_mutual_information(spec, p_x):
-    """I(X;Y|S) in bits for the given input pmf."""
-    work = _BaWork(spec.law_y, spec.state_pmf)
-    return float(work.rates(np.asarray(p_x, float)[None])[0])
+    """I(X;Y|S) in bits for the given input pmf, from the law rows of the
+    inputs with mass: the others add nothing to it."""
+    law = spec.law_y
+    p_x = channel._check_pmf(p_x, law.shape[0], "p_x")
+    support = p_x > 0
+    if not support.all():
+        law, p_x = law[support], p_x[support]
+    return float(_BaWork(law, spec.state_pmf).rates(p_x[None])[0])
 
 
 def _pmfs(g):

@@ -37,15 +37,16 @@ def simulate_distortion(spec, p_x, n, seed):
 
     One numpy Generator seeded with `seed` drives the whole trial (state,
     input, feedback draws in that fixed order), so identical seeds reproduce
-    bit-identical reports.
+    bit-identical reports.  p_x must be a pmf (`channel._check_pmf`): the
+    analytic value is taken at the p_x that X is drawn from.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    p_x = channel._check_pmf(p_x, spec.input_size, "p_x")
     est = estimator.build_estimator(spec)
-    p_x = np.asarray(p_x, float)
     rng = np.random.default_rng(seed)
     s = rng.choice(spec.state_size, size=n, p=spec.state_pmf)
-    x = rng.choice(spec.input_size, size=n, p=p_x / p_x.sum())
+    x = rng.choice(spec.input_size, size=n, p=p_x)
     cum = np.cumsum(spec.law_z[x, s, :], axis=1)
     u = rng.random(n)
     z = (u[:, None] > cum).sum(axis=1)

@@ -101,7 +101,7 @@ def test_criterion_3_gaussian_reduced():
     ok, detail = _gaussian_criterion(cfg, tol_scale=2.0)
     elapsed = time.time() - start
     report(3, "quantized Gaussian anchors (reduced grid, doubled tolerances)",
-           ok and elapsed < 30.0, f"{detail}, {elapsed:.1f}s")
+           ok and elapsed < 10.0, f"{detail}, {elapsed:.1f}s")
 
 
 def test_criterion_3_gaussian_full():
@@ -109,7 +109,7 @@ def test_criterion_3_gaussian_full():
     ok, detail = _gaussian_criterion(GaussianQuantConfig(), tol_scale=1.0)
     elapsed = time.time() - start
     report(3, "quantized Gaussian anchors (full grid)",
-           ok and elapsed < 600.0, f"{detail}, {elapsed:.1f}s")
+           ok and elapsed < 60.0, f"{detail}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

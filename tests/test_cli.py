@@ -29,7 +29,7 @@ def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(capdist.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, capdist.cli; sys.exit('scipy' in sys.modules)"
+    probe = "import sys, capdist, capdist.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -198,9 +203,13 @@ def test_two_pam_analytic_monotone():
     assert dists == sorted(dists, reverse=True)
 
 
-@pytest.mark.parametrize("amplitude", [1e-3, 0.7, 3.0, 10.0])
-def test_two_pam_analytic_density_is_scipys(amplitude):
-    # the inlined normal density gives the floats of a stats.norm.pdf integrand
+TWO_PAM_AMPLITUDES = [1e-3, 0.1, 0.7, 1.0, 2.0, 3.0, np.sqrt(10.0), 5.0, 10.0]
+
+
+@pytest.mark.parametrize("amplitude", TWO_PAM_AMPLITUDES)
+def test_two_pam_analytic_matches_scipy_quad(amplitude):
+    # the oracle is the adaptive integral over a stats.norm.pdf integrand;
+    # it differs from the fixed rule by its own error, up to 5e-10 here
     from scipy import integrate, stats
 
     gh_x, gh_w = np.polynomial.hermite_e.hermegauss(151)
@@ -214,7 +223,31 @@ def test_two_pam_analytic_density_is_scipys(amplitude):
         return 2.0 * stats.norm.pdf(s_abs) * i_bpsk(s_abs * s_abs * amplitude ** 2)
 
     rate, _ = integrate.quad(integrand, 0.0, 10.0, limit=200)
-    assert gaussian_two_pam_analytic(amplitude)[0] == float(rate)
+    assert gaussian_two_pam_analytic(amplitude)[0] == pytest.approx(rate, abs=1e-9)
+
+
+def test_two_pam_analytic_rule_is_converged(monkeypatch):
+    # doubling both node counts moves no rate by more than 1e-10 bits
+    rates = [gaussian_two_pam_analytic(a)[0] for a in TWO_PAM_AMPLITUDES]
+    monkeypatch.setattr(examples, "_TWO_PAM_NODES",
+                        tuple(2 * n for n in examples._TWO_PAM_NODES))
+    finer = [gaussian_two_pam_analytic(a)[0] for a in TWO_PAM_AMPLITUDES]
+    assert finer == pytest.approx(rates, abs=1e-10)
+
+
+def test_two_pam_anchor_leaves_scipy_integrate_unloaded():
+    # the anchor needs only NumPy's quadrature nodes and SciPy's special
+    # functions, in a process that has not imported the integrator
+    src = str(Path(examples.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys\n"
+             "from capdist import examples as ex\n"
+             "spec = ex.gaussian_quantized_spec(ex.GaussianQuantConfig(state_points=20))\n"
+             "rate, dist, pmf = ex.gaussian_two_pam_point(spec, 10.0)\n"
+             "ex.gaussian_two_pam_analytic(max(spec.cost[pmf > 0]) ** 0.5)\n"
+             "sys.exit('scipy.integrate' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def test_quantized_two_pam_tracks_analytic():

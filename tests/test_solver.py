@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from capdist import channel, cli, estimator, examples, solver
 from capdist.channel import SdmcSpec, simplex_lattice
-from capdist.errors import DegenerateUpdate, Infeasible
+from capdist.errors import DegenerateUpdate, Infeasible, SpecValidationError
 from capdist.solver import (BaConfig, baseline_ts,
                             conditional_mutual_information, no_tradeoff_check,
                             solve_fixed_mu, sweep_frontier)
@@ -38,19 +38,50 @@ def test_cmi_matches_direct_formula_on_random_channels():
     rng = np.random.default_rng(7)
     for _ in range(10):
         spec = random_spec(rng)
-        p_x = rng.dirichlet(np.ones(spec.input_size))
-        law = spec.law_y
-        direct = 0.0
-        for s in range(spec.state_size):
-            pys = p_x @ law[:, s, :]
-            for x in range(spec.input_size):
-                for y in range(spec.output_size):
-                    v = law[x, s, y]
-                    if p_x[x] > 0 and v > 0:
-                        direct += (spec.state_pmf[s] * p_x[x] * v
-                                   * np.log2(v / pys[y]))
-        assert conditional_mutual_information(spec, p_x) == pytest.approx(
-            direct, abs=1e-12)
+        p_full = rng.dirichlet(np.ones(spec.input_size))
+        # and one input with no mass, whose law row the CMI leaves out
+        p_hole = np.append(rng.dirichlet(np.ones(spec.input_size - 1)), 0.0)
+        for p_x in (p_full, p_hole):
+            law = spec.law_y
+            direct = 0.0
+            for s in range(spec.state_size):
+                pys = p_x @ law[:, s, :]
+                for x in range(spec.input_size):
+                    for y in range(spec.output_size):
+                        v = law[x, s, y]
+                        if p_x[x] > 0 and v > 0:
+                            direct += (spec.state_pmf[s] * p_x[x] * v
+                                       * np.log2(v / pys[y]))
+            assert conditional_mutual_information(spec, p_x) == pytest.approx(
+                direct, abs=1e-12)
+
+
+def test_cmi_on_the_support_matches_the_full_work():
+    # the Gaussian 2-PAM pairs put mass on 2 of 8 inputs
+    spec = examples.gaussian_quantized_spec(examples.GaussianQuantConfig(
+        pam_points=8, noise_points=25, state_points=100))
+    m = spec.input_size
+    i = np.arange(m // 2)
+    pairs = np.zeros((i.size, m))
+    pairs[i, i] = pairs[i, m - 1 - i] = 0.5
+    full = solver._BaWork(spec.law_y, spec.state_pmf).rates(pairs)
+    cmi = [conditional_mutual_information(spec, p) for p in pairs]
+    assert cmi == pytest.approx(full, abs=1e-12)
+
+
+@pytest.mark.parametrize("p_x, fault", [
+    ([2.0, 2.0], "sums to 4"),
+    ([0.3, 0.3], "sums to 0.6"),
+    ([np.nan, 1.0], "non-finite entry"),
+    ([-0.5, 1.5], "negative probability"),
+    ([0.2, 0.3, 0.5], "expected 2 entries"),
+], ids=["sum-above", "sum-below", "nan", "negative", "length"])
+def test_cmi_rejects_a_non_pmf(p_x, fault):
+    # each of these once returned a number (0.682 bits above the binary
+    # channel's 0.4 capacity at [0.3, 0.3]) or failed inside NumPy
+    spec = examples.binary_multiplicative_spec(0.4)
+    with pytest.raises(SpecValidationError, match=f"p_x: .*{fault}"):
+        conditional_mutual_information(spec, p_x)
 
 
 def test_rates_rows_do_not_depend_on_blocks_and_are_nonnegative(monkeypatch):

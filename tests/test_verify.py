@@ -6,7 +6,7 @@ import pytest
 from capdist import examples, estimator, verify
 from capdist.channel import (MAX_LATTICE_POINTS, QuadraticDistortion, SdmcSpec,
                              simplex_lattice)
-from capdist.errors import InfeasibleConstraints, InstanceTooLarge
+from capdist.errors import InfeasibleConstraints, InstanceTooLarge, SpecValidationError
 from capdist.verify import (brute_force_tradeoff, exhaustive_estimator_search,
                             simulate_distortion)
 from random_specs import random_spec
@@ -59,6 +59,18 @@ def test_simulate_point_mass_zero_cost_is_exactly_zero():
     assert rep.empirical_value == 0.0
     assert rep.analytic_value == 0.0
     assert rep.passed
+
+
+def test_simulate_takes_the_pmf_it_reports():
+    # X was drawn from p_x / sum(p_x) but rated at the raw p_x: [1, 1] read
+    # empirical 0.2032 against analytic 0.4 (z = -69.2)
+    spec = examples.binary_multiplicative_spec(0.4)
+    with pytest.raises(SpecValidationError, match="p_x: sums to 2"):
+        simulate_distortion(spec, [1.0, 1.0], 20000, seed=0)
+    with pytest.raises(SpecValidationError, match="p_x: expected 2 entries"):
+        simulate_distortion(spec, [0.5, 0.25, 0.25], 20000, seed=0)
+    rep = simulate_distortion(spec, [0.2, 0.8], 20000, seed=0)
+    assert rep.passed and rep.analytic_value == pytest.approx(0.2 * 0.4)
 
 
 def test_simulate_z_scores_look_standard_normal():
