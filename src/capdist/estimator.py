@@ -56,23 +56,26 @@ def build_estimator(spec):
     d = spec.distortion
     if isinstance(d, QuadraticDistortion):
         # quadratic distortion: the posterior-risk minimizer over a sorted
-        # grid is the grid point nearest the posterior mean (exact).  Work
+        # grid is one of the two grid points around the posterior mean.  Work
         # with (X,Z)-sized moments only; the (X,S,Z) weight tensor is never
         # materialized (it is ~0.6 GB for the quantized Gaussian example).
         law_z, ps, sv = spec.law_z, spec.state_pmf, d.state_values
         m0 = np.einsum("xsz,s->xz", law_z, ps)            # P(z|x)
         m1 = np.einsum("xsz,s->xz", law_z, ps * sv)
         m2 = np.einsum("xsz,s->xz", law_z, ps * sv * sv)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = np.where(m0 > 0, m1 / np.where(m0 > 0, m0, 1.0), 0.0)
+        norm = np.where(m0 > 0, m0, 1.0)
+        mean = np.where(m0 > 0, m1 / norm, 0.0)
         ev = d.estimate_values
         table = np.searchsorted(ev, mean)   # first index with ev >= mean
         table = np.clip(table, 1, ev.size - 1) if ev.size > 1 else np.zeros_like(table, dtype=np.int64)
         if ev.size > 1:
             lo = table - 1
-            # half-interval ties go to the lower index
-            pick_lo = (mean - ev[lo]) <= (ev[table] - mean)
-            table = np.where(pick_lo, lo, table)
+            # the two posterior risks E[S^2|x,z] - 2 e mean + e^2, tied
+            # within TIE_RTOL to the lower index as on the matrix path (a
+            # farther point ties only on a grid finer than ~1e-6)
+            pair = np.stack([ev[lo], ev[table]], axis=-1)
+            risk = (m2 / norm)[..., None] - 2.0 * pair * mean[..., None] + pair * pair
+            table = lo + _argmin_ties_low(risk)
         table = np.where(m0 > 0, table, 0)
         evt = ev[table]
         cost = (m2 - 2.0 * evt * m1 + evt * evt * m0).sum(axis=1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,11 +12,6 @@ from . import estimator, solver
 from .bcregions import binary_entropy
 from .channel import QuadraticDistortion, SdmbcSpec, SdmcSpec
 from .errors import MemoryGuard
-
-# SciPy is imported inside the two Gaussian builders that use it: at module
-# level its import took most of the CLI's start-up time.  The quantized laws
-# take the normal and chi-square distribution functions from `scipy.special`,
-# which `scipy.stats` wraps and whose import is much lighter.
 
 HAMMING2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -200,16 +196,43 @@ class GaussianQuantConfig:
             raise ValueError("need power > 0 and feedback variance >= 0")
         if self.output_spacing_factor <= 0:
             raise ValueError("output_spacing_factor must be positive")
+        if not 0.0 < self.state_tail_mass < 1.0:
+            raise ValueError("state_tail_mass must lie in (0, 1)")
+
+
+def _normal_cdf(x):
+    """Standard normal cdf at every entry of x: erfc(-x/sqrt 2) / 2."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in np.ravel(x).tolist()])
+
+
+def _chi2_1_cdf(x):
+    """Chi-square(1) cdf at every entry of x >= 0: erf(sqrt(x/2))."""
+    return np.array([math.erf(math.sqrt(v / 2.0)) for v in np.ravel(x).tolist()])
+
+
+def _chi2_1_isf(p):
+    """Chi-square(1) quantile of upper tail p in (0, 1): bisection down to
+    two adjacent floats, then the one whose erfc(sqrt(x/2)) is nearer p."""
+    def tail(x):
+        return math.erfc(math.sqrt(x / 2.0))
+
+    lo, hi = 0.0, 1.0
+    while tail(hi) > p:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := lo + (hi - lo) / 2.0) < hi:
+        if tail(mid) > p:
+            lo = mid
+        else:
+            hi = mid
+    return lo if abs(tail(lo) - p) < abs(tail(hi) - p) else hi
 
 
 def _gaussian_atoms(sigma, n_points, halfwidth):
     """Equal-spaced quantization of a centered normal; tail mass folded into
     the edge atoms so the pmf is exactly normalized."""
-    from scipy import special
-
     vals = np.linspace(-halfwidth * sigma, halfwidth * sigma, n_points)
     mids = (vals[:-1] + vals[1:]) / 2.0
-    cdf = special.ndtr(mids / sigma)                 # the normal cdf
+    cdf = _normal_cdf(mids / sigma)
     probs = np.diff(np.concatenate(([0.0], cdf, [1.0])))
     return vals, probs
 
@@ -259,17 +282,15 @@ def gaussian_quantized_spec(cfg=None):
     block, which adds every cell's noise-atom masses in kernel order, so
     the law does not depend on the block size.
     """
-    from scipy import special
-
     if cfg is None:
         cfg = GaussianQuantConfig()
     m = cfg.pam_points
     kappa = np.sqrt(3.0 * cfg.power / (m * m - 1.0))
     x_vals = (2.0 * np.arange(1, m + 1) - 1.0 - m) * kappa
 
-    s2_max = special.chdtri(1.0, cfg.state_tail_mass)   # chi-square(1) isf and cdf
+    s2_max = _chi2_1_isf(cfg.state_tail_mass)
     edges = np.linspace(0.0, s2_max, cfg.state_points + 1)
-    cdf = special.chdtr(1.0, edges)
+    cdf = _chi2_1_cdf(edges)
     cell = np.diff(cdf)
     cell[-1] += 1.0 - cdf[-1]
     reps = np.sqrt((edges[:-1] + edges[1:]) / 2.0)

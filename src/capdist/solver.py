@@ -50,16 +50,18 @@ One kernel, `_solve_rows`, iterates all penalties of a sweep at once: their
 pmfs are the rows of an (M, X) matrix, each starts from the uniform pmf and
 leaves the active set once its gap is certified.  Every `_BaWork` kernel
 takes P(y|s) from `_pys`, in row blocks of at most `_BLOCK_ELEMENTS` //
-columns rows over all S*Y law columns or one curvature block of them: no
-(rows, columns) temporary exceeds `_BLOCK_ELEMENTS` elements.  Products
-are taken row by row, so a row's result does not depend on its block: a
-sweep point does not depend on the other mu of the grid.  There are no
-warm starts.  Where the budget binds, `_dual_rows` solves E_lambda[b] = B
-for lambda by safeguarded Newton steps on all rows at once, each row
-starting from its lambda of the previous pass, and returns feasible pmfs.
-Each `_solve_rows` call logs one debug record (rows, passes, dual
-evaluations, polish attempts and acceptances, wall time) to the "capdist"
-logger, which is silent unless the application configures it.
+columns rows over all S*Y law columns or one curvature block of them.
+These products are taken row by row, so a row's result does not depend on
+its block: a sweep point does not depend on the other mu of the grid.
+`a(x)` is taken over blocks of law rows of at most `_LAW_BLOCK_ELEMENTS`
+entries, one product per block, whose split can move its last bits; a law
+that fits takes one.  No (rows, columns) temporary exceeds 2**22 elements.
+There are no warm starts.  Where the budget binds, `_dual_rows` solves
+E_lambda[b] = B for lambda by safeguarded Newton steps on all rows at once,
+each row starting from its lambda of the previous pass, and returns
+feasible pmfs.  Each `_solve_rows` call logs one debug record (rows,
+passes, dual evaluations, polish attempts and acceptances, wall time) to
+the "capdist" logger, which is silent unless the application configures it.
 
 `no_tradeoff_check` decides the paper's sufficient no-tradeoff condition
 from the channel alone, at psi*, the class of the posterior P(s|x,z): it
@@ -80,6 +82,8 @@ from . import channel, estimator
 from .errors import DegenerateUpdate, Infeasible
 
 _BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of every (rows, columns) temporary of `_BaWork`
+_LAW_BLOCK_ELEMENTS = 2 ** 22  # law entries per product of `_BaWork.a`: unlike the pmf row
+                               # blocks, law row blocks can move a(x)'s last bits
 _CURVATURE_COLUMNS = 2 ** 13  # law columns per product of `_BaWork.curvature`
 _LAMBDA_STEP = 1.0          # first scaled lambda of a newly binding row, and the least doubled one
 _LN2 = np.log(2.0)
@@ -103,6 +107,13 @@ def _xlog2x(p):
     np.log2(out, out=out)
     out *= p
     return out
+
+
+def _row_blocks(n, columns, elements):
+    """Consecutive slices of range(n) of at most elements // columns rows
+    (at least one)."""
+    step = max(1, elements // columns)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def conditional_mutual_information(spec, p_x):
@@ -157,16 +168,17 @@ class _BaWork:
         nx = law.shape[0]
         self.law_flat = np.ascontiguousarray(law.reshape(nx, -1))
         self.ps_rep = np.repeat(state_pmf, law.shape[2])
-        self.a = _xlog2x(self.law_flat) @ self.ps_rep
+        self.a = np.empty(nx)
+        for rows in _row_blocks(nx, self.law_flat.shape[1], _LAW_BLOCK_ELEMENTS):
+            self.a[rows] = _xlog2x(self.law_flat[rows]) @ self.ps_rep
 
     def _pys(self, p, cols=slice(None)):
         """(rows, P(y|s) over law columns `cols`, shaped (rows, 1, columns))
         for consecutive row blocks of p of at most _BLOCK_ELEMENTS // columns
         rows; each row's product is its own, so its block changes no bit."""
         law = self.law_flat[:, cols]
-        step = max(1, _BLOCK_ELEMENTS // law.shape[1])
-        for lo in range(0, p.shape[0], step):
-            yield slice(lo, lo + step), p[lo:lo + step, None, :] @ law
+        for rows in _row_blocks(p.shape[0], law.shape[1], _BLOCK_ELEMENTS):
+            yield rows, p[rows, None, :] @ law
 
     def per_x(self, p):
         """a(x) - t(x) for every row of p; P_S is folded into log2 P(y|s)."""

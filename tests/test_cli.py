@@ -25,7 +25,7 @@ def run(capsys, *argv):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only the Gaussian builders need SciPy, whose import dominated start-up
+    # the runtime needs NumPy alone; SciPy, a test dependency, is never loaded
     src = str(Path(capdist.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from capdist import channel, estimator, examples
-from capdist.channel import SdmcSpec
+from capdist.channel import QuadraticDistortion, SdmcSpec
 from capdist.errors import Infeasible
 from capdist.estimator import (EstimatorTable, build_estimator, d_min, d_trivial,
                                expected_distortion)
@@ -68,6 +68,22 @@ def test_quadratic_fast_path_matches_matrix_path():
     occurs = mass > 1e-12
     assert np.array_equal(fast.table[occurs], slow.table[occurs])
     assert np.allclose(fast.cost, slow.cost, atol=1e-12)
+
+
+def test_quadratic_fast_path_ties_as_the_matrix_path():
+    # feedback cell z shifts the posterior mean to k * 2**-50, k = -3..3,
+    # either side of 0, the midpoint of the estimates -1 and +1: the two
+    # risks, 2 -+ 2 * mean, tie within TIE_RTOL, so both paths take index 0
+    k = np.arange(-3, 4)
+    law = np.stack([1.0 - k * 2.0 ** -50, 1.0 + k * 2.0 ** -50])[None] / k.size
+    sv = np.array([-1.0, 1.0])
+    fast, slow = (build_estimator(SdmcSpec(state_pmf=[0.5, 0.5], law_y=law, law_z=law,
+                                           distortion=d))
+                  for d in (QuadraticDistortion(state_values=sv, estimate_values=sv),
+                            (sv[:, None] - sv[None, :]) ** 2))
+    assert np.array_equal(fast.table, slow.table)
+    assert not fast.table.any()
+    assert np.allclose(fast.cost, slow.cost, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,34 @@ def test_gaussian_atoms_normalized_and_symmetric():
     assert np.allclose(probs, probs[::-1])
 
 
+@pytest.mark.parametrize("noise_points, state_points", [
+    (50, 8000),     # the full grid, the builder's defaults
+    (25, 500),      # gaussian-reduced
+    (50, 100),
+])
+def test_distribution_functions_match_scipy_special(noise_points, state_points):
+    # on the builder's grids: the noise-cell midpoints in sigma units and the
+    # state-cell edges of the chi-square(1) quantizer
+    from scipy import special
+
+    vals = np.linspace(-6.0, 6.0, noise_points)
+    mids = (vals[:-1] + vals[1:]) / 2.0
+    assert np.abs(examples._normal_cdf(mids) - special.ndtr(mids)).max() <= 1e-14
+    edges = np.linspace(0.0, examples._chi2_1_isf(1e-6), state_points + 1)
+    assert np.abs(examples._chi2_1_cdf(edges) - special.chdtr(1.0, edges)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("tail", [1e-3, 1e-6, 1e-9])
+def test_chi2_isf_is_scipys_within_one_ulp(tail):
+    from scipy import special
+
+    want = special.chdtri(1.0, tail)
+    assert abs(examples._chi2_1_isf(tail) - want) <= np.spacing(want)
+    if tail == GaussianQuantConfig.state_tail_mass:
+        # the default quantizer's range, so its state values, to the bit
+        assert examples._chi2_1_isf(tail) == want
+
+
 def test_noiseless_feedback_shares_the_output_law():
     cfg = GaussianQuantConfig(pam_points=4, noise_points=5, state_points=4,
                               feedback_variance=0.0)
@@ -178,6 +206,9 @@ def test_gaussian_config_validation():
         GaussianQuantConfig(power=0.0)
     with pytest.raises(ValueError):
         GaussianQuantConfig(output_spacing_factor=0.0)
+    for tail in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            GaussianQuantConfig(state_tail_mass=tail)
 
 
 def test_gaussian_analytic_anchors_continuous_model():
@@ -235,19 +266,23 @@ def test_two_pam_analytic_rule_is_converged(monkeypatch):
     assert finer == pytest.approx(rates, abs=1e-10)
 
 
-def test_two_pam_anchor_leaves_scipy_integrate_unloaded():
-    # the anchor needs only NumPy's quadrature nodes and SciPy's special
-    # functions, in a process that has not imported the integrator
+def test_gaussian_paths_leave_scipy_unloaded(tmp_path):
+    # the quantized builder, the 2-PAM anchor and a Gaussian CLI frontier
+    # need NumPy and `math` only
     src = str(Path(examples.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("import sys\n"
-             "from capdist import examples as ex\n"
+             "from capdist import cli, examples as ex\n"
              "spec = ex.gaussian_quantized_spec(ex.GaussianQuantConfig(state_points=20))\n"
              "rate, dist, pmf = ex.gaussian_two_pam_point(spec, 10.0)\n"
              "ex.gaussian_two_pam_analytic(max(spec.cost[pmf > 0]) ** 0.5)\n"
-             "sys.exit('scipy.integrate' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+             "code = cli.main(['tradeoff', '--builtin', 'gaussian-reduced,state_points=20',\n"
+             "                 '--out', sys.argv[1]])\n"
+             "sys.exit(code or any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    out = tmp_path / "g.csv"
+    assert subprocess.run([sys.executable, "-c", probe, str(out)], env=env).returncode == 0
+    assert out.exists()
 
 
 def test_quantized_two_pam_tracks_analytic():

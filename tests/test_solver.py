@@ -214,6 +214,22 @@ def test_curvature_working_set_is_one_column_block():
     assert peak < 16 * law[0].size * 8
 
 
+def test_work_build_working_set_is_one_row_block():
+    # a (16, 1024, 512) law has 524,288 S*Y columns, 64 MB of floats; a(x)
+    # is taken over blocks of _LAW_BLOCK_ELEMENTS // 524,288 = 8 law rows, so
+    # building the work traces less than one law-size array
+    rng = np.random.default_rng(43)
+    law = rng.random((16, 1024, 512))
+    law /= law.sum(axis=2, keepdims=True)
+    tracemalloc.start()
+    try:
+        solver._BaWork(law, np.full(1024, 1.0 / 1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < law.nbytes
+
+
 def test_gap_is_infinite_where_a_massless_input_reaches_new_outputs():
     # at p = [1, 0] on the binary channel only x = 1 reaches y = 1, so its
     # divergence from the output law is infinite: no bound, however small
