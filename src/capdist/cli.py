@@ -39,7 +39,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-_WRITE_ROWS = 1 << 16                         # CSV rows per write
+_WRITE_ROWS = 1 << 12                         # CSV rows per write, a few hundred KB of text
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +193,18 @@ def _write_text(path, chunks):
         sys.stdout.writelines(chunks)
 
 
-def _cells(column):
-    """CSV cells of one column, Python scalars or a 1-D array: bools as 1/0,
-    anything else by str (for a float, its shortest round-trip decimal).  An
-    array is formatted once per distinct value, a float one once per distinct
-    bit pattern, so 0.0 and -0.0 stay apart."""
+def _cells(column, prefix=""):
+    """CSV cells of one column, Python scalars or a 1-D array, each after
+    prefix: bools as 1/0, anything else by str (for a float, its shortest
+    round-trip decimal).  An array is formatted once per distinct value, a
+    float one once per distinct bit pattern, so 0.0 and -0.0 stay apart."""
     if isinstance(column, np.ndarray):
         key = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
         distinct, inverse = np.unique(key, return_inverse=True)
-        return np.array(_cells(distinct.view(column.dtype).tolist()), object)[inverse]
-    if len(column) and isinstance(column[0], bool):
-        return ["1" if v else "0" for v in column]
-    return list(map(str, column))
+        return np.array(_cells(distinct.view(column.dtype).tolist(), prefix), object)[inverse]
+    cells = (["1" if v else "0" for v in column] if len(column) and isinstance(column[0], bool)
+             else list(map(str, column)))
+    return [prefix + c for c in cells] if prefix else cells
 
 
 def _write_table(path, fmt, columns):
@@ -337,9 +337,13 @@ def _region_columns(samples):
     names = samples.dtype.names
     columns = {k: samples[k] for k in names[:5]}
     scalar = sorted(k for k in names[5:] if samples.dtype[k].ndim == 0)
-    parts = [[f"{k}={c}" for c in _cells(samples[k])] for k in scalar]
-    columns["params"] = ([";".join(p) for p in zip(*parts)] if parts
-                         else [""] * len(samples))
+    parts = [_cells(samples[k], f"{k}=") for k in scalar]   # one string per distinct value
+    if len(parts) == 1:                                       # no per-row join
+        columns["params"] = parts[0].tolist()
+    elif parts:
+        columns["params"] = [";".join(p) for p in zip(*parts)]
+    else:
+        columns["params"] = [""] * len(samples)
     return columns
 
 

@@ -55,7 +55,9 @@ These products are taken row by row, so a row's result does not depend on
 its block: a sweep point does not depend on the other mu of the grid.
 `a(x)` is taken over blocks of law rows of at most `_LAW_BLOCK_ELEMENTS`
 entries, one product per block, whose split can move its last bits; a law
-that fits takes one.  No (rows, columns) temporary exceeds 2**22 elements.
+that fits takes one.  No (rows, columns) temporary of a pmf row block
+exceeds 2**16 elements (512 KiB), unless one row has more columns, and no
+law row block exceeds 2**22 (32 MiB) unless one law row does.
 There are no warm starts.  Where the budget binds, `_dual_rows` solves
 E_lambda[b] = B for lambda by safeguarded Newton steps on all rows at once,
 each row starting from its lambda of the previous pass, and returns
@@ -81,7 +83,9 @@ import numpy as np
 from . import channel, estimator
 from .errors import DegenerateUpdate, Infeasible
 
-_BLOCK_ELEMENTS = 2 ** 22   # cap on the elements of every (rows, columns) temporary of `_BaWork`
+_BLOCK_ELEMENTS = 2 ** 16   # cap on the elements of every (rows, columns) temporary of
+                            # `_BaWork`'s pmf row blocks, 512 KiB: a few of them fit a 2 MiB
+                            # L2 cache, and a row's result does not depend on its block
 _LAW_BLOCK_ELEMENTS = 2 ** 22  # law entries per product of `_BaWork.a`: unlike the pmf row
                                # blocks, law row blocks can move a(x)'s last bits
 _CURVATURE_COLUMNS = 2 ** 13  # law columns per product of `_BaWork.curvature`

@@ -110,6 +110,28 @@ def test_degraded_region_matches_rows_rated_one_at_a_time(make, resolution):
         assert d.tobytes() == s[f"d{k}"].tobytes()
 
 
+@pytest.mark.parametrize("make, resolution", [
+    (lambda: examples.binary_bc_spec(0.6, 0.5), 5),
+    (lambda: examples.flipped_bc_spec(0.6, 0.5), 5),
+    (lambda: examples.erasure_bc_spec(*erasure_pairs()), 5),
+    (lambda: examples.dueck_bc_spec(0.75), 2)],
+    ids=["binary-bc", "flipped-bc", "erasure-bc", "dueck"])
+def test_region_samples_do_not_depend_on_row_blocks(monkeypatch, make, resolution):
+    # every rate is taken row by row, so one row per block, the default
+    # blocks and blocks of 2**22 elements (one block per call here) give
+    # the same bytes
+    bc = make()
+
+    def regions():
+        return (degraded_region(bc, resolution=resolution).tobytes(),
+                outer_bound_samples(bc, resolution=resolution).tobytes())
+
+    default = regions()
+    for elements in (1, 2 ** 22):
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", elements)
+        assert regions() == default
+
+
 def test_degraded_region_independent_aux_gives_zero_r2():
     bc = examples.binary_bc_spec(0.6, 0.5)
     samples = degraded_region(bc, u_size=1, resolution=8)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capdist
-from capdist import channel, cli
+from capdist import bcregions, channel, cli
 from capdist.cli import main
 
 
@@ -527,6 +527,25 @@ def test_cells_of_bool_int_and_string_columns():
     assert cli._cells([1, 1.0, True, -0.0]) == ["1", "1.0", "True", "-0.0"]
     assert list(cli._cells(np.array([1.0, -0.0, 0.0]))) == ["1.0", "-0.0", "0.0"]
     assert list(cli._cells(np.zeros(0))) == []
+    # a prefix goes before every cell, formatted once per distinct value
+    assert list(cli._cells(np.array(names), "aux=")) == [f"aux={v}" for v in names]
+    assert cli._cells(flags, "f=") == ["f=1", "f=0", "f=0", "f=1"]
+
+
+def test_csv_write_working_set_is_one_row_block(tmp_path):
+    # `bc degraded --builtin binary-bc --resolution 16`: 20,349 rows, 1.3 MB
+    # of text; joined in one write, its lines trace a 4.5 MiB peak, and
+    # _WRITE_ROWS lines at a time about 1.8 MiB (the cells of every column)
+    samples = bcregions.degraded_region(builtin("binary-bc"), resolution=16)
+    columns = cli._region_columns(samples)
+    tracemalloc.start()
+    try:
+        cli._write_table(str(tmp_path / "deg.csv"), "csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "deg.csv").read_bytes().count(b"\n") == len(samples) + 1
+    assert peak < 2.5 * (1 << 20)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 5, 6, 7])

@@ -214,6 +214,25 @@ def test_curvature_working_set_is_one_column_block():
     assert peak < 16 * law[0].size * 8
 
 
+def test_rates_working_set_is_one_row_block():
+    # Dueck's sum-rate work: an (8, 4, 256) pair law, so 1,024 S*Y columns;
+    # its 792 resolution-5 lattice rows take 6.2 MiB of P(y|s) in one block
+    # and _BLOCK_ELEMENTS // 1,024 rows at a time in row blocks
+    bc = examples.dueck_bc_spec()
+    nx, (s1, s2, _, y1, y2, _) = bc.input_size, bc.law.shape
+    pair_law = bc.law.sum(axis=5).transpose(2, 0, 1, 3, 4).reshape(nx, s1 * s2, y1 * y2)
+    work = solver._BaWork(pair_law, bc.joint_state_pmf.ravel())
+    grid = simplex_lattice(nx, 5)
+    assert grid.shape == (792, 8)
+    tracemalloc.start()
+    try:
+        work.rates(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def test_work_build_working_set_is_one_row_block():
     # a (16, 1024, 512) law has 524,288 S*Y columns, 64 MB of floats; a(x)
     # is taken over blocks of _LAW_BLOCK_ELEMENTS // 524,288 = 8 law rows, so
@@ -367,9 +386,10 @@ def test_sweep_row_blocks_do_not_change_results(monkeypatch):
     spec = random_spec(rng)
     budget = float(np.quantile(spec.cost, 0.5))
     grid = [0.0] + list(np.logspace(-3, 3, 40))
-    one_block = _frontier(sweep_frontier(spec, budget, grid))
-    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 1)     # one row per block
-    assert _frontier(sweep_frontier(spec, budget, grid)) == one_block
+    default = _frontier(sweep_frontier(spec, budget, grid))
+    for elements in (1, 2 ** 22):                          # one row per block, one block
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", elements)
+        assert _frontier(sweep_frontier(spec, budget, grid)) == default
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
