@@ -7,7 +7,7 @@ Modules:
   solver     -- conditional mutual information, modified Blahut-Arimoto,
                 frontier sweeps, baselines, no-tradeoff decision (psi* derived)
   bcregions  -- broadcast regions (degraded, outer bound, closed forms, CD = C x D)
-  verify     -- Monte-Carlo and brute-force oracles, reference BA updates
+  verify     -- Monte-Carlo, brute-force and exhaustive-search oracles
   examples   -- paper-style example builders (binary, erasure, Dueck, Gaussian)
   cli        -- command-line interface
 """

@@ -1,8 +1,10 @@
 """Finite-alphabet probability primitives and channel-specification model.
 
 Alphabets are index-based (0..n-1); optional string labels are carried only
-for I/O.  All tensors are dense float64, frozen (read-only) and validated on
+for I/O.  All tensors are float64, frozen (read-only) and validated on
 construction: a spec that exists satisfies every structural invariant.
+Tensors are dense, except that a single-receiver law may be a BandedLaw,
+whose (x,s) rows are each zero outside one window of outputs.
 
 A single-receiver spec (SdmcSpec) stores the channel law as the pair of
 marginals P(y|x,s) and P(z|x,s): the rate I(X;Y|S) reads only the first and
@@ -90,15 +92,70 @@ def distortion_lookup(d, s_idx, shat_idx):
     return np.asarray(d)[s_idx, shat_idx]
 
 
+class BandedLaw:
+    """A law indexed (x,s,y) whose row (x,s) is zero outside the W outputs
+    from offset[x,s]: law[x, s, offset[x,s] + k] = window[x, s, k], with
+    `size` = Y outputs.
+
+    It offers what the law's readers need: `shape`, `law[x]` (the dense
+    (S, Y) rows of one input), `law[x, :, y]` (one output's column, read
+    through the windows) and `np.asarray(law)`, the dense law, which only
+    the solver's kernels, `spec_to_dict` and the oracles of `verify` take.
+    Its arrays are frozen when it is built; the spec that holds it checks
+    that every window lies in [0, Y) and every window row is a pmf.
+    """
+
+    def __init__(self, offset, window, size):
+        self.offset = np.ascontiguousarray(offset, dtype=np.int64)
+        self.offset.setflags(write=False)
+        self.window = _freeze(window)
+        self.size = int(size)
+        if self.window.ndim != 3 or self.offset.shape != self.window.shape[:2]:
+            raise SpecValidationError(f"banded law: offsets of shape {self.offset.shape} "
+                                      f"for windows of shape {self.window.shape}")
+
+    @property
+    def shape(self):
+        return tuple(int(n) for n in self.window.shape[:2]) + (self.size,)
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):              # law[x]
+            rows = np.zeros(self.shape[1:])
+            self._fill(key, rows)
+            return rows
+        x, states, y = key                          # law[x, :, y]
+        if not (isinstance(states, slice) and states == slice(None)):
+            raise TypeError("a banded law reads one column as law[x, :, y]")
+        k = y - self.offset[x]
+        inside = (k >= 0) & (k < self.window.shape[2])
+        col = self.window[x, np.arange(k.size), np.where(inside, k, 0)]
+        return np.where(inside, col, 0.0)
+
+    def _fill(self, x, rows):
+        """Write input x's windows into its zeroed dense (S, Y) rows."""
+        cols = self.offset[x, :, None] + np.arange(self.window.shape[2])
+        np.put_along_axis(rows, cols, self.window[x], axis=1)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a banded law is made dense only by a copy")
+        law = np.zeros(self.shape)
+        for x in range(len(law)):
+            self._fill(x, law[x])
+        return law if dtype is None else law.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class SdmcSpec:
     """Single-receiver state-dependent memoryless channel.
 
     The law is stored as `law_y` = P(y|x,s) and `law_z` = P(z|x,s), both
-    indexed (x,s,·).  Give either that pair or `law`, the joint P(y,z|x,s)
-    indexed (x,s,y,z): the joint is validated as given, then only its two
-    marginals are kept.  `distortion` is either a dense (|S|, |Shat|)
-    matrix or a QuadraticDistortion.  `cost` defaults to all-zero.
+    indexed (x,s,·), each a dense array or a BandedLaw (validated on its
+    windows, never made dense here).  Give either that pair or `law`, the
+    joint P(y,z|x,s) indexed (x,s,y,z): the joint is validated as given,
+    then only its two marginals are kept.  `distortion` is either a dense
+    (|S|, |Shat|) matrix or a QuadraticDistortion.  `cost` defaults to
+    all-zero.
     """
     state_pmf: np.ndarray
     law: InitVar[Optional[np.ndarray]] = None
@@ -124,7 +181,8 @@ class SdmcSpec:
             object.__setattr__(self, "law_y", law.sum(axis=3))
             object.__setattr__(self, "law_z", law.sum(axis=2))
         for name in ("law_y", "law_z"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+            if not isinstance(getattr(self, name), BandedLaw):   # frozen when built
+                object.__setattr__(self, name, _freeze(getattr(self, name)))
             self._check_law(name, getattr(self, name), "x,s,·")
         if self.law_y.shape[:2] != self.law_z.shape[:2]:
             raise SpecValidationError("law_y and law_z disagree on (x,s) shape")
@@ -147,13 +205,24 @@ class SdmcSpec:
 
     def _check_law(self, name, t, axes):
         """A law indexed `axes`, whose leading two are (x,s): its ndim, its
-        state axis, and every (x,s) row a pmf."""
+        state axis, and every (x,s) row a pmf; a BandedLaw's windows within
+        its outputs and its window rows pmfs."""
         ndim = axes.count(",") + 1
-        if t.ndim != ndim:
+        if len(t.shape) != ndim:
             raise SpecValidationError(f"{name}: expected {ndim}-D ({axes}), got shape {t.shape}")
         if t.shape[1] != self.state_size:
             raise SpecValidationError(f"{name}: state axis does not match state_pmf")
-        _check_rows(t.reshape(t.shape[:2] + (-1,)), f"{name} row (x,s)")
+        if not isinstance(t, BandedLaw):
+            _check_rows(t.reshape(t.shape[:2] + (-1,)), f"{name} row (x,s)")
+            return
+        width = t.window.shape[2]
+        outside = (t.offset < 0) | (t.offset > t.size - width)
+        if np.any(outside):
+            idx = tuple(int(i) for i in np.argwhere(outside)[0])
+            raise SpecValidationError(
+                f"{name}: window of row (x,s) {idx} covers outputs {t.offset[idx]} to "
+                f"{t.offset[idx] + width - 1}, outside [0, {t.size})")
+        _check_rows(t.window, f"{name} window row (x,s)")
 
     # -- sizes ----------------------------------------------------------
     @property
@@ -390,7 +459,8 @@ def spec_to_dict(spec):
     """Serialize a spec back to the JSON document format."""
     if isinstance(spec, SdmcSpec):
         doc = {"kind": "sdmc", "state_pmf": spec.state_pmf.tolist(),
-               "law_y": spec.law_y.tolist(), "law_z": spec.law_z.tolist()}
+               "law_y": np.asarray(spec.law_y).tolist(),
+               "law_z": np.asarray(spec.law_z).tolist()}
         if isinstance(spec.distortion, QuadraticDistortion):
             doc["distortion"] = {"kind": "quadratic",
                                  "state_values": spec.distortion.state_values.tolist(),

@@ -155,16 +155,24 @@ def _spec_digest(spec):
       a dataclass  the line `<path> <class name>`, then its own fields;
       an array     the line `<path> <dtype.str> <shape>`, then its bytes in
                    C order;
+      a BandedLaw  the same line and bytes as its dense law, fed one input's
+                   dense rows at a time, so a spec has one digest however
+                   its laws are stored;
       other values the line `<path> json <n>`, then the n UTF-8 bytes of
                    `json.dumps(value, sort_keys=True)` (None and labels),
     each line ending in a newline.  Every line fixes the length of what
     follows it, so different specs feed different bytes.  Spec arrays are
-    float64 and C-contiguous, so hashing them copies nothing.
+    float64 and C-contiguous, so hashing them copies nothing, and a banded
+    law costs one input's dense rows.
     """
     h = hashlib.sha256()
 
     def feed(path, value):
-        if dataclasses.is_dataclass(value):
+        if isinstance(value, channel.BandedLaw):
+            h.update(f"{path} {np.dtype(float).str} {value.shape}\n".encode())
+            for x in range(value.shape[0]):
+                h.update(value[x])
+        elif dataclasses.is_dataclass(value):
             h.update(f"{path} {type(value).__name__}\n".encode())
             for f in dataclasses.fields(value):
                 feed(f"{path}.{f.name}", getattr(value, f.name))

@@ -57,12 +57,16 @@ def build_estimator(spec):
     if isinstance(d, QuadraticDistortion):
         # quadratic distortion: the posterior-risk minimizer over a sorted
         # grid is one of the two grid points around the posterior mean.  Work
-        # with (X,Z)-sized moments only; the (X,S,Z) weight tensor is never
-        # materialized (it is ~0.6 GB for the quantized Gaussian example).
-        law_z, ps, sv = spec.law_z, spec.state_pmf, d.state_values
-        m0 = np.einsum("xsz,s->xz", law_z, ps)            # P(z|x)
-        m1 = np.einsum("xsz,s->xz", law_z, ps * sv)
-        m2 = np.einsum("xsz,s->xz", law_z, ps * sv * sv)
+        # with (X,Z)-sized moments only, taken one input's (S,Z) rows at a
+        # time; the (X,S,Z) weight tensor is never materialized (it is
+        # ~0.6 GB for the quantized Gaussian example).
+        ps, sv = spec.state_pmf, d.state_values
+        weights = (ps, ps * sv, ps * sv * sv)
+        m0, m1, m2 = (np.empty((spec.input_size, spec.feedback_size)) for _ in weights)
+        for x in range(spec.input_size):
+            rows = spec.law_z[x]
+            for m, w in zip((m0, m1, m2), weights):     # P(z|x) and two moments
+                m[x] = np.einsum("sz,s->z", rows, w)
         norm = np.where(m0 > 0, m0, 1.0)
         mean = np.where(m0 > 0, m1 / norm, 0.0)
         ev = d.estimate_values

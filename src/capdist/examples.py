@@ -10,7 +10,7 @@ import numpy as np
 
 from . import estimator, solver
 from .bcregions import binary_entropy
-from .channel import QuadraticDistortion, SdmbcSpec, SdmcSpec
+from .channel import BandedLaw, QuadraticDistortion, SdmbcSpec, SdmcSpec
 from .errors import MemoryGuard
 
 HAMMING2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -247,23 +247,32 @@ def _snap(v):
 
 def _scatter(mean_pos, kernel_off, kernel_pr):
     """The law P(y|x,s) of y = snap(mean_pos[x,s] + kernel atom) over output
-    lattice points floor(min) .. ceil(max) + 1 of mean_pos + kernel_off; no
-    row reaches the last one or two of them, nor at times the first."""
+    lattice points floor(min) .. ceil(max) + 1 of mean_pos + kernel_off (no
+    row reaches the last one or two of them, nor at times the first), as a
+    BandedLaw.  Row (x,s) reaches the cells from snap(mean_pos[x,s] + the
+    least atom) to snap(mean_pos[x,s] + the largest), snap being monotone;
+    W is the widest such span, and each window starts at the row's first
+    cell, or W cells before the last output where that would run past it."""
     lo = int(np.floor(mean_pos.min() + kernel_off.min()))
     hi = int(np.ceil(mean_pos.max() + kernel_off.max())) + 1
     ny = hi - lo + 1
     pos = mean_pos.ravel()
-    out = np.empty((pos.size, ny))
+    first = _snap(pos + kernel_off.min()) - lo
+    width = int((_snap(pos + kernel_off.max()) - lo - first).max()) + 1
+    offset = np.minimum(first, ny - width)
+    out = np.empty((pos.size, width))
     for r0 in range(0, pos.size, _SCATTER_ROWS):
         block = pos[r0:r0 + _SCATTER_ROWS]
         rows = block.size
-        # (atoms, rows) flat cell indices: with atoms as the outer axis,
+        # (atoms, rows) flat window indices: with atoms as the outer axis,
         # bincount adds each cell's masses in kernel order from 0.0
-        idx = _snap(block + kernel_off[:, None]) + (np.arange(rows) * ny - lo)
+        idx = _snap(block + kernel_off[:, None]) + (
+            np.arange(rows) * width - offset[r0:r0 + rows] - lo)
         out[r0:r0 + rows] = np.bincount(
             idx.ravel(), np.repeat(kernel_pr, rows),
-            minlength=rows * ny).reshape(rows, ny)
-    return out.reshape(mean_pos.shape + (ny,))
+            minlength=rows * width).reshape(rows, width)
+    return BandedLaw(offset.reshape(mean_pos.shape),
+                     out.reshape(mean_pos.shape + (width,)), ny)
 
 
 def gaussian_quantized_spec(cfg=None):
@@ -277,10 +286,12 @@ def gaussian_quantized_spec(cfg=None):
     quadratic distortion d(s, shat) = (s - shat)^2 on the real state is
     well-posed.  Both noises are quantized on equal-spaced +/-6 sigma grids;
     outputs are snapped to the lattice of the channel-noise grid.  The two
-    marginal laws are built directly; the joint is never formed.  Each law
-    is filled in blocks of _SCATTER_ROWS (x, s) rows, one bincount per
-    block, which adds every cell's noise-atom masses in kernel order, so
-    the law does not depend on the block size.
+    marginal laws are built directly, each as a BandedLaw: every (x, s) row
+    is one window of outputs (`_scatter`); the joint is never formed, nor
+    a dense law.  Each law is filled in blocks of _SCATTER_ROWS (x, s) rows,
+    one bincount per block, which adds every cell's noise-atom masses in
+    kernel order, so the law does not depend on the block size, and its
+    dense form is the one that adding the atoms one at a time gives.
     """
     if cfg is None:
         cfg = GaussianQuantConfig()

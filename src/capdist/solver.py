@@ -123,12 +123,10 @@ def _row_blocks(n, columns, elements):
 def conditional_mutual_information(spec, p_x):
     """I(X;Y|S) in bits for the given input pmf, from the law rows of the
     inputs with mass: the others add nothing to it."""
-    law = spec.law_y
-    p_x = channel._check_pmf(p_x, law.shape[0], "p_x")
-    support = p_x > 0
-    if not support.all():
-        law, p_x = law[support], p_x[support]
-    return float(_BaWork(law, spec.state_pmf).rates(p_x[None])[0])
+    p_x = channel._check_pmf(p_x, spec.input_size, "p_x")
+    support = np.flatnonzero(p_x > 0)
+    law = np.stack([spec.law_y[x] for x in support])
+    return float(_BaWork(law, spec.state_pmf).rates(p_x[None, support])[0])
 
 
 def _pmfs(g):
@@ -166,9 +164,11 @@ class TradeoffPoint:
 
 class _BaWork:
     """Precomputed tensors of one (X, S, Y) law and state pmf: the BA kernel,
-    its curvature, and I(X;Y|S) at every row of a pmf matrix."""
+    its curvature, and I(X;Y|S) at every row of a pmf matrix.  The law is
+    taken dense (a BandedLaw is made dense here)."""
 
     def __init__(self, law, state_pmf):
+        law = np.asarray(law)
         nx = law.shape[0]
         self.law_flat = np.ascontiguousarray(law.reshape(nx, -1))
         self.ps_rep = np.repeat(state_pmf, law.shape[2])
@@ -654,20 +654,25 @@ def _posterior_classes(spec):
     first posterior lies within _POSTERIOR_TOL of its own in L1 distance, or
     opens one.  Posteriors that close have keys within _POSTERIOR_TOL (plus
     rounding), so a pair meets only the classes opened within
-    2 * _POSTERIOR_TOL of its key, and no (X, Z, S) array is built.  Each
-    pair with P(z|x) = 0 is a class of its own.
+    2 * _POSTERIOR_TOL of its key, and no (X, Z, S) array is built: P(z|x)
+    and the keys are taken one input's (S, Z) rows at a time, and each
+    posterior from one column of the law.  Each pair with P(z|x) = 0 is a
+    class of its own.
     """
     nx, ns, nz = spec.law_z.shape
-    p_z = np.einsum("s,xsz->xz", spec.state_pmf, spec.law_z)
+    ps = spec.state_pmf
     v = np.random.default_rng(0).random(ns)
+    p_z, key = np.empty((nx, nz)), np.empty((nx, nz))
+    for x in range(nx):
+        rows = spec.law_z[x]
+        p_z[x], key[x] = np.einsum("s,sz->z", ps, rows), np.einsum("s,sz->z", ps * v, rows)
     with np.errstate(divide="ignore", invalid="ignore"):
-        key = np.where(p_z > 0, np.einsum("s,xsz->xz", spec.state_pmf * v, spec.law_z) / p_z,
-                       np.inf).ravel()
+        key = np.where(p_z > 0, key / p_z, np.inf).ravel()
     table = np.arange(nx * nz)
     opened = collections.deque()          # (key, first posterior, class) within reach
     for i in np.argsort(key, kind="stable")[:np.count_nonzero(p_z)]:
         x, z = divmod(int(i), nz)
-        post = spec.state_pmf * spec.law_z[x, :, z] / p_z[x, z]
+        post = ps * spec.law_z[x, :, z] / p_z[x, z]
         while opened and opened[0][0] < key[i] - 2.0 * _POSTERIOR_TOL:
             opened.popleft()
         table[i] = next((t for _, first, t in opened

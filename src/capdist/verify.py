@@ -5,9 +5,8 @@ raw channel draws, the tradeoff oracle evaluates I(X;Y|S) directly on every
 point of a simplex lattice, and the estimator oracle enumerates every
 deterministic table.  The first two do use `estimator.build_estimator`
 (its table and per-input costs), the construction the third one checks.
-They exist to catch bugs in the analytic code paths.  `q_update` and
-`p_update` are the two Blahut-Arimoto half-steps written out on the full
-(X, S, Y) tensors, the reference for the solver's batched kernel.
+They exist to catch bugs in the analytic code paths, and they read each
+law as one dense (X, S, ·) array.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def simulate_distortion(spec, p_x, n, seed):
     rng = np.random.default_rng(seed)
     s = rng.choice(spec.state_size, size=n, p=spec.state_pmf)
     x = rng.choice(spec.input_size, size=n, p=p_x)
-    cum = np.cumsum(spec.law_z[x, s, :], axis=1)
+    cum = np.cumsum(np.asarray(spec.law_z)[x, s, :], axis=1)
     u = rng.random(n)
     z = (u[:, None] > cum).sum(axis=1)
     shat = est.table[x, z]
@@ -78,7 +77,7 @@ def brute_force_tradeoff(spec, distortion_cap, budget, grid_step):
     if not np.any(feas):
         raise InfeasibleConstraints("no lattice pmf satisfies the D/B constraints")
     pmfs = pmfs[feas]
-    law = spec.law_y
+    law = np.asarray(spec.law_y)
     log_law = np.zeros_like(law)
     np.log2(law, out=log_law, where=law > 0)
     law_flat = law.reshape(nx, -1)
@@ -100,23 +99,6 @@ def brute_force_tradeoff(spec, distortion_cap, budget, grid_step):
     return best_val, best_pmf
 
 
-def q_update(spec, p_x):
-    """Backward channel Q(x|y,s), shape (X, S, Y); uniform where P(y|s) = 0."""
-    num = np.asarray(p_x, float)[:, None, None] * spec.law_y
-    den = num.sum(axis=0)
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0 / num.shape[0])
-
-
-def p_update(spec, est, q, mu, lam=0.0):
-    """Exponential input update P*(x) proportional to 2**g(x)."""
-    w = spec.state_pmf[None, :, None] * spec.law_y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(w > 0, w * np.log2(q), 0.0).sum(axis=(1, 2))
-    g = g - lam * np.asarray(spec.cost) - mu * est.cost
-    e = np.exp2(g - g.max())
-    return e / e.sum()
-
-
 def exhaustive_estimator_search(spec, p_x):
     """Enumerate every deterministic estimator table; return the best.
 
@@ -130,7 +112,8 @@ def exhaustive_estimator_search(spec, p_x):
     n_tables = nshat ** n_cells
     if n_tables > 10**6:
         raise InstanceTooLarge(f"{n_tables} estimator tables to enumerate")
-    w = np.asarray(p_x, float)[:, None, None] * spec.state_pmf[None, :, None] * spec.law_z
+    w = (np.asarray(p_x, float)[:, None, None] * spec.state_pmf[None, :, None]
+         * np.asarray(spec.law_z))
     d = spec.distortion
     if isinstance(d, channel.QuadraticDistortion):
         d = d.as_matrix()

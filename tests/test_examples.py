@@ -1,15 +1,17 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from capdist import channel, estimator, examples, solver
+from capdist import channel, cli, estimator, examples, solver
 from capdist.bcregions import dueck_distortion
 from capdist.channel import QuadraticDistortion
-from capdist.errors import MemoryGuard
+from capdist.errors import MemoryGuard, SpecValidationError
 from capdist.examples import (GaussianQuantConfig, binary_multiplicative_cd,
                               binary_multiplicative_spec, dueck_bc_spec,
                               dueck_reduction_spec, gaussian_quantized_spec,
@@ -163,6 +165,121 @@ def test_block_scatter_matches_per_atom_adds(monkeypatch, kw):
     ref = gaussian_quantized_spec(cfg)
     for got, want in ((spec.law_y, ref.law_y), (spec.law_z, ref.law_z)):
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_scatter_is_the_per_row_bincount():
+    # 900 (x, s) rows, 3 blocks of 256 and one of 132; a quarter of the means
+    # on half-integers, where snapping ties; each row's dense law is the
+    # bincount of its own cells, its masses added in kernel order
+    rng = np.random.default_rng(5)
+    mean_pos = rng.normal(0.0, 6.0, size=(3, 300))
+    mean_pos[0, :75] = np.round(mean_pos[0, :75] * 2.0) / 2.0
+    kernel_off = np.unique(np.round(rng.normal(0.0, 3.0, 60) * 8.0) / 8.0)
+    kernel_pr = rng.dirichlet(np.ones(kernel_off.size))
+    law = examples._scatter(mean_pos, kernel_off, kernel_pr)
+    lo = int(np.floor(mean_pos.min() + kernel_off.min()))
+    ny = int(np.ceil(mean_pos.max() + kernel_off.max())) + 2 - lo
+    want = np.array([[np.bincount(examples._snap(m + kernel_off) - lo, kernel_pr, minlength=ny)
+                      for m in row] for row in mean_pos])
+    assert isinstance(law, channel.BandedLaw) and law.shape == want.shape
+    assert np.asarray(law).tobytes() == want.tobytes()
+    width = law.window.shape[2]
+    assert law.offset.min() >= 0 and law.offset.max() + width <= ny
+    assert width == max(np.ptp(np.flatnonzero(r)) + 1 for r in want.reshape(-1, ny))
+
+
+# the Gaussian builtins that the banded-law tests cover; the last has
+# noiseless feedback, so its law_z is its law_y
+_BANDED_BUILTINS = ["gaussian-reduced,state_points=100",
+                    "gaussian,pam_points=2,noise_points=5,state_points=4",
+                    "gaussian,pam_points=4,noise_points=5,state_points=4,feedback_variance=0"]
+
+
+def _builtin(text):
+    name, params = cli._parse_builtin(text)
+    return cli.BUILTINS[name](**params)
+
+
+@pytest.mark.parametrize("text", _BANDED_BUILTINS)
+def test_banded_storage_changes_no_result(text):
+    # the same spec with dense np.asarray copies of its laws must give the
+    # same bits everywhere a banded law is read one input at a time
+    spec = _builtin(text)
+    assert isinstance(spec.law_y, channel.BandedLaw) and isinstance(spec.law_z, channel.BandedLaw)
+    assert (spec.law_z is spec.law_y) == text.endswith("feedback_variance=0")
+    law_y = np.asarray(spec.law_y)
+    law_z = law_y if spec.law_z is spec.law_y else np.asarray(spec.law_z)
+    dense = dataclasses.replace(spec, law_y=law_y, law_z=law_z)
+    for banded, full in ((spec.law_y, law_y), (spec.law_z, law_z)):
+        assert banded.shape == full.shape
+        for x in range(full.shape[0]):
+            assert banded[x].tobytes() == full[x].tobytes()
+            for z in range(full.shape[2]):
+                assert banded[x, :, z].tobytes() == full[x, :, z].tobytes()
+
+    def frontier(s):                      # the median cost binds on the 8-PAM
+        return [(p.mu, p.rate, p.distortion, p.input_pmf.tobytes())
+                for p in solver.sweep_frontier(s, float(np.median(s.cost)), [0.05, 0.5, 5.0])]
+
+    assert frontier(spec) == frontier(dense)
+    got, want = estimator.build_estimator(spec), estimator.build_estimator(dense)
+    assert got.table.tobytes() == want.table.tobytes()
+    assert got.cost.tobytes() == want.cost.tobytes()
+    assert vars(solver.no_tradeoff_check(spec)) == vars(solver.no_tradeoff_check(dense))
+    assert cli._spec_digest(spec) == cli._spec_digest(dense)
+
+
+@pytest.mark.parametrize("field", ["law_y", "law_z"])
+@pytest.mark.parametrize("array, row, value, message", [
+    ("offset", (1, 2), 8, "{}: window of row (x,s) (1, 2) covers outputs 8 to 10, "
+                          "outside [0, 10)"),
+    ("offset", (0, 3), -1, "{}: window of row (x,s) (0, 3) covers outputs -1 to 1, "
+                           "outside [0, 10)"),
+    ("window", (1, 2), [-0.5, 1.5, 0.0], "{} window row (x,s): negative probability at (1, 2, 0)"),
+    ("window", (1, 2), [1.001, 0.0, 0.0], "{} window row (x,s): row (1, 2) sums to 1.001"),
+])
+def test_banded_law_is_validated_on_its_windows(field, array, row, value, message):
+    spec = _builtin(_BANDED_BUILTINS[1])
+    law = spec.law_y                                   # (2, 8, 10), windows of 3
+    parts = {"offset": law.offset.copy(), "window": law.window.copy()}
+    parts[array][row] = value
+    laws = {"law_y": law, "law_z": law, field: channel.BandedLaw(**parts, size=law.size)}
+    with pytest.raises(SpecValidationError) as err:
+        channel.SdmcSpec(state_pmf=spec.state_pmf, **laws, distortion=spec.distortion,
+                         cost=spec.cost)
+    assert str(err.value).startswith(message.format(field))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def spec_500():
+    return gaussian_quantized_spec(GaussianQuantConfig(state_points=500))
+
+
+def test_gaussian_build_working_set_is_banded():
+    # at 1,000 states the dense laws alone are 16.6 + 19.7 MB; their windows
+    # are 3.3 + 6.4 MB
+    assert _traced_peak(gaussian_quantized_spec, GaussianQuantConfig(state_points=500)) < 16e6
+
+
+@pytest.mark.parametrize("read", [
+    estimator.build_estimator,
+    lambda spec: examples.gaussian_two_pam_point(spec, 10.0),
+    cli._spec_digest,
+    solver.no_tradeoff_check,
+], ids=["build_estimator", "two_pam_point", "spec_digest", "no_tradeoff_check"])
+def test_banded_readers_never_build_a_dense_law(spec_500, read):
+    # each reads the laws one input's (S, Y) rows at a time: a dense law_z
+    # alone would be 19.7 MB
+    assert _traced_peak(read, spec_500) < 12e6
 
 
 def test_snap_ties_to_lower_index():

@@ -15,7 +15,6 @@ from capdist.errors import DegenerateUpdate, Infeasible, SpecValidationError
 from capdist.solver import (BaConfig, baseline_ts,
                             conditional_mutual_information, no_tradeoff_check,
                             solve_fixed_mu, sweep_frontier)
-from capdist.verify import p_update, q_update
 from random_specs import random_spec
 
 
@@ -127,6 +126,23 @@ def test_rates_are_row_independent_bit_for_bit(sizes, seed, data):
 # ---------------------------------------------------------------------------
 # BA updates
 # ---------------------------------------------------------------------------
+
+def q_update(spec, p_x):
+    """Backward channel Q(x|y,s), shape (X, S, Y); uniform where P(y|s) = 0."""
+    num = np.asarray(p_x, float)[:, None, None] * spec.law_y
+    den = num.sum(axis=0)
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0 / num.shape[0])
+
+
+def p_update(spec, est, q, mu, lam=0.0):
+    """Exponential input update P*(x) proportional to 2**g(x)."""
+    w = spec.state_pmf[None, :, None] * spec.law_y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(w > 0, w * np.log2(q), 0.0).sum(axis=(1, 2))
+    g = g - lam * np.asarray(spec.cost) - mu * est.cost
+    e = np.exp2(g - g.max())
+    return e / e.sum()
+
 
 def test_q_update_is_bayes_posterior():
     rng = np.random.default_rng(3)
