@@ -265,6 +265,17 @@ def _budget(text):
     return value
 
 
+def _unit(text):
+    """--q, --gamma, --e1, --s1, --e2, --s2: a probability in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], not {text!r}")
+    return value
+
+
 def _parse_mu_grid(text):
     if text == "auto":
         return [0.0] + list(np.logspace(-3.0, 3.0, 40))
@@ -499,12 +510,12 @@ def build_parser():
     p.add_argument("region", choices=("degraded", "outer", "binary", "flipped",
                                       "dueck-inner", "dueck-outer", "erasure"))
     _add_instance_args(p)
-    p.add_argument("--q", type=float, default=0.75)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--e1", type=float, default=0.2)
-    p.add_argument("--s1", type=float, default=0.12)
-    p.add_argument("--e2", type=float, default=0.4)
-    p.add_argument("--s2", type=float, default=0.3)
+    p.add_argument("--q", type=_unit, default=0.75)
+    p.add_argument("--gamma", type=_unit, default=0.5)
+    p.add_argument("--e1", type=_unit, default=0.2)
+    p.add_argument("--s1", type=_unit, default=0.12)
+    p.add_argument("--e2", type=_unit, default=0.4)
+    p.add_argument("--s2", type=_unit, default=0.3)
     p.add_argument("--resolution", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -246,20 +246,19 @@ def _snap(v):
 
 
 def _scatter(mean_pos, kernel_off, kernel_pr):
-    """The law P(y|x,s) of y = snap(mean_pos[x,s] + kernel atom) over output
-    lattice points floor(min) .. ceil(max) + 1 of mean_pos + kernel_off (no
-    row reaches the last one or two of them, nor at times the first), as a
+    """The law P(y|x,s) of y = snap(mean_pos[x,s] + kernel atom) over the
+    output lattice points from the least reached one to the largest, as a
     BandedLaw.  Row (x,s) reaches the cells from snap(mean_pos[x,s] + the
-    least atom) to snap(mean_pos[x,s] + the largest), snap being monotone;
-    W is the widest such span, and each window starts at the row's first
-    cell, or W cells before the last output where that would run past it."""
-    lo = int(np.floor(mean_pos.min() + kernel_off.min()))
-    hi = int(np.ceil(mean_pos.max() + kernel_off.max())) + 1
-    ny = hi - lo + 1
+    least atom) to snap(mean_pos[x,s] + the largest), snap being monotone,
+    so some row reaches the first output and some row the last; W is the
+    widest such span, and each window starts at the row's first cell, or W
+    cells before the last output where that would run past it."""
     pos = mean_pos.ravel()
-    first = _snap(pos + kernel_off.min()) - lo
-    width = int((_snap(pos + kernel_off.max()) - lo - first).max()) + 1
-    offset = np.minimum(first, ny - width)
+    first, last = _snap(pos + kernel_off.min()), _snap(pos + kernel_off.max())
+    lo = int(first.min())
+    ny = int(last.max()) - lo + 1
+    width = int((last - first).max()) + 1
+    offset = np.minimum(first - lo, ny - width)
     out = np.empty((pos.size, width))
     for r0 in range(0, pos.size, _SCATTER_ROWS):
         block = pos[r0:r0 + _SCATTER_ROWS]

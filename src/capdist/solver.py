@@ -50,14 +50,13 @@ One kernel, `_solve_rows`, iterates all penalties of a sweep at once: their
 pmfs are the rows of an (M, X) matrix, each starts from the uniform pmf and
 leaves the active set once its gap is certified.  Every `_BaWork` kernel
 takes P(y|s) from `_pys`, in row blocks of at most `_BLOCK_ELEMENTS` //
-columns rows over all S*Y law columns or one curvature block of them.
-These products are taken row by row, so a row's result does not depend on
-its block: a sweep point does not depend on the other mu of the grid.
-`a(x)` is taken over blocks of law rows of at most `_LAW_BLOCK_ELEMENTS`
-entries, one product per block, whose split can move its last bits; a law
-that fits takes one.  No (rows, columns) temporary of a pmf row block
-exceeds 2**16 elements (512 KiB), unless one row has more columns, and no
-law row block exceeds 2**22 (32 MiB) unless one law row does.
+columns rows over all S*Y law columns or one curvature block of them, and
+a(x) is taken over law rows in blocks of the same size.  Every product and
+sum is taken row by row, a(x) and the entropy term of `rates` as NumPy's
+pairwise sum along the row, so no bit depends on the block size or on the
+BLAS thread count: a sweep point does not depend on the other mu of the
+grid.  No (rows, columns) temporary exceeds 2**16 elements (512 KiB),
+unless one row has more columns.
 There are no warm starts.  Where the budget binds, `_dual_rows` solves
 E_lambda[b] = B for lambda by safeguarded Newton steps on all rows at once,
 each row starting from its lambda of the previous pass, and returns
@@ -84,10 +83,8 @@ from . import channel, estimator
 from .errors import DegenerateUpdate, Infeasible
 
 _BLOCK_ELEMENTS = 2 ** 16   # cap on the elements of every (rows, columns) temporary of
-                            # `_BaWork`'s pmf row blocks, 512 KiB: a few of them fit a 2 MiB
+                            # `_BaWork`'s row blocks, 512 KiB: a few of them fit a 2 MiB
                             # L2 cache, and a row's result does not depend on its block
-_LAW_BLOCK_ELEMENTS = 2 ** 22  # law entries per product of `_BaWork.a`: unlike the pmf row
-                               # blocks, law row blocks can move a(x)'s last bits
 _CURVATURE_COLUMNS = 2 ** 13  # law columns per product of `_BaWork.curvature`
 _LAMBDA_STEP = 1.0          # first scaled lambda of a newly binding row, and the least doubled one
 _LN2 = np.log(2.0)
@@ -173,8 +170,8 @@ class _BaWork:
         self.law_flat = np.ascontiguousarray(law.reshape(nx, -1))
         self.ps_rep = np.repeat(state_pmf, law.shape[2])
         self.a = np.empty(nx)
-        for rows in _row_blocks(nx, self.law_flat.shape[1], _LAW_BLOCK_ELEMENTS):
-            self.a[rows] = _xlog2x(self.law_flat[rows]) @ self.ps_rep
+        for rows in _row_blocks(nx, self.law_flat.shape[1], _BLOCK_ELEMENTS):
+            self.a[rows] = (_xlog2x(self.law_flat[rows]) * self.ps_rep).sum(axis=1)
 
     def _pys(self, p, cols=slice(None)):
         """(rows, P(y|s) over law columns `cols`, shaped (rows, 1, columns))
@@ -240,7 +237,9 @@ class _BaWork:
         fall an ulp below it)."""
         out = (p[:, None, :] @ self.a)[:, 0]
         for rows, pys in self._pys(p):
-            out[rows] -= (_xlog2x(pys) @ self.ps_rep)[:, 0]
+            h = _xlog2x(pys)[:, 0]
+            h *= self.ps_rep
+            out[rows] -= h.sum(axis=1)
         return np.maximum(out, 0.0)
 
 

@@ -24,13 +24,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def child_env(**extra):
+    """This environment, with the tested capdist first on PYTHONPATH."""
+    src = str(Path(capdist.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # the runtime needs NumPy alone; SciPy, a test dependency, is never loaded
-    src = str(Path(capdist.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, capdist, capdist.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", probe], env=child_env()).returncode == 0
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +160,31 @@ def test_joint_and_factored_spec_files_give_identical_outputs(tmp_path, capsys):
         outputs.append(texts)
     assert outputs[0] == outputs[1]
     assert '"passed": true' in outputs[0][2]
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # every S*Y sum of the solver is taken within one row, so one and two
+    # OpenBLAS threads write the same bytes; a BLAS dot split across threads
+    # once moved the mu = 0 rate of the first command in its last bits
+    commands = [
+        ["tradeoff", "--builtin", "gaussian,state_points=100", "--budget", "10",
+         "--mu-grid", "0:0:1"],
+        ["tradeoff", "--builtin", "gaussian-reduced,state_points=100", "--budget", "0.5"],
+        ["baselines", "--builtin", "gaussian-reduced,state_points=100", "--budget", "0.5"],
+    ]
+    script = ("import json, sys; from capdist.cli import main; "
+              "sys.exit(any(main(argv) for argv in json.loads(sys.argv[1])))")
+    children = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        argvs = [[*argv, "--out", str(tmp_path / threads / f"{i}.csv")]
+                 for i, argv in enumerate(commands)]
+        children.append(subprocess.Popen([sys.executable, "-c", script, json.dumps(argvs)],
+                                         env=child_env(OPENBLAS_NUM_THREADS=threads)))
+    assert [child.wait() for child in children] == [0, 0]
+    for i in range(len(commands)):
+        assert (tmp_path / "1" / f"{i}.csv").read_bytes() == \
+            (tmp_path / "2" / f"{i}.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +458,28 @@ def test_bc_closed_form_regions_reject_resolution_below_one(capsys):
             assert "resolution" in err
 
 
+@pytest.mark.parametrize("region, flag, value", [
+    ("erasure", "--e1", "1.5"), ("erasure", "--s1", "-0.1"), ("erasure", "--e2", "nan"),
+    ("erasure", "--s2", "inf"), ("dueck-inner", "--q", "-0.5"), ("dueck-outer", "--q", "2"),
+    ("binary", "--q", "1.0000001"), ("flipped", "--gamma", "-1"), ("binary", "--gamma", "x"),
+])
+def test_bc_closed_form_parameters_must_be_probabilities(capsys, region, flag, value):
+    # each once printed a region and exited 0: erasure at e1 = 1.5 a d1
+    # threshold of 1.32, dueck-inner at q = -0.5 a sum rate 1.75 at D = -0.25
+    with pytest.raises(SystemExit) as info:
+        main(["bc", region, flag, value])
+    out, err = capsys.readouterr()
+    assert info.value.code == 2 and out == ""
+    assert f"argument {flag}: must be a number in [0, 1], not '{value}'" in err
+
+
+def test_bc_closed_form_parameters_take_the_unit_interval_ends(capsys):
+    for argv in (["erasure", "--e1", "1", "--s1", "0", "--e2", "0", "--s2", "1"],
+                 ["binary", "--q", "1", "--gamma", "0"], ["dueck-outer", "--q", "0"]):
+        code, out, _ = run(capsys, "bc", *argv, "--resolution", "2")
+        assert code == 0 and out
+
+
 def test_bc_outer_rate_caps_are_nonnegative(capsys):
     # mutual informations are >= 0; unclamped rounding once wrote -2.2e-16
     # into the rate caps of the first invocation and -1.1e-16 into 192 sum-rate
@@ -630,9 +681,6 @@ def test_verify_no_tradeoff_reads_a_broadcast_spec_file(tmp_path, capsys):
 def test_verify_no_tradeoff_full_gaussian_in_bounded_memory(tmp_path):
     # psi* has 1,662 classes on the full grid: a dense W(x, s, t) would need GBs.
     # The spec's banded laws hold 160 MB; dense, they would hold 582 MB
-    src = str(Path(capdist.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "report.json"
     # a child's ru_maxrss starts at the peak of the memory it leaves at exec,
     # which with vfork is this process's, so the CLI runs as the grandchild
@@ -642,7 +690,7 @@ def test_verify_no_tradeoff_full_gaussian_in_bounded_memory(tmp_path):
               "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
     report = subprocess.run([sys.executable, "-c", script, sys.executable, "-m", "capdist.cli",
                              "verify", "no-tradeoff", "--builtin", "gaussian", "--out", str(out)],
-                            env=env, capture_output=True, text=True, check=True)
+                            env=child_env(), capture_output=True, text=True, check=True)
     code, maxrss_kib = map(int, report.stdout.split())
     assert code == 1
     assert json.loads(out.read_text())["passed"] is False

@@ -136,9 +136,9 @@ def test_noiseless_feedback_shares_the_output_law():
 
 def _per_atom_scatter(mean_pos, kernel_off, kernel_pr):
     # the law as first written: one fancy-indexed add per kernel atom, so each
-    # cell sums its masses in kernel order
-    lo = int(np.floor(mean_pos.min() + kernel_off.min()))
-    hi = int(np.ceil(mean_pos.max() + kernel_off.max())) + 1
+    # cell sums its masses in kernel order, over the cells that rows reach
+    lo = examples._snap(mean_pos + kernel_off.min()).min()
+    hi = examples._snap(mean_pos + kernel_off.max()).max()
     out = np.zeros(mean_pos.shape + (hi - lo + 1,))
     rows = np.arange(mean_pos.shape[0])[:, None]
     cols = np.arange(mean_pos.shape[1])[None, :]
@@ -177,10 +177,11 @@ def test_scatter_is_the_per_row_bincount():
     kernel_off = np.unique(np.round(rng.normal(0.0, 3.0, 60) * 8.0) / 8.0)
     kernel_pr = rng.dirichlet(np.ones(kernel_off.size))
     law = examples._scatter(mean_pos, kernel_off, kernel_pr)
-    lo = int(np.floor(mean_pos.min() + kernel_off.min()))
-    ny = int(np.ceil(mean_pos.max() + kernel_off.max())) + 2 - lo
-    want = np.array([[np.bincount(examples._snap(m + kernel_off) - lo, kernel_pr, minlength=ny)
-                      for m in row] for row in mean_pos])
+    cells = [examples._snap(m + kernel_off) for m in mean_pos.ravel()]
+    lo = min(c.min() for c in cells)
+    ny = max(c.max() for c in cells) + 1 - lo
+    want = np.array([np.bincount(c - lo, kernel_pr, minlength=ny) for c in cells])
+    want = want.reshape(mean_pos.shape + (ny,))
     assert isinstance(law, channel.BandedLaw) and law.shape == want.shape
     assert np.asarray(law).tobytes() == want.tobytes()
     width = law.window.shape[2]
@@ -229,18 +230,31 @@ def test_banded_storage_changes_no_result(text):
     assert cli._spec_digest(spec) == cli._spec_digest(dense)
 
 
+@pytest.mark.parametrize("text", [n for n in cli.BUILTINS if n.startswith("gaussian")]
+                         + _BANDED_BUILTINS)
+def test_gaussian_lattice_ends_at_reached_outputs(text):
+    # the output lattice runs from the least reached cell to the largest:
+    # some (x, s) row of each law reaches its first output and some its last
+    spec = _builtin(text)
+    for law in (spec.law_y, spec.law_z):
+        hit = law.window > 0
+        first = law.offset + hit.argmax(axis=2)
+        last = law.offset + hit.shape[2] - 1 - hit[..., ::-1].argmax(axis=2)
+        assert first.min() == 0 and last.max() == law.size - 1
+
+
 @pytest.mark.parametrize("field", ["law_y", "law_z"])
 @pytest.mark.parametrize("array, row, value, message", [
     ("offset", (1, 2), 8, "{}: window of row (x,s) (1, 2) covers outputs 8 to 10, "
-                          "outside [0, 10)"),
+                          "outside [0, 7)"),
     ("offset", (0, 3), -1, "{}: window of row (x,s) (0, 3) covers outputs -1 to 1, "
-                           "outside [0, 10)"),
+                           "outside [0, 7)"),
     ("window", (1, 2), [-0.5, 1.5, 0.0], "{} window row (x,s): negative probability at (1, 2, 0)"),
     ("window", (1, 2), [1.001, 0.0, 0.0], "{} window row (x,s): row (1, 2) sums to 1.001"),
 ])
 def test_banded_law_is_validated_on_its_windows(field, array, row, value, message):
     spec = _builtin(_BANDED_BUILTINS[1])
-    law = spec.law_y                                   # (2, 8, 10), windows of 3
+    law = spec.law_y                                   # (2, 8, 7), windows of 3
     parts = {"offset": law.offset.copy(), "window": law.window.copy()}
     parts[array][row] = value
     laws = {"law_y": law, "law_z": law, field: channel.BandedLaw(**parts, size=law.size)}

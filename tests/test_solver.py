@@ -1,8 +1,12 @@
 import dataclasses
 import logging
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,21 +89,27 @@ def test_cmi_rejects_a_non_pmf(p_x, fault):
 
 def test_rates_rows_do_not_depend_on_blocks_and_are_nonnegative(monkeypatch):
     # the region producers stack many pmfs in one `rates` call: each row must
-    # equal its one-row call, and point masses (I = 0) must not read below 0
+    # equal its one-row call, and point masses (I = 0) must not read below 0.
+    # a(x), summed along each law row, must not depend on its block either:
+    # the Gaussian's 23,800 S*Y columns put two law rows in a default block
     rng = np.random.default_rng(23)
+    specs = [random_spec(rng, *rng.integers(2, 4, size=4)) for _ in range(10)]
+    specs.append(examples.gaussian_quantized_spec(examples.GaussianQuantConfig(
+        pam_points=8, noise_points=25, state_points=100)))
     cases = []
-    for _ in range(10):
-        spec = random_spec(rng, *rng.integers(2, 4, size=4))
+    for spec in specs:
         work = solver._BaWork(spec.law_y, spec.state_pmf)
         p = np.vstack([np.eye(spec.input_size),
                        rng.dirichlet(np.ones(spec.input_size), size=6)])
         singles = [work.rates(row[None])[0] for row in p]
         assert min(singles[:spec.input_size]) >= 0.0
         assert work.rates(p).tolist() == singles
-        cases.append((work, p, singles))
-    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 1)     # one row per block
-    for work, p, singles in cases:
-        assert work.rates(p).tolist() == singles
+        cases.append((spec, work, p, singles))
+    for elements in (1, 2 ** 22):                          # one row per block, one block
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", elements)
+        for spec, work, p, singles in cases:
+            assert work.rates(p).tolist() == singles
+            assert solver._BaWork(spec.law_y, spec.state_pmf).a.tobytes() == work.a.tobytes()
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -249,10 +259,41 @@ def test_rates_working_set_is_one_row_block():
     assert peak < 2 << 20
 
 
+# hashes of every `_BaWork` kernel's output on the gaussian,state_points=100
+# law at a fixed (41, 16) pmf matrix, and `unreached` where only the even
+# inputs have mass
+_KERNEL_PROBE = """
+import hashlib, numpy as np
+from capdist import examples, solver
+spec = examples.gaussian_quantized_spec(examples.GaussianQuantConfig(state_points=100))
+work = solver._BaWork(spec.law_y, spec.state_pmf)
+p = np.random.default_rng(41).dirichlet(np.ones(16), size=41)
+holes = p * (np.arange(16) % 2 == 0)
+holes /= holes.sum(axis=1, keepdims=True)
+for out in (work.a, work.per_x(p), work.unreached(holes), *work.curvature(p), work.rates(p)):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_kernels_do_not_depend_on_blas_threads():
+    # each S*Y reduction is taken within one row, so one and two OpenBLAS
+    # threads give the same bits; `rates` once took its sum as one BLAS dot,
+    # which OpenBLAS splits across threads
+    src = str(Path(solver.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    children = [subprocess.Popen([sys.executable, "-c", _KERNEL_PROBE], stdout=subprocess.PIPE,
+                                 text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads))
+                for threads in ("1", "2")]
+    hashes = [child.communicate()[0].split() for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert len(hashes[0]) == 6 and hashes[0] == hashes[1]
+
+
 def test_work_build_working_set_is_one_row_block():
     # a (16, 1024, 512) law has 524,288 S*Y columns, 64 MB of floats; a(x)
-    # is taken over blocks of _LAW_BLOCK_ELEMENTS // 524,288 = 8 law rows, so
-    # building the work traces less than one law-size array
+    # is taken one law row at a time (_BLOCK_ELEMENTS // 524,288 rows, at
+    # least one), so building the work traces less than one law-size array
     rng = np.random.default_rng(43)
     law = rng.random((16, 1024, 512))
     law /= law.sum(axis=2, keepdims=True)
@@ -403,9 +444,11 @@ def test_sweep_row_blocks_do_not_change_results(monkeypatch):
     budget = float(np.quantile(spec.cost, 0.5))
     grid = [0.0] + list(np.logspace(-3, 3, 40))
     default = _frontier(sweep_frontier(spec, budget, grid))
+    a = solver._BaWork(spec.law_y, spec.state_pmf).a.tobytes()
     for elements in (1, 2 ** 22):                          # one row per block, one block
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", elements)
         assert _frontier(sweep_frontier(spec, budget, grid)) == default
+        assert solver._BaWork(spec.law_y, spec.state_pmf).a.tobytes() == a
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
