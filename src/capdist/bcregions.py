@@ -11,9 +11,10 @@ sample, with columns r0, r1, r2, d1, d2 and the parameters that produced it.
 Receiver k's rates, estimator and no-tradeoff check are the single-user
 ones on its view `channel.receiver_spec(bc, k)`; every rate comes from
 `solver._BaWork.rates`, whose rows do not depend on each other (so the
-degraded region rates each distinct P_X once), and both regions take their
-bounds on an auxiliary U from one kernel, `_superposition`, through the
-chain rule over U - X - Y, I(U;Y|S) = I(X;Y|S) - sum_u P_U(u) I(X;Y|S, U=u).
+degraded region rates each distinct P_X and P(x|u) once), and both regions
+take their bounds on an auxiliary U from one kernel, `_superposition`,
+through the chain rule over U - X - Y,
+I(U;Y|S) = I(X;Y|S) - sum_u P_U(u) I(X;Y|S, U=u).
 """
 
 from __future__ import annotations
@@ -57,21 +58,52 @@ def region_samples(r0, r1, r2, d1, d2, **params):
 _N_RANDOM_AUX = 10     # seeded random auxiliary channels of the outer bound
 
 
-def _superposition(joint, works, rates_x):
-    """Per work, (I(X;Y|S,U), I(U;Y|S)) of each joint pmf P(x, u) in the
-    (N, X, U) batch, given rates_x = I(X;Y|S) at its X marginals; X|U=u is
-    uniform where P_U(u) = 0.  I(U;Y|S) = I(X;Y|S) - I(X;Y|S,U) over the
-    Markov chain U - X - Y is clamped at 0: it is nonnegative by concavity,
-    but where it is 0 its rounding falls an ulp either side."""
-    n, nx, nu = joint.shape
-    p_u = joint.sum(axis=1)                                  # (N, U)
+def _given_u(p_xu, p_u):
+    """Rows P(x|u) = P(x, u) / P_U(u) of the (..., X) columns P(x, u), whose
+    P_U(u) are the (...) p_u; X|U=u is uniform where P_U(u) = 0."""
+    nx, pos = p_xu.shape[-1], p_u[..., None] > 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        cond = np.where(p_u[:, None, :] > 0,
-                        joint / np.where(p_u[:, None, :] > 0, p_u[:, None, :], 1.0),
-                        1.0 / nx).transpose(0, 2, 1).reshape(-1, nx)   # rows P(x|u)
+        return np.where(pos, p_xu / np.where(pos, p_u[..., None], 1.0), 1.0 / nx)
+
+
+def _conditionals(joint):
+    """(P_U, rows P(x|u), inverse) of the (N, X, U) batch of joint pmfs
+    P(x, u), as `_superposition` takes them: one row per (n, u)."""
+    n, nx, nu = joint.shape
+    p_u = joint.sum(axis=1)
+    return (p_u, _given_u(joint.transpose(0, 2, 1), p_u).reshape(-1, nx),
+            np.arange(n * nu).reshape(n, nu))
+
+
+def _lattice_conditionals(joint, resolution):
+    """`_conditionals` of the (N, X, U) joint pmfs of a simplex lattice at
+    1/resolution, with one row per distinct numerator vector of an (n, u)
+    column, of which the column is a function.  The vector's key is exact
+    while (resolution + 1)**X < 2**53, which `simplex_lattice`'s cap on its
+    points ensures for X >= 2 (at X = 1 every row P(x|u) is [1]).  Any
+    column of a key stands for it: np.unique's return_index would take a
+    stable sort, about twice the time."""
+    _, nx, nu = joint.shape
+    p_u = joint.sum(axis=1)
+    keys = joint * resolution
+    keys = (resolution + 1.0) ** np.arange(nx) @ np.rint(keys, out=keys)    # (N, U)
+    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+    col = np.empty(distinct.size, dtype=np.intp)
+    col[inverse] = np.arange(inverse.size)
+    n, u = np.divmod(col, nu)
+    return p_u, _given_u(joint[n, :, u], p_u[n, u]), inverse.reshape(p_u.shape)
+
+
+def _superposition(p_u, cond, inverse, works, rates_x):
+    """Per work, (I(X;Y|S,U), I(U;Y|S)) of each of N joint pmfs P(x, u),
+    given its (N, U) P_U, the rows P(x|u) `cond`, of which sample n's u
+    takes row inverse[n, u] (see `_conditionals`), and rates_x = I(X;Y|S)
+    at its X marginals.  I(U;Y|S) = I(X;Y|S) - I(X;Y|S,U) over the Markov
+    chain U - X - Y is clamped at 0: it is nonnegative by concavity, but
+    where it is 0 its rounding falls an ulp either side."""
     out = []
     for work, r in zip(works, rates_x):
-        given_u = np.einsum("nu,nu->n", p_u, work.rates(cond).reshape(n, nu))
+        given_u = np.einsum("nu,nu->n", p_u, work.rates(cond)[inverse])
         out.append((given_u, np.maximum(r - given_u, 0.0)))
     return out
 
@@ -118,8 +150,10 @@ def degraded_region(bc, u_size=None, resolution=32):
     |U| is u_size, |X| + 1 if None.  Per sample emits r1 = I(X;Y1|U,S1),
     r2 = I(U;Y2|S2) (the R0+R2 cap) and the two expected distortions; r0 is
     reported as 0.  The p_ux column holds the flattened (U, X) pmf.
-    I(X;Yk|Sk) is evaluated once per distinct P_X row (by its bytes): a
-    row's rate depends on that row alone, so every repeat gets the same bits.
+    I(X;Yk|Sk) is evaluated once per distinct P_X row (by its bytes), and
+    I(X;Yk|Sk,U=u) once per distinct P(x|u) (by its numerators, see
+    `_lattice_conditionals`): a row's rate depends on that row alone, so
+    every repeat gets the same bits.
     """
     nx = bc.input_size
     if u_size is None:
@@ -130,8 +164,9 @@ def degraded_region(bc, u_size=None, resolution=32):
     works, d1, d2 = _receivers(bc, p_x)
     _, first, inverse = np.unique(p_x.view(f"V{p_x.itemsize * nx}")[:, 0],
                                   return_index=True, return_inverse=True)
-    (r1, _), (_, r2) = _superposition(p_ux.transpose(0, 2, 1), works,
-                                      [work.rates(p_x[first])[inverse] for work in works])
+    rates_x = [work.rates(p_x[first])[inverse] for work in works]
+    (r1, _), (_, r2) = _superposition(
+        *_lattice_conditionals(p_ux.transpose(0, 2, 1), resolution), works, rates_x)
     return region_samples(0.0, r1, r2, d1, d2, p_ux=grid)
 
 
@@ -169,7 +204,8 @@ def outer_bound_samples(bc, resolution=32, seed=0):
 
     # one channel at a time: one (12 N, X, U) batch doubles the peak memory
     caps = [[aux_rate for _, aux_rate in
-             _superposition(grid[:, :, None] * aux[None, :, :], works, rates_x)]
+             _superposition(*_conditionals(grid[:, :, None] * aux[None, :, :]),
+                            works, rates_x)]
             for aux in aux_panel]
     b1, b2 = (np.concatenate(c) for c in zip(*caps))
     n_aux = len(aux_panel)

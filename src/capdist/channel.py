@@ -100,7 +100,7 @@ class BandedLaw:
     It offers what the law's readers need: `shape`, `law[x]` (the dense
     (S, Y) rows of one input), `law[x, :, y]` (one output's column, read
     through the windows) and `np.asarray(law)`, the dense law, which only
-    the solver's kernels, `spec_to_dict` and the oracles of `verify` take.
+    `spec_to_dict` and the oracles of `verify` take.
     Its arrays are frozen when it is built; the spec that holds it checks
     that every window lies in [0, Y) and every window row is a pmf.
     """

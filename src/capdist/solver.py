@@ -50,13 +50,13 @@ One kernel, `_solve_rows`, iterates all penalties of a sweep at once: their
 pmfs are the rows of an (M, X) matrix, each starts from the uniform pmf and
 leaves the active set once its gap is certified.  Every `_BaWork` kernel
 takes P(y|s) from `_pys`, in row blocks of at most `_BLOCK_ELEMENTS` //
-columns rows over all S*Y law columns or one curvature block of them, and
-a(x) is taken over law rows in blocks of the same size.  Every product and
-sum is taken row by row, a(x) and the entropy term of `rates` as NumPy's
-pairwise sum along the row, so no bit depends on the block size or on the
-BLAS thread count: a sweep point does not depend on the other mu of the
-grid.  No (rows, columns) temporary exceeds 2**16 elements (512 KiB),
-unless one row has more columns.
+columns rows over all kept law columns (the reached (s, y)) or one
+curvature block of them, and a(x) is taken over law rows in blocks of the
+same size.  Every product and sum is taken row by row, a(x) and the
+entropy term of `rates` as NumPy's pairwise sum along the row, so no bit
+depends on the block size or on the BLAS thread count: a sweep point does
+not depend on the other mu of the grid.  No (rows, columns) temporary
+exceeds 2**16 elements (512 KiB), unless one row has more columns.
 There are no warm starts.  Where the budget binds, `_dual_rows` solves
 E_lambda[b] = B for lambda by safeguarded Newton steps on all rows at once,
 each row starting from its lambda of the previous pass, and returns
@@ -161,14 +161,27 @@ class TradeoffPoint:
 
 class _BaWork:
     """Precomputed tensors of one (X, S, Y) law and state pmf: the BA kernel,
-    its curvature, and I(X;Y|S) at every row of a pmf matrix.  The law is
-    taken dense (a BandedLaw is made dense here)."""
+    its curvature, and I(X;Y|S) at every row of a pmf matrix.
+
+    Only the (s, y) columns that some input reaches are kept, in order, as
+    the (X, reached) `law_flat` and its P_S weights `ps_rep`: a column where
+    every P(y|x,s) is 0 adds exactly 0 to every kernel.  The law (a dense
+    array or a BandedLaw) is read one input's (S, Y) rows at a time; a dense
+    array whose every column is reached is used as it is, without a copy."""
 
     def __init__(self, law, state_pmf):
-        law = np.asarray(law)
-        nx = law.shape[0]
-        self.law_flat = np.ascontiguousarray(law.reshape(nx, -1))
-        self.ps_rep = np.repeat(state_pmf, law.shape[2])
+        nx, ns, ny = law.shape
+        reached = np.zeros(ns * ny, dtype=bool)
+        for x in range(nx):
+            reached |= law[x].reshape(-1) > 0
+        self.ps_rep = np.repeat(state_pmf, ny)
+        if isinstance(law, np.ndarray) and reached.all():
+            self.law_flat = np.ascontiguousarray(law.reshape(nx, -1))
+        else:
+            self.law_flat = np.empty((nx, np.count_nonzero(reached)))
+            for x in range(nx):
+                self.law_flat[x] = law[x].reshape(-1)[reached]
+            self.ps_rep = self.ps_rep[reached]
         self.a = np.empty(nx)
         for rows in _row_blocks(nx, self.law_flat.shape[1], _BLOCK_ELEMENTS):
             self.a[rows] = (_xlog2x(self.law_flat[rows]) * self.ps_rep).sum(axis=1)

@@ -84,20 +84,23 @@ def _random_bc(seed, nx=3):
     (lambda: _random_bc(5), 3)],
     ids=["binary-bc", "flipped-bc", "random"])
 def test_degraded_region_matches_rows_rated_one_at_a_time(make, resolution):
-    # degraded_region rates each distinct P_X once and copies the rate to the
-    # rows that repeat it; that must be bit for bit what every row gets alone
+    # degraded_region rates each distinct P_X and each distinct P(x|u) once
+    # and copies the rates to the rows that repeat them; that must be bit
+    # for bit what every row gets alone
     bc = make()
     s = degraded_region(bc, resolution=resolution)
     nx = bc.input_size
     p_ux = s.p_ux.reshape(len(s), nx + 1, nx)
     p_x = p_ux.sum(axis=1)
     assert len(np.unique(p_x, axis=0)) < len(s)         # the lattice repeats P_X
+    numerators = np.rint(p_ux * resolution).reshape(-1, nx)
+    assert len(np.unique(numerators, axis=0)) < len(numerators)   # and its (n, u) columns
     views = [channel.receiver_spec(bc, k) for k in (1, 2)]
     works = [solver._BaWork(v.law_y, v.state_pmf) for v in views]
     r1, r2 = [], []
     for i in range(len(s)):
         (a, _), (_, b) = bcregions._superposition(
-            p_ux[i:i + 1].transpose(0, 2, 1), works,
+            *bcregions._conditionals(p_ux[i:i + 1].transpose(0, 2, 1)), works,
             [work.rates(p_x[i:i + 1]) for work in works])
         r1.append(a[0])
         r2.append(b[0])
@@ -143,14 +146,22 @@ def test_degraded_region_independent_aux_gives_zero_r2():
 # ---------------------------------------------------------------------------
 
 def test_outer_bound_sample_invariants():
-    bc = examples.binary_bc_spec(0.6, 0.5)
-    s = outer_bound_samples(bc, resolution=8)
-    assert len(s)
-    assert np.all(s.r0 >= -1e-12) and np.all(s.r1 >= -1e-12) and np.all(s.r2 >= -1e-12)
-    assert np.all(0.0 - 1e-12 <= s.d1) and np.all(0.0 - 1e-12 <= s.d2)
-    # the sum-rate cap at uniform input is attained within the sample set
-    r0_max = s.r0.max()
-    assert r0_max <= 0.6 * 1.0 + 0.3 * 1.0 + 1e-9   # I(X;Y1Y2|S1S2) <= H(X)
+    # with X independent of the states, I(U;Yk|Sk) <= I(X;Yk|Sk) <=
+    # I(X;Y1Y2|S1S2), so rk <= r0; and no estimator beats receiver k's D_min
+    for bc, resolution, r0_cap in [
+            (examples.binary_bc_spec(0.6, 0.5), 8, 0.6 * 1.0 + 0.3 * 1.0),
+            (examples.flipped_bc_spec(0.6, 0.5), 8, 1.0),
+            (examples.erasure_bc_spec(*erasure_pairs()), 8, 1.0),
+            (examples.dueck_bc_spec(0.75), 4, 3.0)]:
+        s = outer_bound_samples(bc, resolution=resolution)
+        assert len(s)
+        assert np.all(s.r0 >= -1e-12) and np.all(s.r1 >= -1e-12) and np.all(s.r2 >= -1e-12)
+        assert np.all(s.r1 <= s.r0 + 1e-12) and np.all(s.r2 <= s.r0 + 1e-12)
+        for k, col in ((1, s.d1), (2, s.d2)):
+            d_min = estimator.d_min(channel.receiver_spec(bc, k), np.inf)[0]
+            assert np.all(col >= d_min - 1e-12)
+        # I(X;Y1Y2|S1S2) <= H(X); on binary-bc, at most 0.6 + 0.3 bits
+        assert s.r0.max() <= r0_cap + 1e-9
 
 
 @pytest.mark.parametrize("make, resolution", [

@@ -306,6 +306,82 @@ def test_work_build_working_set_is_one_row_block():
     assert peak < law.nbytes
 
 
+def test_work_build_never_makes_a_banded_law_dense():
+    # the state_points=500 law_y is banded, 15.75 MB dense; the work reads it
+    # one input at a time and keeps 73% of its columns
+    spec = examples.gaussian_quantized_spec(examples.GaussianQuantConfig(state_points=500))
+    assert isinstance(spec.law_y, channel.BandedLaw)
+    tracemalloc.start()
+    try:
+        solver._BaWork(spec.law_y, spec.state_pmf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < np.prod(spec.law_y.shape) * 8
+
+
+def test_work_keeps_the_reached_columns():
+    # 6,996 of the gaussian,state_points=100 law's 25,800 (s, y) columns and
+    # 1,006 of the 1,024 of Dueck's pair law are 0 at every input
+    spec = examples.gaussian_quantized_spec(examples.GaussianQuantConfig(state_points=100))
+    bc = examples.dueck_bc_spec()
+    nx, (s1, s2, _, y1, y2, _) = bc.input_size, bc.law.shape
+    pair_law = bc.law.sum(axis=5).transpose(2, 0, 1, 3, 4).reshape(nx, s1 * s2, y1 * y2)
+    for law, ps, kept in ((spec.law_y, spec.state_pmf, 18_804),
+                          (pair_law, bc.joint_state_pmf.ravel(), 18)):
+        work = solver._BaWork(law, ps)
+        dense = np.asarray(law).reshape(law.shape[0], -1)
+        reached = (dense > 0).any(axis=0)
+        assert work.law_flat.shape == (law.shape[0], kept) == (law.shape[0], reached.sum())
+        assert work.law_flat.tobytes() == dense[:, reached].tobytes()
+        assert work.ps_rep.tobytes() == np.repeat(ps, law.shape[2])[reached].tobytes()
+
+
+def test_work_uses_a_fully_reached_dense_law_as_it_is():
+    rng = np.random.default_rng(47)
+    law = rng.dirichlet(np.ones(5), size=(3, 4))
+    assert np.shares_memory(solver._BaWork(law, np.full(4, 0.25)).law_flat, law)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(sizes=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_kernels_depend_only_on_reached_columns(sizes, seed, data):
+    # output symbols that no (x, s) reaches add exactly 0 to every kernel:
+    # with them inserted, the kernels and the sweep keep their bytes
+    nx, ns, ny = sizes
+    rng = np.random.default_rng(seed)
+    law = rng.dirichlet(np.full(ny, 0.3), size=(nx, ns))       # some entries ~0
+    law[rng.random(law.shape) < 0.3] = 0.0
+    law[:, :, 0] += law.sum(axis=2) == 0.0                     # rows keep mass
+    law /= law.sum(axis=2, keepdims=True)
+    at = data.draw(st.lists(st.integers(0, ny), min_size=1, max_size=4))
+    wide = np.insert(law, at, 0.0, axis=2)
+    ps = rng.dirichlet(np.ones(ns))
+    p = rng.dirichlet(np.ones(nx), size=5)
+    holes = np.where(np.arange(nx) % 2 == 0, p, 0.0)
+    holes /= holes.sum(axis=1, keepdims=True)
+
+    def kernels(law):
+        work = solver._BaWork(law, ps)
+        return [work.a, work.per_x(p), work.unreached(holes), *work.curvature(p),
+                work.rates(p)]
+
+    assert [k.tobytes() for k in kernels(law)] == [k.tobytes() for k in kernels(wide)]
+    law_z = rng.dirichlet(np.ones(2), size=(nx, ns))
+    d = rng.random((ns, ns))
+    np.fill_diagonal(d, 0.0)
+    cost = rng.random(nx)
+    budget = rng.uniform(cost.min(), cost.max())
+    sweeps = [sweep_frontier(SdmcSpec(state_pmf=ps, law_y=law_y, law_z=law_z,
+                                      distortion=d, cost=cost), budget, [0.0, 0.3, 3.0])
+              for law_y in (law, wide)]
+    assert [(pt.mu, pt.rate, pt.distortion, pt.cost, pt.input_pmf.tobytes(),
+             pt.iterations, pt.converged, pt.gap) for pt in sweeps[0]] == \
+        [(pt.mu, pt.rate, pt.distortion, pt.cost, pt.input_pmf.tobytes(),
+          pt.iterations, pt.converged, pt.gap) for pt in sweeps[1]]
+
+
 def test_gap_is_infinite_where_a_massless_input_reaches_new_outputs():
     # at p = [1, 0] on the binary channel only x = 1 reaches y = 1, so its
     # divergence from the output law is infinite: no bound, however small
