@@ -7,7 +7,10 @@ of the binary and Dueck broadcast examples, including the upper concave hull
 the Dueck inner bound requires.
 
 Region samples are record arrays (see `region_samples`): one row per
-sample, with columns r0, r1, r2, d1, d2 and the parameters that produced it.
+sample, with columns r0, r1, r2, d1, d2 and the parameters that produced it,
+whose rows iterate as named tuples.  The upper concave hull is built on
+arrays: points that already turn right at every vertex (a hull among them)
+are returned as they are, and only other point sets run the monotone chain.
 Receiver k's rates, estimator and no-tradeoff check are the single-user
 ones on its view `channel.receiver_spec(bc, k)`; every rate comes from
 `solver._BaWork.rates`, whose rows do not depend on each other (so the
@@ -19,6 +22,9 @@ I(U;Y|S) = I(X;Y|S) - sum_u P_U(u) I(X;Y|S, U=u).
 
 from __future__ import annotations
 
+import collections
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +45,37 @@ def region_samples(r0, r1, r2, d1, d2, **params):
 
     Every argument is a per-sample column: a scalar (repeated on every row),
     a 1-D array of N values (numbers or strings) or an (N, k) array (a
-    vector per sample, such as a pmf).
+    vector per sample, such as a pmf).  Iterating the samples (or a slice or
+    mask of them) yields one named tuple per row, with Python scalars and
+    vector rows as arrays, read from the columns in one pass; `samples[i]`
+    is still an np.record.
     """
     cols = {name: np.asarray(v) for name, v in
             dict(r0=r0, r1=r1, r2=r2, d1=d1, d2=d2, **params).items()}
     n = max(len(v) for v in cols.values() if v.ndim)
-    out = np.recarray(n, dtype=[(name, v.dtype, v.shape[1:])
-                                for name, v in cols.items()])
+    out = _Samples(n, dtype=[(name, v.dtype, v.shape[1:]) for name, v in cols.items()])
     for name, v in cols.items():
         out[name] = v
     return out
+
+
+class _Samples(np.recarray):
+    """The record array of `region_samples`, iterated row by row as named
+    tuples: an np.record reads each field through NumPy's Python-level
+    `record.__getattribute__`."""
+
+    def __iter__(self):
+        if self.ndim != 1:
+            return super().__iter__()
+        names = self.dtype.names
+        cols = (self[k] for k in names)
+        return map(_row_type(names)._make,
+                   zip(*(c.tolist() if c.ndim == 1 else c for c in cols)))
+
+
+@functools.lru_cache(maxsize=None)
+def _row_type(names):
+    return collections.namedtuple("Sample", names)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +112,13 @@ def _lattice_conditionals(joint, resolution):
     stable sort, about twice the time."""
     _, nx, nu = joint.shape
     p_u = joint.sum(axis=1)
-    keys = joint * resolution
-    keys = (resolution + 1.0) ** np.arange(nx) @ np.rint(keys, out=keys)    # (N, U)
+    keys = np.zeros(p_u.shape)
+    for x in range(nx):             # one (N, U) term at a time, not an (N, X, U) one
+        term = joint[:, x] * resolution
+        np.rint(term, out=term)
+        term *= (resolution + 1.0) ** x
+        keys += term
+        del term
     distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
     col = np.empty(distinct.size, dtype=np.intp)
     col[inverse] = np.arange(inverse.size)
@@ -315,9 +347,8 @@ def dueck_inner(q, t_grid=None):
     d = dueck_distortion(q, t)
     samples = region_samples(1.0 + q * binary_entropy(t) - q * (1 - q), 1.0, 1.0,
                              d, d, t=t)
-    pts = list(zip(samples.d1.tolist(), samples.r0.tolist()))
-    pts.append((dueck_dmin(q), 1.0))
-    return samples, upper_concave_hull(pts)
+    return samples, upper_concave_hull(np.column_stack(
+        [np.append(samples.d1, dueck_dmin(q)), np.append(samples.r0, 1.0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -325,36 +356,57 @@ def dueck_inner(q, t_grid=None):
 # ---------------------------------------------------------------------------
 
 def upper_concave_hull(points):
-    """Upper concave hull of 2-D (x, y) points by monotone chain; returns
-    hull vertices sorted by x."""
-    best = {}
-    for x, y in points:
-        x, y = float(x), float(y)
-        if x not in best or y > best[x]:
-            best[x] = y
-    pts = sorted(best.items())
-    if len(pts) <= 2:
-        return pts
+    """Upper concave hull of 2-D (x, y) points (pairs or an (N, 2) array),
+    as a list of (x, y) vertices sorted by x (see `_hull`)."""
+    xs, ys = _hull(points)
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+def _hull(points):
+    """Vertices (xs, ys) of the upper concave hull of 2-D points, sorted by
+    x, as float arrays.
+
+    Per x only the largest y is kept (the first of equal ones, with the x of
+    the first point at that x).  If every consecutive triple turns right,
+    the monotone chain would pop nothing, so the points are returned as they
+    are: so is a hull passed back in.  Otherwise the chain runs, with the
+    same cross expression.
+    """
+    # pairs are read in one flat pass: np.asarray takes twice as long on them
+    pts = (np.asarray(points, dtype=float) if isinstance(points, np.ndarray)
+           else np.fromiter(itertools.chain.from_iterable(points), float)).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    order = np.lexsort((-y, x))          # by x, then y descending; ties stable
+    xs = x[order]
+    first = np.ones(xs.size, dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    xs = x[np.minimum.reduceat(order, np.flatnonzero(first))]
+    ys = y[order[first]]
+    x1, x2, px = xs[:-2], xs[1:-1], xs[2:]
+    y1, y2, py = ys[:-2], ys[1:-1], ys[2:]
+    if ((x2 - x1) * (py - y1) - (px - x1) * (y2 - y1) < 0).all():
+        return xs, ys
+    xl, yl = xs.tolist(), ys.tolist()
     hull = []
-    for p in pts:
+    for p in range(len(xl)):
         while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            cross = (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1)
+            i, j = hull[-2], hull[-1]
+            cross = (xl[j] - xl[i]) * (yl[p] - yl[i]) - (xl[p] - xl[i]) * (yl[j] - yl[i])
             if cross >= 0:          # middle point is not above the chord
                 hull.pop()
             else:
                 break
         hull.append(p)
-    return hull
+    return xs[hull], ys[hull]
 
 
 def envelope_value(points, d_query):
     """Best rate at distortion <= d_query on the piecewise-linear envelope of
     (d, rate) points; flat extension beyond the last vertex (larger
-    distortion budgets cannot hurt)."""
-    pts = upper_concave_hull(points)
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
+    distortion budgets cannot hurt).  The hull is read as arrays, and a hull
+    passed in (such as one from `upper_concave_hull`) is not rebuilt: see
+    `_hull`."""
+    xs, ys = _hull(points)
     # a vertex within 1e-12 of the budget counts as reached: solved points
     # and the D_min anchor can differ in the last bits of their distortion,
     # and the brute-force oracle gives its D cap the same slack

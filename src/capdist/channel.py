@@ -18,7 +18,6 @@ the single-receiver code through `receiver_spec`, one receiver's view.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from itertools import chain, combinations
 from math import comb
 from typing import Optional
 
@@ -346,10 +345,13 @@ def simplex_lattice(n, k):
     """All pmfs on n symbols whose entries are multiples of 1/k, as an
     (N, n) array in lexicographic order of the numerators.
 
-    Stars and bars: each choice of n-1 bar positions among n+k-1 slots is
-    one composition of k, and combinations() yields them lexicographically.
-    Raises ValueError for k < 1 and InstanceTooLarge above MAX_LATTICE_POINTS
-    points.
+    A composition walk builds the numerators, as exact integers in float64,
+    in the array it returns.  The last column holds what is left of k; each
+    of n - 1 steps repeats every row once per value a = 0..left of column i,
+    in increasing a, and moves a from the last column to column i.  The
+    array is then divided by k once.  Raises ValueError for k < 1 and
+    InstanceTooLarge above MAX_LATTICE_POINTS points, before building
+    anything.
     """
     if k < 1:
         raise ValueError(f"simplex lattice needs a resolution k >= 1, not {k}")
@@ -357,10 +359,17 @@ def simplex_lattice(n, k):
     if count > MAX_LATTICE_POINTS:
         raise InstanceTooLarge(
             f"{count} simplex lattice points for {n} symbols at 1/{k}")
-    bars = np.fromiter(chain.from_iterable(combinations(range(n + k - 1), n - 1)),
-                       dtype=np.int64, count=count * (n - 1)).reshape(count, n - 1)
-    edges = np.column_stack([np.full(count, -1), bars, np.full(count, n + k - 1)])
-    return (np.diff(edges, axis=1) - 1) / k
+    rows = np.zeros((1, n))
+    rows[0, -1] = k
+    for i in range(n - 1):
+        counts = rows[:, -1].astype(np.intp) + 1
+        rows = np.repeat(rows, counts, axis=0)
+        a = np.arange(len(rows))
+        a -= np.repeat(np.cumsum(counts) - counts, counts)   # 0..left per row
+        rows[:, i] = a
+        rows[:, -1] -= rows[:, i]
+    rows /= k
+    return rows
 
 
 # ---------------------------------------------------------------------------

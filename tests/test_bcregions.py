@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capdist import bcregions, channel, estimator, examples, solver, verify
 from capdist.bcregions import (binary_bc_region, binary_entropy,
@@ -342,3 +344,129 @@ def test_envelope_value_reaches_vertex_within_tie_slack():
     assert oracle > 0.1
     assert abs(envelope_value(curve, dmin) - oracle) <= 2e-3
     assert envelope_value(curve, min(x for x, _ in curve) - 1e-9) == -np.inf
+
+
+def monotone_chain_hull(points):
+    """upper_concave_hull as first written: the best y per x in a dict, then
+    the monotone chain over the sorted points."""
+    best = {}
+    for x, y in points:
+        x, y = float(x), float(y)
+        if x not in best or y > best[x]:
+            best[x] = y
+    pts = sorted(best.items())
+    if len(pts) <= 2:
+        return pts
+    hull = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            cross = (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1)
+            if cross >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def monotone_chain_envelope(points, d_query):
+    pts = monotone_chain_hull(points)
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+    reached = xs <= d_query + 1e-12
+    if not reached.any():
+        return -np.inf
+    return max(float(np.interp(d_query, xs, ys)), float(ys[reached].max()))
+
+
+def _bits(pairs):
+    return np.array(pairs, dtype=float).reshape(-1, 2).tobytes()
+
+
+@st.composite
+def point_sets(draw):
+    """Small integer grids, ±0.0, arbitrary floats, collinear runs and
+    repeated x with its y values in both orders, shuffled."""
+    coord = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0]),
+                      st.floats(-100, 100, allow_nan=False))
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=10))
+    if draw(st.booleans()):                  # a collinear run
+        x0, y0, dx, dy = (draw(st.integers(-3, 3)) for _ in range(4))
+        pts += [(float(x0 + i * dx), float(y0 + i * dy))
+                for i in range(draw(st.integers(2, 6)))]
+    for x, y1, y2 in draw(st.lists(st.tuples(coord, coord, coord), max_size=3)):
+        pts += [(x, y1), (x, y2), (x, y2), (x, y1)]
+    return draw(st.permutations(pts))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(points=point_sets(), data=st.data())
+def test_upper_concave_hull_matches_monotone_chain(points, data):
+    hull = upper_concave_hull(points)
+    assert _bits(hull) == _bits(monotone_chain_hull(points))
+    assert all(type(x) is float and type(y) is float for x, y in hull)
+    assert _bits(upper_concave_hull(hull)) == _bits(hull)    # a hull is its own hull
+    assert _bits(upper_concave_hull(np.array(points).reshape(-1, 2))) == _bits(hull)
+    queries = data.draw(st.lists(st.floats(-200, 200, allow_nan=False), max_size=4))
+    for x, _ in hull[:3]:                    # at, within and beyond the 1e-12 slack
+        queries += [x, x - 5e-13, x + 5e-13, x - 2e-12]
+    if hull:
+        queries.append(hull[0][0] - 1.0)     # below the first vertex
+    for d in queries:
+        want = monotone_chain_envelope(points, d)
+        assert np.float64(envelope_value(points, d)).tobytes() == np.float64(want).tobytes()
+        assert np.float64(envelope_value(hull, d)).tobytes() == np.float64(want).tobytes()
+
+
+def test_upper_concave_hull_keeps_the_first_point_of_a_tie():
+    # equal x (0.0 and -0.0) keeps the x seen first and the largest y,
+    # the first of equal ones
+    for pts in ([(0.0, 1.0), (-0.0, 2.0), (1.0, 0.0)],
+                [(-0.0, 2.0), (0.0, -0.0), (0.0, 2.0), (1.0, 0.0)],
+                [(1.0, 0.0), (2.0, 0.0), (0.0, 0.0), (0.0, -0.0)]):
+        assert _bits(upper_concave_hull(pts)) == _bits(monotone_chain_hull(pts))
+
+
+def test_dueck_hulls_match_monotone_chain():
+    t = np.linspace(0.0, 1.0, 2001)
+    samples, inner = dueck_inner(0.75, t)
+    pts = list(zip(samples.d1.tolist(), samples.r0.tolist())) + [(dueck_dmin(0.75), 1.0)]
+    assert _bits(inner) == _bits(monotone_chain_hull(pts))
+    assert len(inner) < len(pts)             # the chain drops points here
+    outer_pts = [(s.d1, s.r0) for s in dueck_outer(0.75, t)]
+    outer = upper_concave_hull(outer_pts)
+    assert _bits(outer) == _bits(monotone_chain_hull(outer_pts))
+    assert len(outer) == len(outer_pts)      # concave already: returned as it is
+
+
+# ---------------------------------------------------------------------------
+# region rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: degraded_region(examples.binary_bc_spec(0.6, 0.5), resolution=4),
+    lambda: outer_bound_samples(examples.flipped_bc_spec(0.6, 0.5), resolution=3),
+    lambda: binary_bc_region(0.6, 0.5, np.linspace(0, 1, 5), np.linspace(0, 1, 4)),
+    lambda: flipped_bc_region(0.6, 0.5),
+    lambda: dueck_inner(0.75, np.linspace(0, 1, 11))[0],
+    lambda: dueck_outer(0.75)],
+    ids=["degraded", "outer", "binary", "flipped", "dueck-inner", "dueck-outer"])
+def test_region_rows_iterate_as_named_tuples_of_the_columns(make):
+    samples = make()
+    names = samples.dtype.names
+    for part in (samples, samples[::3], samples[samples.d1 > np.median(samples.d1)],
+                 samples[:0]):
+        rows = list(part)
+        assert len(rows) == len(part)
+        assert [(s.d1, s.r0) for s in part] == list(zip(part.d1.tolist(), part.r0.tolist()))
+        for name in names:
+            col = part[name]
+            if col.ndim == 1:
+                assert [getattr(s, name) for s in rows] == col.tolist()
+            else:
+                assert all(isinstance(getattr(s, name), np.ndarray)
+                           and np.array_equal(getattr(s, name), c) for s, c in zip(rows, col))
+        assert all(s._fields == names for s in rows)
+    assert isinstance(samples[0], np.record)
+    assert samples[0].d1 == samples.d1[0]

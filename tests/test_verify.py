@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from random_specs import random_spec
 # ---------------------------------------------------------------------------
 
 def test_simplex_lattice_counts_and_normalization():
-    import math
     for n in (1, 2, 3, 4, 5, 8):
         for k in (1, 3, 5):
             pts = simplex_lattice(n, k)
@@ -39,6 +41,54 @@ def test_simplex_lattice_guard():
         simplex_lattice(2, MAX_LATTICE_POINTS)
     with pytest.raises(ValueError):            # no lattice below resolution 1
         simplex_lattice(3, 0)
+
+
+def stars_and_bars(n, k):
+    """The lattice as first written: each choice of n-1 bar positions among
+    n+k-1 slots, in the lexicographic order of combinations(), is one
+    composition of k."""
+    count = math.comb(n + k - 1, n - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n + k - 1), n - 1)),
+        dtype=np.int64, count=count * (n - 1)).reshape(count, n - 1)
+    edges = np.column_stack([np.full(count, -1), bars, np.full(count, n + k - 1)])
+    return (np.diff(edges, axis=1) - 1) / k
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 9) for k in range(1, 11)]
+                         + [(6, 16), (8, 5), (2, 100), (1, 37)])
+def test_simplex_lattice_is_stars_and_bars_bit_for_bit(n, k):
+    got, want = simplex_lattice(n, k), stars_and_bars(n, k)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_simplex_lattice_guards_before_allocating():
+    tracemalloc.start()
+    try:
+        for n, k, error in ((3, 0, ValueError), (3, -2, ValueError),
+                            (5, 1000, InstanceTooLarge),
+                            (2, MAX_LATTICE_POINTS, InstanceTooLarge)):
+            with pytest.raises(error):
+                simplex_lattice(n, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024            # the exceptions, not an array
+
+
+def test_simplex_lattice_working_set():
+    # the walk holds one step's rows and (N,) index vectors beside the
+    # result: binary-bc's degraded region at resolution 32 builds this
+    # 435,897 x 6 lattice (20.9 MB), which stars and bars traced at 80 MB
+    tracemalloc.start()
+    try:
+        out = simplex_lattice(6, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (435_897, 6)
+    assert peak <= 1.5 * out.nbytes
 
 
 # ---------------------------------------------------------------------------
