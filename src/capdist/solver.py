@@ -35,7 +35,9 @@ KKT system of the row's support finish the row: `_polish` runs at passes
 _POLISH_FIRST, 2*_POLISH_FIRST, 4*_POLISH_FIRST, ... and keeps a pmf only
 when that pmf carries its own certificate.  Each step starts from masses
 at least 2**_LOG2_FLOOR, so it can move every input, and holds the first
-input it would drive below 0 at a small mass, at least that floor.
+input it would drive below 0 at a small mass, at least that floor.  One
+LAPACK call solves the KKT systems of all rows; a singular one (see
+`_kkt_step`) gives its row a non-finite step, which is rejected.
 `converged` means gap <= convergence_eps, and `iterations` counts BA passes
 (a polish is part of the pass it runs in).
 
@@ -354,25 +356,33 @@ def _dual_rows(base_g, b, budget, lam0):
     return p, lam, evals
 
 
-def _solve(a, r):
-    """x with a @ x = r for each of a stack of square systems, by Gaussian
-    elimination with partial pivoting; a singular system gives non-finite
-    entries.  (numpy.linalg would page in ~0.3-1.3 MB of LAPACK for
-    systems this small.)"""
-    a, r = a.copy(), r.copy()
-    n, idx = a.shape[1], np.arange(len(a))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c in range(n):
-            piv = c + np.abs(a[:, c:, c]).argmax(axis=1)
-            a[idx, c], a[idx, piv] = a[idx, piv], a[idx, c].copy()
-            r[idx, c], r[idx, piv] = r[idx, piv], r[idx, c].copy()
-            f = a[:, c + 1:, c] / a[:, c, c, None]
-            a[:, c + 1:, c:] -= f[:, :, None] * a[:, c, None, c:]
-            r[:, c + 1:] -= f * r[:, c, None]
-        x = np.zeros_like(r)
-        for c in range(n - 1, -1, -1):
-            x[:, c] = (r[:, c] - (a[:, c, c + 1:] * x[:, c + 1:]).sum(axis=1)) / a[:, c, c]
-    return x
+def _kkt_step(m, grad, p, held, free, bind, b, slack):
+    """The step d of `_newton_step`'s model on the free inputs of each row
+    (0 on the held ones, which move from p to `held`), with the budget row
+    on the rows in `bind`: one LAPACK call solves every row's KKT system.
+    A row whose system is singular in exact arithmetic (no free input, or a
+    binding row whose free inputs all cost the same) or not finite is set
+    aside before the call with a NaN step, so no row changes another's."""
+    n, nx = p.shape
+    diag = np.arange(nx)
+    scale = b.max() if b.max() > 0.0 else 1.0
+    kkt = np.zeros((n, nx + 2, nx + 2))
+    kkt[:, :nx, :nx] = np.where(free[:, :, None] & free[:, None, :], m, 0.0)
+    kkt[:, diag, diag] = np.where(free, m[:, diag, diag] * (1.0 + _RIDGE), 1.0)
+    kkt[:, nx, :nx] = kkt[:, :nx, nx] = free
+    kkt[:, nx + 1, :nx] = kkt[:, :nx, nx + 1] = np.where(bind[:, None] & free, b / scale, 0.0)
+    kkt[:, nx + 1, nx + 1] = np.where(bind, 0.0, 1.0)
+    shift = held - p
+    rhs = np.zeros((n, nx + 2, 1))
+    rhs[:, :nx, 0] = np.where(free, grad - (shift[:, None, :] @ m)[:, 0], 0.0)
+    rhs[:, nx, 0] = -shift.sum(axis=1)
+    rhs[:, nx + 1, 0] = np.where(bind, (slack - (shift * b).sum(axis=1)) / scale, 0.0)
+    spread = np.where(free, b, -np.inf).max(axis=1) > np.where(free, b, np.inf).min(axis=1)
+    fine = (np.where(bind, spread, free.any(axis=1)) & np.isfinite(kkt).all(axis=(1, 2))
+            & np.isfinite(rhs).all(axis=(1, 2)))
+    d = np.full((n, nx), np.nan)
+    d[fine] = np.linalg.solve(kkt[fine], rhs[fine])[:, :nx, 0]
+    return d
 
 
 def _newton_step(work, p, w, bind, b, budget):
@@ -383,11 +393,13 @@ def _newton_step(work, p, w, bind, b, budget):
     The step maximizes the quadratic model of J, w.d - d.M.d/2 (M from
     `_BaWork.curvature`, its diagonal raised by _RIDGE, as M is singular
     where the optimum is not unique), subject to sum d = 0 and, on the rows
-    in `bind` or whose step would overspend the budget, b.d = B - b.p.  The
-    first input along the step that it drives to or below 0 is frozen at
-    p * exp(d/p), at least 2**_LOG2_FLOOR, and the model is solved again for
-    the others, until none crosses 0 (so an input that crossed only because
-    another one did stays free).  An input whose own mass dominates its
+    in `bind` or whose step would overspend the budget, b.d = B - b.p
+    (`_kkt_step`: one LAPACK solve per stack of systems; a binding row whose
+    free inputs all cost the same gets a non-finite step, which `_polish`
+    rejects).  The first input along the step that it drives to or below 0
+    is frozen at p * exp(d/p), at least 2**_LOG2_FLOOR, and the model is
+    solved again for the others, until none crosses 0 (so an input that
+    crossed only because another one did stays free).  An input whose own mass dominates its
     outputs, by at least half of M(x, x), grows by p * exp(d/p): there J
     behaves like -p ln p, whose step in ln p is exact, while p + d would
     barely move it off the floor.  So every input stays positive: one that
@@ -395,32 +407,15 @@ def _newton_step(work, p, w, bind, b, budget):
     of J is negligible, not at 0, where an input whose outputs no other
     input reaches has an infinite divergence and no gap could be certified.
     """
-    n, nx = p.shape
-    diag = np.arange(nx)
+    diag = np.arange(p.shape[1])
     m, own = work.curvature(p)
-    scale = b.max() if b.max() > 0.0 else 1.0
     grad = w - (p * w).sum(axis=1, keepdims=True)
     # aim at the middle of the dual's stopping window, as `_dual_rows` does
     with np.errstate(invalid="ignore"):
         slack = budget * (1.0 - 2.0 * _EPS) - (p * b).sum(axis=1)
-
-    def solve(free, held, bind):
-        kkt = np.zeros((n, nx + 2, nx + 2))
-        kkt[:, :nx, :nx] = np.where(free[:, :, None] & free[:, None, :], m, 0.0)
-        kkt[:, diag, diag] = np.where(free, m[:, diag, diag] * (1.0 + _RIDGE), 1.0)
-        kkt[:, nx, :nx] = kkt[:, :nx, nx] = free
-        kkt[:, nx + 1, :nx] = kkt[:, :nx, nx + 1] = np.where(bind[:, None] & free, b / scale, 0.0)
-        kkt[:, nx + 1, nx + 1] = np.where(bind, 0.0, 1.0)
-        shift = held - p
-        rhs = np.zeros((n, nx + 2))
-        rhs[:, :nx] = np.where(free, grad - (shift[:, None, :] @ m)[:, 0], 0.0)
-        rhs[:, nx] = -shift.sum(axis=1)
-        rhs[:, nx + 1] = np.where(bind, (slack - (shift * b).sum(axis=1)) / scale, 0.0)
-        return _solve(kkt, rhs)[:, :nx]
-
     free, held = np.ones(p.shape, dtype=bool), p
-    d = solve(free, held, bind)
-    for _ in range(nx + 1):
+    d = _kkt_step(m, grad, p, held, free, bind, b, slack)
+    for _ in range(p.shape[1] + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             reach = np.where(free & (p + d <= 0.0), p / -d, np.inf)   # step to 0
         cross = np.isfinite(reach) & (reach == reach.min(axis=1, keepdims=True))
@@ -433,7 +428,7 @@ def _newton_step(work, p, w, bind, b, budget):
             shrunk = np.maximum(p * np.exp2(d / (p * _LN2)), 2.0 ** _LOG2_FLOOR)
         held, free = np.where(cross, shrunk, held), free & ~cross
         bind = bind | spend
-        d = solve(free, held, bind)
+        d = _kkt_step(m, grad, p, held, free, bind, b, slack)
     # an input that dominates its outputs behaves like -p ln p, whose step
     # in ln p is exact: from a tiny mass, p + d would barely move it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -482,8 +477,8 @@ def _polish(work, cost, p, w, j, mu, bind, b, budget, tol):
 
 
 def _solve_rows(work, est, b, mus, budget, cfg, start=None):
-    """One TradeoffPoint per penalty in `mus`, all iterated in lockstep; b is
-    the input cost vector the budget bounds.
+    """One TradeoffPoint per penalty in `mus` (each finite and >= 0), all
+    iterated in lockstep; b is the input cost vector the budget bounds.
 
     Row i starts at `start` (a pmf, or one per row; uniform if None).  Each
     pass evaluates w = a - t - mu*c and J at every active row's pmf and the
@@ -507,6 +502,9 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
     b = np.asarray(b, float)
     estimator._check_budget(b, budget)
     mus = np.asarray(mus, float)
+    bad = mus[~(np.isfinite(mus) & (mus >= 0.0))]
+    if bad.size:
+        raise ValueError(f"mu must be a finite number >= 0, not {float(bad[0])}")
     m, nx = mus.size, b.size
     p = np.array(np.broadcast_to(np.full(nx, 1.0 / nx) if start is None
                                  else np.asarray(start, float), (m, nx)), order="C")

@@ -460,6 +460,19 @@ def test_nan_budget_raises():
         solve_fixed_mu(spec, BaConfig(budget=np.nan))
 
 
+@pytest.mark.parametrize("mu", [-1.0, np.nan, np.inf])
+def test_bad_penalties_raise(mu):
+    # mu = -1 came back as a "converged" row and displaced the mu = 0 row of
+    # the sweep; nan and inf failed with DegenerateUpdate and a RuntimeWarning
+    spec = examples.binary_multiplicative_spec(0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"not {mu}$"):
+            sweep_frontier(spec, np.inf, [mu])
+        with pytest.raises(ValueError, match=f"not {mu}$"):
+            solve_fixed_mu(spec, BaConfig(mu=mu))
+
+
 def test_objective_trace_monotone_on_random_channels():
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -730,6 +743,105 @@ def test_polish_from_zero_and_subnormal_masses_is_warning_free():
                                        np.zeros(1, dtype=bool), spec.cost, np.inf, 1e-10)
     assert ok[0] and gap[0] <= 1e-10
     assert q[0] == pytest.approx(np.full(3, 1.0 / 3.0), abs=1e-9)
+
+
+def _elimination(a, r):
+    """x with a @ x = r for each of a stack of square systems, by Gaussian
+    elimination with partial pivoting, as the Newton step first solved its
+    KKT systems; a singular system gives non-finite entries."""
+    a, r = a.copy(), r.copy()
+    n, idx = a.shape[1], np.arange(len(a))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for c in range(n):
+            piv = c + np.abs(a[:, c:, c]).argmax(axis=1)
+            a[idx, c], a[idx, piv] = a[idx, piv], a[idx, c].copy()
+            r[idx, c], r[idx, piv] = r[idx, piv], r[idx, c].copy()
+            f = a[:, c + 1:, c] / a[:, c, c, None]
+            a[:, c + 1:, c:] -= f[:, :, None] * a[:, c, None, c:]
+            r[:, c + 1:] -= f * r[:, c, None]
+        x = np.zeros_like(r)
+        for c in range(n - 1, -1, -1):
+            x[:, c] = (r[:, c] - (a[:, c, c + 1:] * x[:, c + 1:]).sum(axis=1)) / a[:, c, c]
+    return x
+
+
+def _kkt_reference(m, grad, p, held, free, bind, b, slack):
+    """(KKT matrices, their solutions by `_elimination`) of the systems that
+    `solver._kkt_step` solves: the step d on the first X entries, then the
+    multipliers of the sum and budget rows."""
+    n, nx = p.shape
+    diag = np.arange(nx)
+    scale = b.max() if b.max() > 0.0 else 1.0
+    kkt = np.zeros((n, nx + 2, nx + 2))
+    kkt[:, :nx, :nx] = np.where(free[:, :, None] & free[:, None, :], m, 0.0)
+    kkt[:, diag, diag] = np.where(free, m[:, diag, diag] * (1.0 + solver._RIDGE), 1.0)
+    kkt[:, nx, :nx] = kkt[:, :nx, nx] = free
+    kkt[:, nx + 1, :nx] = kkt[:, :nx, nx + 1] = np.where(bind[:, None] & free, b / scale, 0.0)
+    kkt[:, nx + 1, nx + 1] = np.where(bind, 0.0, 1.0)
+    shift = held - p
+    rhs = np.zeros((n, nx + 2))
+    rhs[:, :nx] = np.where(free, grad - (shift[:, None, :] @ m)[:, 0], 0.0)
+    rhs[:, nx] = -shift.sum(axis=1)
+    rhs[:, nx + 1] = np.where(bind, (slack - (shift * b).sum(axis=1)) / scale, 0.0)
+    return kkt, _elimination(kkt, rhs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(nx=st.integers(2, 18), seed=st.integers(0, 2**32 - 1),
+       good=st.lists(st.sampled_from(["free", "binding"]), min_size=1, max_size=5),
+       bad=st.lists(st.sampled_from(["tied", "single", "empty", "nan", "inf"]),
+                    min_size=1, max_size=3))
+def test_kkt_step_matches_the_elimination_row_by_row(nx, seed, good, bad):
+    # random curvatures (Gram matrices, rank-deficient too), held inputs and
+    # binding rows; inputs 0 and 1 cost the same.  Singular rows: "tied" binds
+    # with free inputs 0 and 1 only, "single" binds with one free input,
+    # "empty" has none; "nan" and "inf" put that entry into M or grad
+    rng = np.random.default_rng(seed)
+    kinds = good + bad
+    n = len(kinds)
+    k = int(rng.integers(1, 2 * nx))
+    law = rng.random((n, nx, k)) ** 3
+    m = (law * (rng.random((n, 1, k)) + 0.1)) @ law.transpose(0, 2, 1)
+    grad = rng.normal(size=(n, nx))
+    p = rng.dirichlet(np.ones(nx), size=n)
+    free = rng.random((n, nx)) < 0.7
+    free[np.arange(n), rng.integers(nx, size=n)] = True
+    held = np.where(free, p, p * rng.random((n, nx)))
+    b = rng.random(nx)
+    b[1] = b[0]
+    slack = 0.1 * rng.normal(size=n)
+    bind = np.array([kind != "free" for kind in kinds])
+    for i, kind in enumerate(kinds):
+        j = int(rng.choice(np.flatnonzero(free[i])))
+        if kind == "tied":
+            free[i] = np.arange(nx) < 2
+        elif kind == "single":
+            free[i] = np.arange(nx) == j
+        elif kind == "empty":
+            free[i] = False
+        elif kind in ("nan", "inf"):
+            bad_value = np.nan if kind == "nan" else np.inf
+            if rng.random() < 0.5:
+                m[i, j, j] = bad_value
+            else:
+                grad[i, j] = bad_value
+    # a "binding" row whose free inputs happen to be 0 and 1 alone is tied
+    tied = bind & np.array([np.unique(b[f]).size <= 1 for f in free])
+    ok = np.array([kind in ("free", "binding") for kind in kinds]) & ~tied
+
+    with np.errstate(invalid="ignore"):         # inf * 0 in M (held - p) on "inf" rows
+        d = solver._kkt_step(m, grad, p, held, free, bind, b, slack)
+        kkt, ref = _kkt_reference(m, grad, p, held, free, bind, b, slack)
+    eps = np.finfo(float).eps
+    for i in np.flatnonzero(ok):
+        assert np.isfinite(d[i]).all() and np.all(d[i][~free[i]] == 0.0)
+        tol = 16.0 * eps * np.linalg.cond(kkt[i]) * np.abs(ref[i]).max()
+        assert np.abs(d[i] - ref[i, :nx]).max() <= tol
+    assert not np.isfinite(d[~ok]).any()
+    # the singular and non-finite rows change no bit of the others' steps
+    alone = solver._kkt_step(m[ok], grad[ok], p[ok], held[ok], free[ok], bind[ok], b,
+                             slack[ok])
+    assert np.array_equal(alone, d[ok])
 
 
 def test_budget_fixed_row_stops_at_once():
