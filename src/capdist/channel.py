@@ -132,8 +132,9 @@ class BandedLaw:
 
     def _fill(self, x, rows):
         """Write input x's windows into its zeroed dense (S, Y) rows."""
-        cols = self.offset[x, :, None] + np.arange(self.window.shape[2])
-        np.put_along_axis(rows, cols, self.window[x], axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(      # (S, Y - W + 1, W)
+            rows, self.window.shape[2], axis=1, writeable=True)
+        windows[np.arange(len(rows)), self.offset[x]] = self.window[x]
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:

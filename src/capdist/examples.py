@@ -252,7 +252,8 @@ def _scatter(mean_pos, kernel_off, kernel_pr):
     least atom) to snap(mean_pos[x,s] + the largest), snap being monotone,
     so some row reaches the first output and some row the last; W is the
     widest such span, and each window starts at the row's first cell, or W
-    cells before the last output where that would run past it."""
+    cells before the last output where that would run past it.  Where mean_pos
+    is its own reverse (the Gaussian's s*x), rows past ceil(N/2) are copies."""
     pos = mean_pos.ravel()
     first, last = _snap(pos + kernel_off.min()), _snap(pos + kernel_off.max())
     lo = int(first.min())
@@ -260,8 +261,9 @@ def _scatter(mean_pos, kernel_off, kernel_pr):
     width = int((last - first).max()) + 1
     offset = np.minimum(first - lo, ny - width)
     out = np.empty((pos.size, width))
-    for r0 in range(0, pos.size, _SCATTER_ROWS):
-        block = pos[r0:r0 + _SCATTER_ROWS]
+    filled = (pos.size + 1) // 2 if np.array_equal(pos, pos[::-1]) else pos.size
+    for r0 in range(0, filled, _SCATTER_ROWS):
+        block = pos[r0:min(r0 + _SCATTER_ROWS, filled)]
         rows = block.size
         # (atoms, rows) flat window indices: with atoms as the outer axis,
         # bincount adds each cell's masses in kernel order from 0.0
@@ -270,6 +272,7 @@ def _scatter(mean_pos, kernel_off, kernel_pr):
         out[r0:r0 + rows] = np.bincount(
             idx.ravel(), np.repeat(kernel_pr, rows),
             minlength=rows * width).reshape(rows, width)
+    out[filled:] = out[:pos.size - filled][::-1]
     return BandedLaw(offset.reshape(mean_pos.shape),
                      out.reshape(mean_pos.shape + (width,)), ny)
 

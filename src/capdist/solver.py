@@ -46,7 +46,8 @@ I(X;Y|S) = sum_x P_X(x) a(x) - sum_{s,y} P_S(s) P(y|s) log2 P(y|s) for every
 row of a pmf matrix, clamped at 0; it is the library's one I(X;Y|S) code
 outside `verify`: the reported rates and every broadcast-region rate in
 `bcregions` (through the chain rule for the auxiliary-variable bounds) come
-from it.
+from it.  A spec that (x, s) -> (X-1-x, S-1-s) leaves unchanged is solved on
+half its states (`_work`), with symmetric pmfs: BA keeps them, `_polish` projects.
 
 One kernel, `_solve_rows`, iterates all penalties of a sweep at once: their
 pmfs are the rows of an (M, X) matrix, each starts from the uniform pmf and
@@ -168,21 +169,21 @@ class _BaWork:
     Only the (s, y) columns that some input reaches are kept, in order, as
     the (X, reached) `law_flat` and its P_S weights `ps_rep`: a column where
     every P(y|x,s) is 0 adds exactly 0 to every kernel.  The law (a dense
-    array or a BandedLaw) is read one input's (S, Y) rows at a time; a dense
-    array whose every column is reached is used as it is, without a copy."""
+    array or a BandedLaw) is read one input's rows, s < len(state_pmf), at a
+    time; a whole dense law whose every column is reached is used as it is."""
 
     def __init__(self, law, state_pmf):
-        nx, ns, ny = law.shape
+        nx, ns, ny = law.shape[0], state_pmf.size, law.shape[2]
         reached = np.zeros(ns * ny, dtype=bool)
         for x in range(nx):
-            reached |= law[x].reshape(-1) > 0
+            reached |= law[x][:ns].reshape(-1) > 0
         self.ps_rep = np.repeat(state_pmf, ny)
-        if isinstance(law, np.ndarray) and reached.all():
+        if isinstance(law, np.ndarray) and ns == law.shape[1] and reached.all():
             self.law_flat = np.ascontiguousarray(law.reshape(nx, -1))
         else:
             self.law_flat = np.empty((nx, np.count_nonzero(reached)))
             for x in range(nx):
-                self.law_flat[x] = law[x].reshape(-1)[reached]
+                self.law_flat[x] = law[x][:ns].reshape(-1)[reached]
             self.ps_rep = self.ps_rep[reached]
         self.a = np.empty(nx)
         for rows in _row_blocks(nx, self.law_flat.shape[1], _BLOCK_ELEMENTS):
@@ -256,6 +257,52 @@ class _BaWork:
             h *= self.ps_rep
             out[rows] -= h.sum(axis=1)
         return np.maximum(out, 0.0)
+
+
+class _MirrorWork:
+    """`_BaWork`'s kernels for a mirror-symmetric law (`_work`) from its states
+    s < S/2 (an odd S's middle one at half mass): state S-1-s at p is state s at
+    p reversed, inputs reversed, so each adds the half at p and at p reversed."""
+
+    def __init__(self, law, state_pmf):
+        ps = state_pmf[:(state_pmf.size + 1) // 2].copy()
+        ps[-1] /= 1.0 + state_pmf.size % 2          # the middle state is its own image
+        self.half = _BaWork(law, ps)
+
+    def _pair(self, kernel, p):
+        here, q = kernel(p), p[:, ::-1]
+        return here, here if np.array_equal(p, q) else kernel(np.ascontiguousarray(q))
+
+    def per_x(self, p):
+        here, there = self._pair(self.half.per_x, p)
+        return here + there[:, ::-1]
+
+    def unreached(self, p):
+        here, there = self._pair(self.half.unreached, p)
+        return here | there[:, ::-1]
+
+    def curvature(self, p):
+        (m, own), (m_there, own_there) = self._pair(self.half.curvature, p)
+        return m + m_there[:, ::-1, ::-1], own + own_there[:, ::-1]
+
+    def rates(self, p):
+        return np.add(*self._pair(self.half.rates, p))
+
+
+def _work(spec):
+    """The spec's estimator, kernels and c(x) to iterate with.  Where (x, s) ->
+    (X-1-x, S-1-s) leaves the laws, state pmf, cost and distortion (or each
+    quadratic grid negated) unchanged, bit for bit, J_mu is mirror-invariant and
+    concave, so some optimal pmf is symmetric: `_MirrorWork`, c made symmetric."""
+    est, d = estimator.build_estimator(spec), spec.distortion
+    grids = [d.state_values, d.estimate_values] if isinstance(d, channel.QuadraticDistortion) else []
+    same = [spec.state_pmf, spec.cost] + ([] if grids else [d]) + [
+        a for law in (spec.law_y, spec.law_z)
+        for a in ((law.offset, law.window) if isinstance(law, channel.BandedLaw) else (law,))]
+    if (all(np.array_equal(a, np.flip(a, (0, 1)[:a.ndim])) for a in same)
+            and all(np.array_equal(g, -g[::-1]) for g in grids)):
+        return est, _MirrorWork(spec.law_y, spec.state_pmf), 0.5 * (est.cost + est.cost[::-1])
+    return est, _BaWork(spec.law_y, spec.state_pmf), est.cost
 
 
 def _gaps(work, p, w, j, b, budget):
@@ -457,6 +504,8 @@ def _polish(work, cost, p, w, j, mu, bind, b, budget, tol):
             q, wq = np.maximum(q, floor), wq.copy()
             wq[low] = work.per_x(q[low]) - mu[live[low]] * cost
         q = _newton_step(work, q, wq, bind[live], b, budget)
+        if isinstance(work, _MirrorWork):   # BA's passes keep the symmetry; LAPACK need not
+            q = 0.5 * (q + q[:, ::-1])
         fine = np.isfinite(q).all(axis=1) & (q >= 0.0).all(axis=1)
         q[~fine] = 1.0 / q.shape[1]         # placeholders, so the batch stays whole
         # a stepped pmf misses the budget by rounding only: start lambda small
@@ -476,9 +525,9 @@ def _polish(work, cost, p, w, j, mu, bind, b, budget, tol):
     return out_p, out_j, out_gap, accepted
 
 
-def _solve_rows(work, est, b, mus, budget, cfg, start=None):
+def _solve_rows(work, cost, b, mus, budget, cfg, start=None):
     """One TradeoffPoint per penalty in `mus` (each finite and >= 0), all
-    iterated in lockstep; b is the input cost vector the budget bounds.
+    iterated in lockstep; c(x) is `cost`, b the input costs the budget bounds.
 
     Row i starts at `start` (a pmf, or one per row; uniform if None).  Each
     pass evaluates w = a - t - mu*c and J at every active row's pmf and the
@@ -519,7 +568,7 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
     p_acc, w_acc, j_acc = pa, np.zeros_like(pa), np.full(m, -np.inf)
     evals = tries = polished = 0
     for k in range(1, cfg.max_outer_iters + 1):
-        w = work.per_x(pa) - mu * est.cost
+        w = work.per_x(pa) - mu * cost
         j = (pa * w).sum(axis=1)
         back = (j < j_acc) & relaxed
         if back.any():
@@ -533,7 +582,7 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
         done = gap <= tol
         if k >= _POLISH_FIRST and k & (k - 1) == 0 and not done.all():
             todo = np.flatnonzero(~done)
-            pp, jp, gp, ok = _polish(work, est.cost, pa[todo], w[todo], j[todo],
+            pp, jp, gp, ok = _polish(work, cost, pa[todo], w[todo], j[todo],
                                      mu[todo], lam[todo] > 0, b, budget, tol)
             tries, polished = tries + todo.size, polished + int(ok.sum())
             rows = todo[ok]
@@ -555,14 +604,14 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
         p_new, lam, n = _dual_rows(base_g, b, budget, lam)
         pa, p_acc, w_acc, j_acc, evals = p_new, pa, w, j, evals + n
     else:
-        w = work.per_x(pa) - mu * est.cost
+        w = work.per_x(pa) - mu * cost
         p[act], gaps[act] = pa, _gaps(work, pa, w, (pa * w).sum(axis=1), b, budget)
     # E[b] summed as the dual search sums it, so a binding row reads <= budget;
     # E[c] as c_min plus a sum of nonnegative terms, so no row reads below
     # the least c(x) (the unconstrained mu = inf anchor) by rounding
-    c_min = est.cost.min()
-    rates, cost = work.rates(p), (p * b).sum(axis=1)
-    dist = c_min + (p * (est.cost - c_min)).sum(axis=1)
+    c_min = cost.min()
+    rates, spent = work.rates(p), (p * b).sum(axis=1)
+    dist = c_min + (p * (cost - c_min)).sum(axis=1)
     # a process that never imported logging configured no handler that could
     # show the record; importing it here would cost ~10 ms and 0.3 MB
     logging = sys.modules.get("logging")
@@ -572,7 +621,7 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
             "%d accepted, %.4f s", m, iters.max(initial=0), evals, tries, polished,
             time.perf_counter() - started)
     return [TradeoffPoint(mu=float(mus[i]), budget=budget, rate=float(rates[i]),
-                          distortion=float(dist[i]), cost=float(cost[i]),
+                          distortion=float(dist[i]), cost=float(spent[i]),
                           input_pmf=p[i], iterations=int(iters[i]),
                           converged=bool(gaps[i] <= tol), gap=float(gaps[i]),
                           objective_trace=None if traces is None else traces[i])
@@ -581,14 +630,13 @@ def _solve_rows(work, est, b, mus, budget, cfg, start=None):
 
 def solve_fixed_mu(spec, config):
     """Run the alternating maximization for one penalty value."""
-    est = estimator.build_estimator(spec)
-    work = _BaWork(spec.law_y, spec.state_pmf)
-    return _solve_rows(work, est, spec.cost, [config.mu], config.budget, config)[0]
+    _, work, cost = _work(spec)
+    return _solve_rows(work, cost, spec.cost, [config.mu], config.budget, config)[0]
 
 
 def _anchor(spec, work, est, budget):
-    """The mu = inf point: D_min under the budget (`estimator.d_min`), with
-    I(X;Y|S) and E[b] at the pmf that d_min returns."""
+    """The mu = inf point: D_min under the budget (`estimator.d_min`, at the
+    estimator's own c, whose ties pick the pmf), with I(X;Y|S) and E[b] there."""
     dm_val, dm_pmf = estimator.d_min(spec, budget, est=est)
     return TradeoffPoint(
         mu=np.inf, budget=budget, rate=float(work.rates(dm_pmf[None])[0]),
@@ -605,15 +653,14 @@ def sweep_frontier(spec, budget, mu_grid, threads=1):
     `threads` is accepted and ignored; it stays only because the benchmark
     harness (perfbench) still passes it.
     """
-    est = estimator.build_estimator(spec)
-    work = _BaWork(spec.law_y, spec.state_pmf)
+    est, work, cost = _work(spec)
     mus = sorted(float(m) for m in mu_grid)
     if not mus:
         raise ValueError("mu_grid must be nonempty")
     if mus[0] > 0.0:
         mus = [0.0] + mus
     points = [_anchor(spec, work, est, budget)]
-    points += _solve_rows(work, est, spec.cost, mus, budget, BaConfig())
+    points += _solve_rows(work, cost, spec.cost, mus, budget, BaConfig())
     points.sort(key=lambda pt: (pt.distortion, -pt.rate, -pt.mu))
     return points
 
@@ -628,10 +675,9 @@ def baseline_ts(spec, budget=np.inf):
     is solved at mu = 0 under the default `BaConfig`, so its duality gap is
     certified to 1e-10 bits.
     """
-    est = estimator.build_estimator(spec)
-    work = _BaWork(spec.law_y, spec.state_pmf)
+    est, work, cost = _work(spec)
     low = _anchor(spec, work, est, budget)
-    cap, = _solve_rows(work, est, spec.cost, [0.0], budget, BaConfig())
+    cap, = _solve_rows(work, cost, spec.cost, [0.0], budget, BaConfig())
     d_max = estimator.expected_distortion(est, cap.input_pmf)
     d_triv = estimator.d_trivial(spec)
     return {

@@ -167,26 +167,42 @@ def test_block_scatter_matches_per_atom_adds(monkeypatch, kw):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
-def test_scatter_is_the_per_row_bincount():
+def test_scatter_is_the_per_row_bincount(monkeypatch):
     # 900 (x, s) rows, 3 blocks of 256 and one of 132; a quarter of the means
     # on half-integers, where snapping ties; each row's dense law is the
-    # bincount of its own cells, its masses added in kernel order
+    # bincount of its own cells, its masses added in kernel order.  Then
+    # 3 x 301 means equal to themselves reversed on both axes, as the
+    # Gaussian's s*x: the first 452 rows (a block of 256 and one of 196) are
+    # filled and the other 451 copied, with the same bytes
     rng = np.random.default_rng(5)
     mean_pos = rng.normal(0.0, 6.0, size=(3, 300))
     mean_pos[0, :75] = np.round(mean_pos[0, :75] * 2.0) / 2.0
+    half = np.round(rng.normal(0.0, 6.0, 452) * 2.0) / 2.0
+    mirrored = np.concatenate((half, half[-2::-1])).reshape(3, 301)
     kernel_off = np.unique(np.round(rng.normal(0.0, 3.0, 60) * 8.0) / 8.0)
     kernel_pr = rng.dirichlet(np.ones(kernel_off.size))
-    law = examples._scatter(mean_pos, kernel_off, kernel_pr)
-    cells = [examples._snap(m + kernel_off) for m in mean_pos.ravel()]
-    lo = min(c.min() for c in cells)
-    ny = max(c.max() for c in cells) + 1 - lo
-    want = np.array([np.bincount(c - lo, kernel_pr, minlength=ny) for c in cells])
-    want = want.reshape(mean_pos.shape + (ny,))
-    assert isinstance(law, channel.BandedLaw) and law.shape == want.shape
-    assert np.asarray(law).tobytes() == want.tobytes()
-    width = law.window.shape[2]
-    assert law.offset.min() >= 0 and law.offset.max() + width <= ny
-    assert width == max(np.ptp(np.flatnonzero(r)) + 1 for r in want.reshape(-1, ny))
+    filled = []
+    bincount = np.bincount
+
+    def counted(idx, weights, minlength):
+        filled.append(minlength)
+        return bincount(idx, weights, minlength=minlength)
+
+    monkeypatch.setattr(examples.np, "bincount", counted)
+    for mean_pos, rows in ((mean_pos, 900), (mirrored, 452)):
+        filled.clear()
+        law = examples._scatter(mean_pos, kernel_off, kernel_pr)
+        width = law.window.shape[2]
+        assert sum(filled) == rows * width
+        cells = [examples._snap(m + kernel_off) for m in mean_pos.ravel()]
+        lo = min(c.min() for c in cells)
+        ny = max(c.max() for c in cells) + 1 - lo
+        want = np.array([bincount(c - lo, kernel_pr, minlength=ny) for c in cells])
+        want = want.reshape(mean_pos.shape + (ny,))
+        assert isinstance(law, channel.BandedLaw) and law.shape == want.shape
+        assert np.asarray(law).tobytes() == want.tobytes()
+        assert law.offset.min() >= 0 and law.offset.max() + width <= ny
+        assert width == max(np.ptp(np.flatnonzero(r)) + 1 for r in want.reshape(-1, ny))
 
 
 # the Gaussian builtins that the banded-law tests cover; the last has

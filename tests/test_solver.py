@@ -190,7 +190,7 @@ def test_kernel_step_matches_reference_updates():
         mus = np.array([0.0, 0.1, 1.0, 5.0, 30.0])
         starts = rng.dirichlet(np.ones(spec.input_size), size=mus.size)
         work = solver._BaWork(spec.law_y, spec.state_pmf)
-        pts = solver._solve_rows(work, est, spec.cost, mus, np.inf,
+        pts = solver._solve_rows(work, est.cost, spec.cost, mus, np.inf,
                                  BaConfig(max_outer_iters=1), start=starts)
         for pt, p, mu in zip(pts, starts, mus):
             ref = p ** (1.0 - theta) * p_update(spec, est, q_update(spec, p), mu) ** theta
@@ -627,6 +627,153 @@ def test_dominated_input_leaves_frontier_unchanged(sizes, seed, binding, data):
         assert j_a == pytest.approx(j_b, abs=2e-10)
 
 
+def _mirror_spec(rng, nx, ns, ny, nz):
+    """A dense spec that (x, s) -> (X-1-x, S-1-s) leaves unchanged: of the
+    X*S law rows (x, s), in row-major order, the first half are drawn (with
+    some zero entries) and row X*S-1-i is row i; the state pmf, the cost and
+    the distortion matrix are made symmetric."""
+    def mirrored(half, n):                 # the first ceil(n/2) entries given
+        return np.concatenate((half, half[:n // 2][::-1]))
+
+    def law(n):
+        rows = rng.dirichlet(np.full(n, 0.5), size=(nx * ns + 1) // 2)
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        rows[:, 0] += rows.sum(axis=1) == 0.0
+        return mirrored(rows / rows.sum(axis=1, keepdims=True), nx * ns).reshape(nx, ns, n)
+
+    ps = mirrored(rng.random((ns + 1) // 2) + 0.1, ns)
+    d = rng.random((ns, ns))
+    np.fill_diagonal(d, 0.0)
+    cost = rng.random(nx)
+    return SdmcSpec(state_pmf=ps / ps.sum(), law_y=law(ny), law_z=law(nz),
+                    distortion=0.5 * (d + d[::-1, ::-1]), cost=0.5 * (cost + cost[::-1]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(sizes=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4)),
+       seed=st.integers(0, 2**32 - 1))
+def test_mirror_kernels_match_the_plain_work(sizes, seed):
+    # the half-state kernels, at symmetric pmfs (one evaluation of the half)
+    # and at others (two), are the plain kernels to 1e-13 relative
+    nx, ns, ny = sizes
+    rng = np.random.default_rng(seed)
+    spec = _mirror_spec(rng, nx, ns, ny, 2)
+    assert isinstance(solver._work(spec)[1], solver._MirrorWork)
+    plain = solver._BaWork(spec.law_y, spec.state_pmf)
+    mirror = solver._MirrorWork(spec.law_y, spec.state_pmf)
+    p = rng.dirichlet(np.ones(nx), size=4)
+    holes = np.where(rng.random(p.shape) < 0.4, 0.0, p)
+    holes[:, 0] += holes.sum(axis=1) == 0.0
+    holes /= holes.sum(axis=1, keepdims=True)
+    for q in (p, 0.5 * (p + p[:, ::-1]), holes, 0.5 * (holes + holes[:, ::-1])):
+        for got, want in zip((mirror.per_x(q), *mirror.curvature(q), mirror.rates(q)),
+                             (plain.per_x(q), *plain.curvature(q), plain.rates(q))):
+            assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+        assert np.array_equal(mirror.unreached(q), plain.unreached(q))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(sizes=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(2, 3),
+                       st.integers(2, 3)),
+       seed=st.integers(0, 2**32 - 1), binding=st.booleans(),
+       broken=st.sampled_from(["law_y", "law_z", "state_pmf", "cost", "distortion"]))
+def test_mirrored_sweep_matches_the_plain_solve(sizes, seed, binding, broken):
+    # on a mirror-symmetric spec the sweep iterates on half the states: each
+    # row's J is the plain solve's within the two gaps summed, and its pmf
+    # is its own reverse, bit for bit.  With one part moved off the mirror,
+    # the spec takes the plain path: the sweep's bits are the plain solve's
+    rng = np.random.default_rng(seed)
+    spec = _mirror_spec(rng, *sizes)
+    budget = float(np.quantile(spec.cost, 0.6)) if binding else np.inf
+    mus = [0.0, 0.1, 1.0, 10.0]
+
+    def plain(spec):
+        return solver._solve_rows(solver._BaWork(spec.law_y, spec.state_pmf),
+                                  estimator.build_estimator(spec).cost, spec.cost, mus,
+                                  budget, BaConfig())
+
+    rows = {pt.mu: pt for pt in sweep_frontier(spec, budget, mus)}
+    c_max = estimator.build_estimator(spec).cost.max()
+    for want in plain(spec):
+        got = rows[want.mu]
+        assert got.converged and want.converged
+        assert got.input_pmf.tobytes() == got.input_pmf[::-1].tobytes()
+        j_got, j_want = (pt.rate - pt.mu * pt.distortion for pt in (got, want))
+        assert abs(j_got - j_want) <= got.gap + want.gap + 1e-14 * (1.0 + want.mu * c_max)
+    nx, ns = sizes[:2]
+    assume(nx * ns > 1 or broken not in ("law_y", "law_z"))   # one row is its own image
+    assume(nx > 1 or broken != "cost")
+    assume(ns > 1 or broken not in ("state_pmf", "distortion"))
+    parts = {"law_y": np.array(spec.law_y), "law_z": np.array(spec.law_z),
+             "state_pmf": np.array(spec.state_pmf), "cost": np.array(spec.cost),
+             "distortion": np.array(spec.distortion)}
+    a = parts[broken].reshape(-1, parts[broken].shape[-1])[0]
+    if broken in ("law_y", "law_z"):            # row (0, 0) gives half an entry to the next
+        a[1] += a[0] / 2
+        a[0] -= a[0] / 2
+        assume(a[0] > 0.0)
+    else:
+        a[0] += 0.25
+    parts["state_pmf"] /= parts["state_pmf"].sum()
+    off = SdmcSpec(**parts)
+    est, work, cost = solver._work(off)
+    assert type(work) is solver._BaWork and cost is est.cost
+    rows = sorted((pt for pt in sweep_frontier(off, budget, mus) if np.isfinite(pt.mu)),
+                  key=lambda pt: pt.mu)
+    assert [(pt.mu, pt.rate, pt.distortion, pt.input_pmf.tobytes(), pt.iterations, pt.gap)
+            for pt in rows] == [(pt.mu, pt.rate, pt.distortion, pt.input_pmf.tobytes(),
+                                 pt.iterations, pt.gap) for pt in plain(off)]
+
+
+def test_gaussian_spec_off_the_mirror_takes_the_plain_path():
+    # each part of the symmetry checked: one law window entry or offset, the
+    # state pmf, the cost, or one quadratic grid moved off the mirror
+    spec = cli.BUILTINS["gaussian-reduced"](state_points=20)
+    assert isinstance(solver._work(spec)[1], solver._MirrorWork)
+    law, grids = spec.law_y, spec.distortion
+    window, offset = np.array(law.window), np.array(law.offset)
+    window[0, 0, :2] = window[0, 0, 1::-1]
+    offset[0, 0] += 1 if offset[0, 0] + window.shape[2] < law.size else -1
+    ps, cost, values = np.array(spec.state_pmf), np.array(spec.cost), np.array(grids.state_values)
+    ps[[0, 1]], cost[0], values[0] = ps[[1, 0]], cost[0] + 1.0, values[0] - 1.0
+    for off in (dataclasses.replace(spec, law_y=channel.BandedLaw(law.offset, window, law.size)),
+                dataclasses.replace(spec, law_z=channel.BandedLaw(offset, law.window, law.size)),
+                dataclasses.replace(spec, state_pmf=ps), dataclasses.replace(spec, cost=cost),
+                dataclasses.replace(spec, distortion=channel.QuadraticDistortion(
+                    values, grids.estimate_values)),
+                dataclasses.replace(spec, distortion=channel.QuadraticDistortion(
+                    grids.state_values, np.append(grids.estimate_values, 10.0)))):
+        assert type(solver._work(off)[1]) is solver._BaWork
+
+
+@pytest.mark.parametrize("text, budget", [("gaussian-reduced,state_points=100", 0.5),
+                                          ("gaussian-reduced,state_points=100", np.inf),
+                                          ("gaussian,state_points=100", 10.0)])
+def test_mirrored_gaussian_rows_are_symmetric_and_the_anchor_is_not(text, budget):
+    # the estimator's c(x) is mirror-symmetric only to rounding, so the
+    # mirrored solve iterates with (c + c reversed) / 2: every finite-mu row
+    # of the auto grid is its own reverse, bit for bit.  The mu = inf anchor
+    # is d_min at the estimator's own c(x): with the symmetric c, the tied
+    # least-distortion vertex flipped at B = 0.5 and the anchor's rate fell
+    # from 0.01914 to 0.00770 bits
+    name, params = cli._parse_builtin(text)
+    spec = cli.BUILTINS[name](**params)
+    c = estimator.build_estimator(spec).cost
+    assert isinstance(solver._work(spec)[1], solver._MirrorWork)
+    assert not np.array_equal(c, c[::-1])
+    want = {0.5: ([2, 4], 0.01914403531133768), np.inf: ([7], 0.0),
+            10.0: ([2, 3], 0.027697237706602262)}[budget]
+    d_min, pmf = estimator.d_min(spec, budget)
+    points = sweep_frontier(spec, budget, cli._parse_mu_grid("auto"))
+    anchor, = (pt for pt in points if pt.mu == np.inf)
+    assert all(pt.input_pmf.tobytes() == pt.input_pmf[::-1].tobytes()
+               for pt in points if pt is not anchor)
+    assert anchor.input_pmf.tobytes() == pmf.tobytes()
+    assert baseline_ts(spec, budget)["dmin_pmf"].tobytes() == pmf.tobytes()
+    assert np.flatnonzero(pmf).tolist() == want[0] and anchor.distortion == d_min
+    assert anchor.rate == pytest.approx(want[1], abs=1e-15)
+
+
 def test_gaussian_reduced_sweep_rows_converge_within_225_passes():
     # criterion 3's reduced Gaussian at B = 10 on the CLI `auto` grid; under
     # the binding budget a plain step can lower J by rounding, and a row that
@@ -718,7 +865,7 @@ def test_polish_lifts_massless_inputs_of_gaussian_rows():
     # other input, so the gap stayed inf for 10,000 passes
     spec = cli.BUILTINS["gaussian-reduced"](state_points=100)
     work = solver._BaWork(spec.law_y, spec.state_pmf)
-    pts = solver._solve_rows(work, estimator.build_estimator(spec), spec.cost,
+    pts = solver._solve_rows(work, estimator.build_estimator(spec).cost, spec.cost,
                              [701.7038286703837, 1000.0], np.inf,
                              BaConfig(max_outer_iters=64))
     assert all(p.converged and p.gap <= 1e-10 for p in pts)
