@@ -4,7 +4,7 @@ Alphabets are index-based (0..n-1); optional string labels are carried only
 for I/O.  All tensors are float64, frozen (read-only) and validated on
 construction: a spec that exists satisfies every structural invariant.
 Tensors are dense, except that a single-receiver law may be a BandedLaw,
-whose (x,s) rows are each zero outside one window of outputs.
+whose (x,s) rows are each one of its few distinct windows, at an offset.
 
 A single-receiver spec (SdmcSpec) stores the channel law as the pair of
 marginals P(y|x,s) and P(z|x,s): the rate I(X;Y|S) reads only the first and
@@ -93,29 +93,37 @@ def distortion_lookup(d, s_idx, shat_idx):
 
 class BandedLaw:
     """A law indexed (x,s,y) whose row (x,s) is zero outside the W outputs
-    from offset[x,s]: law[x, s, offset[x,s] + k] = window[x, s, k], with
-    `size` = Y outputs.
+    from offset[x,s]: law[x, s, offset[x,s] + k] = windows[index[x,s], k],
+    with `size` = Y outputs.  The (K, W) `windows` hold each distinct window
+    once (rows share an index exactly where their windows' bytes agree); one
+    window per row is given as (X*S, W) windows with arange indices.
 
     It offers what the law's readers need: `shape`, `law[x]` (the dense
     (S, Y) rows of one input), `law[x, :, y]` (one output's column, read
     through the windows) and `np.asarray(law)`, the dense law, which only
     `spec_to_dict` and the oracles of `verify` take.
     Its arrays are frozen when it is built; the spec that holds it checks
-    that every window lies in [0, Y) and every window row is a pmf.
+    that every window lies in [0, Y) and every window is a pmf.
     """
 
-    def __init__(self, offset, window, size):
+    def __init__(self, offset, index, windows, size):
         self.offset = np.ascontiguousarray(offset, dtype=np.int64)
-        self.offset.setflags(write=False)
-        self.window = _freeze(window)
+        index, windows = np.asarray(index, dtype=np.intp), np.ascontiguousarray(windows, float)
+        if (windows.ndim != 2 or index.shape != self.offset.shape
+                or (index.size and not 0 <= index.min() <= index.max() < len(windows))):
+            raise SpecValidationError(f"banded law: offsets of shape {self.offset.shape}, window "
+                                      f"indices {index.shape} into windows {windows.shape}")
+        rows = windows.view(np.dtype((np.void, windows.itemsize * windows.shape[1])))
+        keep, inverse = np.unique(rows[:, 0], return_index=True, return_inverse=True)[1:]
+        self.windows = _freeze(windows[keep])
+        self.index = inverse.reshape(-1)[index]
         self.size = int(size)
-        if self.window.ndim != 3 or self.offset.shape != self.window.shape[:2]:
-            raise SpecValidationError(f"banded law: offsets of shape {self.offset.shape} "
-                                      f"for windows of shape {self.window.shape}")
+        for a in (self.offset, self.index):
+            a.setflags(write=False)
 
     @property
     def shape(self):
-        return tuple(int(n) for n in self.window.shape[:2]) + (self.size,)
+        return tuple(int(n) for n in self.offset.shape) + (self.size,)
 
     def __getitem__(self, key):
         if not isinstance(key, tuple):              # law[x]
@@ -126,15 +134,14 @@ class BandedLaw:
         if not (isinstance(states, slice) and states == slice(None)):
             raise TypeError("a banded law reads one column as law[x, :, y]")
         k = y - self.offset[x]
-        inside = (k >= 0) & (k < self.window.shape[2])
-        col = self.window[x, np.arange(k.size), np.where(inside, k, 0)]
-        return np.where(inside, col, 0.0)
+        inside = (k >= 0) & (k < self.windows.shape[1])
+        return np.where(inside, self.windows[self.index[x], np.where(inside, k, 0)], 0.0)
 
     def _fill(self, x, rows):
         """Write input x's windows into its zeroed dense (S, Y) rows."""
         windows = np.lib.stride_tricks.sliding_window_view(      # (S, Y - W + 1, W)
-            rows, self.window.shape[2], axis=1, writeable=True)
-        windows[np.arange(len(rows)), self.offset[x]] = self.window[x]
+            rows, self.windows.shape[1], axis=1, writeable=True)
+        windows[np.arange(len(rows)), self.offset[x]] = self.windows[self.index[x]]
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -206,7 +213,7 @@ class SdmcSpec:
     def _check_law(self, name, t, axes):
         """A law indexed `axes`, whose leading two are (x,s): its ndim, its
         state axis, and every (x,s) row a pmf; a BandedLaw's windows within
-        its outputs and its window rows pmfs."""
+        its outputs and each distinct window, once, a pmf."""
         ndim = axes.count(",") + 1
         if len(t.shape) != ndim:
             raise SpecValidationError(f"{name}: expected {ndim}-D ({axes}), got shape {t.shape}")
@@ -215,14 +222,20 @@ class SdmcSpec:
         if not isinstance(t, BandedLaw):
             _check_rows(t.reshape(t.shape[:2] + (-1,)), f"{name} row (x,s)")
             return
-        width = t.window.shape[2]
+        width = t.windows.shape[1]
         outside = (t.offset < 0) | (t.offset > t.size - width)
         if np.any(outside):
             idx = tuple(int(i) for i in np.argwhere(outside)[0])
             raise SpecValidationError(
                 f"{name}: window of row (x,s) {idx} covers outputs {t.offset[idx]} to "
                 f"{t.offset[idx] + width - 1}, outside [0, {t.size})")
-        _check_rows(t.window, f"{name} window row (x,s)")
+        try:
+            _check_rows(t.windows, f"{name} window")
+        except SpecValidationError:             # named at the first row that has it, if one does
+            ok = (t.windows >= 0).all(axis=1) & (abs(t.windows.sum(axis=1) - 1.0) <= PMF_ATOL)
+            idx = tuple(int(i) for i in np.unravel_index(np.argmin(ok[t.index]), t.index.shape))
+            _check_rows(t.windows[t.index[idx]], f"{name} window row (x,s) {idx}")
+            raise
 
     # -- sizes ----------------------------------------------------------
     @property

@@ -237,44 +237,31 @@ def _gaussian_atoms(sigma, n_points, halfwidth):
     return vals, probs
 
 
-_SCATTER_ROWS = 256       # (x, s) law rows filled per bincount
-
-
-def _snap(v):
-    """Nearest integer with half-interval ties to the lower index."""
-    return np.ceil(np.asarray(v, float) - 0.5).astype(np.int64)
-
-
 def _scatter(mean_pos, kernel_off, kernel_pr):
     """The law P(y|x,s) of y = snap(mean_pos[x,s] + kernel atom) over the
     output lattice points from the least reached one to the largest, as a
-    BandedLaw.  Row (x,s) reaches the cells from snap(mean_pos[x,s] + the
-    least atom) to snap(mean_pos[x,s] + the largest), snap being monotone,
-    so some row reaches the first output and some row the last; W is the
-    widest such span, and each window starts at the row's first cell, or W
-    cells before the last output where that would run past it.  Where mean_pos
-    is its own reverse (the Gaussian's s*x), rows past ceil(N/2) are copies."""
-    pos = mean_pos.ravel()
-    first, last = _snap(pos + kernel_off.min()), _snap(pos + kernel_off.max())
+    BandedLaw.  The atoms are eighths q/8, and snap, the nearest integer with
+    half-integer ties to the lower one, is taken of the exact sum, in
+    integers: snap(pos + q/8) = (c + q + 3) // 8 with c = ceil(8 pos).  (A
+    float sum could round across a cell edge within an ulp of it.)  Row (x,s)
+    reaches the cells from snap(pos + the least atom) to snap(pos + the
+    largest); W is the widest such span, and each window starts at the row's
+    first cell, or W cells before the last output where that would run past
+    it.  So a row's window depends only on c mod 8 and how far it was moved
+    back: one bincount per such key adds each cell's masses in kernel order
+    from 0.0."""
+    q = np.rint(kernel_off * 8.0).astype(np.int64)
+    c = np.ceil(mean_pos * 8.0).astype(np.int64)
+    first, last = (c + q.min() + 3) // 8, (c + q.max() + 3) // 8
     lo = int(first.min())
     ny = int(last.max()) - lo + 1
     width = int((last - first).max()) + 1
     offset = np.minimum(first - lo, ny - width)
-    out = np.empty((pos.size, width))
-    filled = (pos.size + 1) // 2 if np.array_equal(pos, pos[::-1]) else pos.size
-    for r0 in range(0, filled, _SCATTER_ROWS):
-        block = pos[r0:min(r0 + _SCATTER_ROWS, filled)]
-        rows = block.size
-        # (atoms, rows) flat window indices: with atoms as the outer axis,
-        # bincount adds each cell's masses in kernel order from 0.0
-        idx = _snap(block + kernel_off[:, None]) + (
-            np.arange(rows) * width - offset[r0:r0 + rows] - lo)
-        out[r0:r0 + rows] = np.bincount(
-            idx.ravel(), np.repeat(kernel_pr, rows),
-            minlength=rows * width).reshape(rows, width)
-    out[filled:] = out[:pos.size - filled][::-1]
-    return BandedLaw(offset.reshape(mean_pos.shape),
-                     out.reshape(mean_pos.shape + (width,)), ny)
+    key = 8 * (first - lo - offset) + c % 8                 # the shift back, c mod 8
+    present = np.bincount(key.ravel(), minlength=8 * width) > 0
+    windows = [np.bincount((k % 8 + q + 3) // 8 - (k % 8 + q.min() + 3) // 8 + k // 8,
+                           kernel_pr, minlength=width) for k in np.flatnonzero(present)]
+    return BandedLaw(offset, np.cumsum(present)[key] - 1, windows, ny)
 
 
 def gaussian_quantized_spec(cfg=None):
@@ -290,10 +277,9 @@ def gaussian_quantized_spec(cfg=None):
     outputs are snapped to the lattice of the channel-noise grid.  The two
     marginal laws are built directly, each as a BandedLaw: every (x, s) row
     is one window of outputs (`_scatter`); the joint is never formed, nor
-    a dense law.  Each law is filled in blocks of _SCATTER_ROWS (x, s) rows,
-    one bincount per block, which adds every cell's noise-atom masses in
-    kernel order, so the law does not depend on the block size, and its
-    dense form is the one that adding the atoms one at a time gives.
+    a dense law.  Each law is built and kept as its few distinct windows,
+    one bincount each, adding every cell's noise-atom masses in kernel order
+    as adding the atoms one at a time does.
     """
     if cfg is None:
         cfg = GaussianQuantConfig()

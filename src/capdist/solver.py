@@ -291,14 +291,15 @@ class _MirrorWork:
 
 def _work(spec):
     """The spec's estimator, kernels and c(x) to iterate with.  Where (x, s) ->
-    (X-1-x, S-1-s) leaves the laws, state pmf, cost and distortion (or each
-    quadratic grid negated) unchanged, bit for bit, J_mu is mirror-invariant and
-    concave, so some optimal pmf is symmetric: `_MirrorWork`, c made symmetric."""
+    (X-1-x, S-1-s) leaves the laws (a banded law's offsets and window indices),
+    state pmf, cost and distortion (or each quadratic grid negated) unchanged,
+    bit for bit, J_mu is mirror-invariant and concave, so some optimal pmf is
+    symmetric: `_MirrorWork`, c made symmetric."""
     est, d = estimator.build_estimator(spec), spec.distortion
     grids = [d.state_values, d.estimate_values] if isinstance(d, channel.QuadraticDistortion) else []
     same = [spec.state_pmf, spec.cost] + ([] if grids else [d]) + [
         a for law in (spec.law_y, spec.law_z)
-        for a in ((law.offset, law.window) if isinstance(law, channel.BandedLaw) else (law,))]
+        for a in ((law.offset, law.index) if isinstance(law, channel.BandedLaw) else (law,))]
     if (all(np.array_equal(a, np.flip(a, (0, 1)[:a.ndim])) for a in same)
             and all(np.array_equal(g, -g[::-1]) for g in grids)):
         return est, _MirrorWork(spec.law_y, spec.state_pmf), 0.5 * (est.cost + est.cost[::-1])

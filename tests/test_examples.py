@@ -1,12 +1,16 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capdist import channel, cli, estimator, examples, solver
 from capdist.bcregions import dueck_distortion
@@ -134,16 +138,22 @@ def test_noiseless_feedback_shares_the_output_law():
     assert np.array_equal(spec.law_z, spec.law_y)
 
 
+def _float_snap(v):
+    # the snap as first written, of the float sum: nearest integer, half-integer
+    # ties to the lower one
+    return np.ceil(np.asarray(v, float) - 0.5).astype(np.int64)
+
+
 def _per_atom_scatter(mean_pos, kernel_off, kernel_pr):
     # the law as first written: one fancy-indexed add per kernel atom, so each
     # cell sums its masses in kernel order, over the cells that rows reach
-    lo = examples._snap(mean_pos + kernel_off.min()).min()
-    hi = examples._snap(mean_pos + kernel_off.max()).max()
+    lo = _float_snap(mean_pos + kernel_off.min()).min()
+    hi = _float_snap(mean_pos + kernel_off.max()).max()
     out = np.zeros(mean_pos.shape + (hi - lo + 1,))
     rows = np.arange(mean_pos.shape[0])[:, None]
     cols = np.arange(mean_pos.shape[1])[None, :]
     for off, pr in zip(kernel_off, kernel_pr):
-        out[rows, cols, examples._snap(mean_pos + off) - lo] += pr
+        out[rows, cols, _float_snap(mean_pos + off) - lo] += pr
     return out
 
 
@@ -152,11 +162,11 @@ def _per_atom_scatter(mean_pos, kernel_off, kernel_pr):
     dict(pam_points=4, noise_points=25, state_points=6, feedback_variance=0.0,
          output_spacing_factor=3.0),
     dict(pam_points=4, noise_points=21, state_points=9, output_spacing_factor=3.0),
-    dict(pam_points=3, noise_points=25, state_points=50,   # 300 rows: 256 + 44
+    dict(pam_points=3, noise_points=25, state_points=50,   # 4 and 3 distinct windows
          output_spacing_factor=3.0),
 ])
 def test_block_scatter_matches_per_atom_adds(monkeypatch, kw):
-    # the block bincount must give every law the same bits as adding the
+    # the per-window bincounts must give every law the same bits as adding the
     # atoms one at a time; at 3 noise steps per output step a cell gets
     # enough atoms that adding them in another order changes its last bits
     cfg = GaussianQuantConfig(**kw)
@@ -167,13 +177,28 @@ def test_block_scatter_matches_per_atom_adds(monkeypatch, kw):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def _exact_cells(mean, kernel_off):
+    # snap(mean + atom) of the exact sum, in fractions
+    return np.array([math.ceil(Fraction(mean) + Fraction(off) - Fraction(1, 2))
+                     for off in kernel_off.tolist()])
+
+
+def _exact_law(mean_pos, kernel_off, kernel_pr):
+    # each row the bincount of its own cells, its masses added in kernel order
+    cells = [_exact_cells(m, kernel_off) for m in mean_pos.ravel().tolist()]
+    lo = min(c.min() for c in cells)
+    ny = max(c.max() for c in cells) + 1 - lo
+    want = np.array([np.bincount(c - lo, kernel_pr, minlength=ny) for c in cells])
+    return want.reshape(mean_pos.shape + (ny,))
+
+
 def test_scatter_is_the_per_row_bincount(monkeypatch):
-    # 900 (x, s) rows, 3 blocks of 256 and one of 132; a quarter of the means
-    # on half-integers, where snapping ties; each row's dense law is the
-    # bincount of its own cells, its masses added in kernel order.  Then
-    # 3 x 301 means equal to themselves reversed on both axes, as the
-    # Gaussian's s*x: the first 452 rows (a block of 256 and one of 196) are
-    # filled and the other 451 copied, with the same bytes
+    # 900 (x, s) rows, a quarter of the means on half-integers, where
+    # snapping ties; each row's dense law is the bincount of its own cells,
+    # its masses added in kernel order.  Then 3 x 301 means equal to
+    # themselves reversed on both axes, as the Gaussian's s*x.  Each law
+    # takes one bincount per distinct key of its rows, (ceil(8 mean) mod 8,
+    # how far its window was moved back), after the one that finds the keys
     rng = np.random.default_rng(5)
     mean_pos = rng.normal(0.0, 6.0, size=(3, 300))
     mean_pos[0, :75] = np.round(mean_pos[0, :75] * 2.0) / 2.0
@@ -184,25 +209,52 @@ def test_scatter_is_the_per_row_bincount(monkeypatch):
     filled = []
     bincount = np.bincount
 
-    def counted(idx, weights, minlength):
+    def counted(idx, weights=None, minlength=0):
         filled.append(minlength)
         return bincount(idx, weights, minlength=minlength)
 
     monkeypatch.setattr(examples.np, "bincount", counted)
-    for mean_pos, rows in ((mean_pos, 900), (mirrored, 452)):
+    for mean_pos in (mean_pos, mirrored):
+        want = _exact_law(mean_pos, kernel_off, kernel_pr)
+        ny = want.shape[2]
         filled.clear()
         law = examples._scatter(mean_pos, kernel_off, kernel_pr)
-        width = law.window.shape[2]
-        assert sum(filled) == rows * width
-        cells = [examples._snap(m + kernel_off) for m in mean_pos.ravel()]
-        lo = min(c.min() for c in cells)
-        ny = max(c.max() for c in cells) + 1 - lo
-        want = np.array([bincount(c - lo, kernel_pr, minlength=ny) for c in cells])
-        want = want.reshape(mean_pos.shape + (ny,))
+        width = law.windows.shape[1]
+        first = np.array([_exact_cells(m, kernel_off[:1])[0] for m in mean_pos.ravel().tolist()])
+        keys = {(math.ceil(8 * Fraction(m)) % 8, int(f - o))
+                for m, f, o in zip(mean_pos.ravel().tolist(), first - first.min(),
+                                   law.offset.ravel())}
+        assert filled == [8 * width] + [width] * len(keys)
+        assert len(law.windows) <= len(keys) <= 8 * width
         assert isinstance(law, channel.BandedLaw) and law.shape == want.shape
         assert np.asarray(law).tobytes() == want.tobytes()
         assert law.offset.min() >= 0 and law.offset.max() + width <= ny
         assert width == max(np.ptp(np.flatnonzero(r)) + 1 for r in want.reshape(-1, ny))
+
+
+_EIGHTHS = st.integers(-400, 400).map(lambda k: k / 8.0)
+_MEANS = st.one_of(
+    _EIGHTHS,                                        # on a cell edge for some atom
+    _EIGHTHS.map(lambda v: float(np.nextafter(v, np.inf))),
+    _EIGHTHS.map(lambda v: float(np.nextafter(v, -np.inf))),
+    st.floats(-60.0, 60.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(means=st.lists(_MEANS, min_size=1, max_size=12), data=st.data())
+def test_scatter_snaps_the_exact_sum(means, data):
+    # every row is the per-atom bincount of the snap of mean + atom, taken in
+    # fractions: a mean one ulp from a cell edge falls on its exact side
+    atoms = data.draw(st.lists(st.integers(-80, 80), min_size=1, max_size=20))
+    kernel_off = np.array(atoms, float) / 8.0
+    kernel_pr = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(atoms),
+                                            max_size=len(atoms))))
+    mean_pos = np.array(means).reshape(1, -1)
+    if data.draw(st.booleans()) and len(means) % 2 == 0:
+        mean_pos = mean_pos.reshape(2, -1)
+    law = examples._scatter(mean_pos, kernel_off, kernel_pr)
+    want = _exact_law(mean_pos, kernel_off, kernel_pr)
+    assert law.shape == want.shape and np.asarray(law).tobytes() == want.tobytes()
 
 
 # the Gaussian builtins that the banded-law tests cover; the last has
@@ -253,9 +305,9 @@ def test_gaussian_lattice_ends_at_reached_outputs(text):
     # some (x, s) row of each law reaches its first output and some its last
     spec = _builtin(text)
     for law in (spec.law_y, spec.law_z):
-        hit = law.window > 0
-        first = law.offset + hit.argmax(axis=2)
-        last = law.offset + hit.shape[2] - 1 - hit[..., ::-1].argmax(axis=2)
+        hit = law.windows > 0
+        first = law.offset + hit.argmax(axis=1)[law.index]
+        last = law.offset + hit.shape[1] - 1 - hit[:, ::-1].argmax(axis=1)[law.index]
         assert first.min() == 0 and last.max() == law.size - 1
 
 
@@ -265,19 +317,85 @@ def test_gaussian_lattice_ends_at_reached_outputs(text):
                           "outside [0, 7)"),
     ("offset", (0, 3), -1, "{}: window of row (x,s) (0, 3) covers outputs -1 to 1, "
                            "outside [0, 7)"),
-    ("window", (1, 2), [-0.5, 1.5, 0.0], "{} window row (x,s): negative probability at (1, 2, 0)"),
-    ("window", (1, 2), [1.001, 0.0, 0.0], "{} window row (x,s): row (1, 2) sums to 1.001"),
+    ("window", (1, 2), [-0.5, 1.5, 0.0], "{} window row (x,s) (1, 2): negative probability "
+                                         "at (0,)"),
+    ("window", (1, 2), [1.001, 0.0, 0.0], "{} window row (x,s) (1, 2): sums to 1.001"),
 ])
 def test_banded_law_is_validated_on_its_windows(field, array, row, value, message):
+    # the law given with one window per row, one of them changed; the rows
+    # after (1, 2) with the same bad window are not named
     spec = _builtin(_BANDED_BUILTINS[1])
     law = spec.law_y                                   # (2, 8, 7), windows of 3
-    parts = {"offset": law.offset.copy(), "window": law.window.copy()}
+    parts = {"offset": law.offset.copy(), "window": law.windows[law.index]}
     parts[array][row] = value
-    laws = {"law_y": law, "law_z": law, field: channel.BandedLaw(**parts, size=law.size)}
+    if array == "window":
+        parts[array][1, 5] = value
+    laws = {"law_y": law, "law_z": law, field: channel.BandedLaw(
+        parts["offset"], np.arange(16).reshape(2, 8), parts["window"].reshape(16, -1), law.size)}
     with pytest.raises(SpecValidationError) as err:
         channel.SdmcSpec(state_pmf=spec.state_pmf, **laws, distortion=spec.distortion,
                          cost=spec.cost)
     assert str(err.value).startswith(message.format(field))
+
+
+def test_banded_law_rejects_a_bad_window_that_no_row_has():
+    spec = _builtin(_BANDED_BUILTINS[1])
+    law = spec.law_y
+    bad = channel.BandedLaw(law.offset, law.index, np.vstack((law.windows, [[-1.0, 2.0, 0.0]])),
+                            law.size)
+    with pytest.raises(SpecValidationError,
+                       match=r"^law_y window: negative probability at \(\d+, 0\)$"):
+        channel.SdmcSpec(state_pmf=spec.state_pmf, law_y=bad, law_z=law,
+                         distortion=spec.distortion, cost=spec.cost)
+
+
+def test_banded_law_keeps_each_distinct_window_once():
+    # rows given their own byte-equal windows share one index; 0.0 and -0.0
+    # differ in their bytes, so their windows do not
+    windows = [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]
+    windows[3] = [0.5, 0.5 - 0.0]
+    windows[4] = [1.0, -0.0]
+    law = channel.BandedLaw([[0, 1, 2, 0, 1]], [[0, 1, 2, 3, 4]], windows, 4)
+    assert law.windows.shape == (3, 2) and not law.windows.flags.writeable
+    assert law.index[0, 0] == law.index[0, 2] == law.index[0, 3] != law.index[0, 1]
+    assert law.windows[law.index[0, 4]].tobytes() == np.array([1.0, -0.0]).tobytes()
+    assert np.asarray(law).tolist() == [[[0.5, 0.5, 0, 0], [0, 0.25, 0.75, 0], [0, 0, 0.5, 0.5],
+                                         [0.5, 0.5, 0, 0], [0, 1.0, 0, 0]]]
+    for index in ([[0, 1, 2, 3, 5]], [[0, 1, 2, 3, -1]], [[0, 1, 2, 3]]):
+        with pytest.raises(SpecValidationError, match="banded law: offsets of shape"):
+            channel.BandedLaw([[0, 1, 2, 0, 1]], index, windows, 4)
+
+
+# cli._spec_digest of Gaussian builtins, pinned at the values of their laws as
+# first built: one noise atom snapped per (x, s) row at a time.  The last two
+# have more than two distinct windows per law, and windows moved back from
+# the last output
+_GAUSSIAN_DIGESTS = {
+    "gaussian,state_points=100":
+        "068995895040988a0ef40bb1931ea2481e503bcbabf1bb8bffdb9525c115ad53",
+    "gaussian,state_points=500":
+        "a9bd46e374af8ca815418c80a8717a37e43f0fbfaad17c86e1994a5a0d7e6b2d",
+    "gaussian-reduced,state_points=100":
+        "8f389d12c4f3baa9c36c23eb63a829365f245d8e7e385b2be3602c1c613605f4",
+    "gaussian-reduced,state_points=500":
+        "f852f90cab3552beb92d5f7b5ea46babd9ca459482e24773174a8ef74e3d5332",
+    "gaussian,state_points=100,feedback_variance=0":
+        "c76fbec38a281c9ee1493ffe3c0ef6848845d532df50a4b60031024aed825216",
+    "gaussian,pam_points=7,state_points=20,output_spacing_factor=3.0":
+        "45ce39b2fe7bfafcb5159795d3249007007e57158a35891d368c924c358bcf03",
+    "gaussian,pam_points=5,state_points=100,output_spacing_factor=1.3":
+        "963189bd34ecc374ba14a59e94d6af819828653f68590f4885e4b696e88c92ef",
+}
+
+
+@pytest.mark.parametrize("text", list(_GAUSSIAN_DIGESTS))
+def test_gaussian_spec_digests_are_pinned(text):
+    spec = _builtin(text)
+    assert cli._spec_digest(spec) == _GAUSSIAN_DIGESTS[text]
+    if "output_spacing_factor" in text:
+        for law in (spec.law_y, spec.law_z):
+            assert len(law.windows) > 2
+        assert any((law.windows[:, 0] == 0).any() for law in (spec.law_y, spec.law_z))
 
 
 def _traced_peak(fn, *args):
@@ -295,9 +413,10 @@ def spec_500():
 
 
 def test_gaussian_build_working_set_is_banded():
-    # at 1,000 states the dense laws alone are 16.6 + 19.7 MB; their windows
-    # are 3.3 + 6.4 MB
-    assert _traced_peak(gaussian_quantized_spec, GaussianQuantConfig(state_points=500)) < 16e6
+    # at 1,000 states the dense laws alone are 16.6 + 19.7 MB, and one
+    # window per (x, s) row 3.3 + 6.4 MB; each law's offsets and window
+    # indices are 0.26 MB, its 2 distinct windows under 1 kB
+    assert _traced_peak(gaussian_quantized_spec, GaussianQuantConfig(state_points=500)) < 3e6
 
 
 @pytest.mark.parametrize("read", [
@@ -313,10 +432,13 @@ def test_banded_readers_never_build_a_dense_law(spec_500, read):
 
 
 def test_snap_ties_to_lower_index():
-    assert examples._snap(0.5) == 0
-    assert examples._snap(1.5) == 1
-    assert examples._snap(-0.5) == -1
-    assert examples._snap(0.51) == 1
+    # one atom at 0, then atoms at -3/8 and 3/8: a mean whose sum with an atom
+    # is a half-integer goes to the lower cell
+    law = examples._scatter(np.array([[0.5, 1.5, -0.5, 0.51]]), np.array([0.0]), np.array([1.0]))
+    assert np.asarray(law)[0].argmax(axis=1).tolist() == [1, 2, 0, 2]      # cells 0, 1, -1, 1
+    law = examples._scatter(np.array([[0.125, 0.875]]), np.array([-0.375, 0.375]),
+                            np.array([0.25, 0.75]))
+    assert np.asarray(law).tolist() == [[[1.0, 0.0], [0.25, 0.75]]]   # cells 0 and 0, 0 and 1
 
 
 def test_gaussian_spec_structure():

@@ -727,17 +727,26 @@ def test_mirrored_sweep_matches_the_plain_solve(sizes, seed, binding, broken):
 
 def test_gaussian_spec_off_the_mirror_takes_the_plain_path():
     # each part of the symmetry checked: one law window entry or offset, the
-    # state pmf, the cost, or one quadratic grid moved off the mirror
+    # state pmf, the cost, or one quadratic grid moved off the mirror.  The
+    # laws given with one window per row, each its own byte-equal copy, are
+    # still symmetric
     spec = cli.BUILTINS["gaussian-reduced"](state_points=20)
     assert isinstance(solver._work(spec)[1], solver._MirrorWork)
     law, grids = spec.law_y, spec.distortion
-    window, offset = np.array(law.window), np.array(law.offset)
-    window[0, 0, :2] = window[0, 0, 1::-1]
-    offset[0, 0] += 1 if offset[0, 0] + window.shape[2] < law.size else -1
+    rows = np.arange(law.index.size).reshape(law.index.shape)
+    window, offset = law.windows[law.index].reshape(rows.size, -1), np.array(law.offset)
+    copies = channel.BandedLaw(law.offset, rows, window.copy(), law.size)
+    assert (copies.index == law.index).all()
+    assert isinstance(solver._work(dataclasses.replace(spec, law_y=copies, law_z=copies))[1],
+                      solver._MirrorWork)
+    window[0, :2] = window[0, 1::-1]
+    offset[0, 0] += 1 if offset[0, 0] + window.shape[1] < law.size else -1
     ps, cost, values = np.array(spec.state_pmf), np.array(spec.cost), np.array(grids.state_values)
     ps[[0, 1]], cost[0], values[0] = ps[[1, 0]], cost[0] + 1.0, values[0] - 1.0
-    for off in (dataclasses.replace(spec, law_y=channel.BandedLaw(law.offset, window, law.size)),
-                dataclasses.replace(spec, law_z=channel.BandedLaw(offset, law.window, law.size)),
+    for off in (dataclasses.replace(spec, law_y=channel.BandedLaw(law.offset, rows, window,
+                                                                  law.size)),
+                dataclasses.replace(spec, law_z=channel.BandedLaw(offset, law.index, law.windows,
+                                                                  law.size)),
                 dataclasses.replace(spec, state_pmf=ps), dataclasses.replace(spec, cost=cost),
                 dataclasses.replace(spec, distortion=channel.QuadraticDistortion(
                     values, grids.estimate_values)),
