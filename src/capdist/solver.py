@@ -29,17 +29,13 @@ T-IT 1972, conditioned on S) caps the optimum over the feasible pmfs:
 
 The bound minus J is the duality gap; it is certified only at a pmf that
 meets the budget as summed, and it is minimized over lambda exactly (see
-`_gaps`).  Where BA crawls (an optimum on or near a
-face of the simplex, where it converges sublinearly), Newton steps on the
-KKT system of the row's support finish the row: `_polish` runs at passes
-_POLISH_FIRST, 2*_POLISH_FIRST, 4*_POLISH_FIRST, ... and keeps a pmf only
-when that pmf carries its own certificate.  Each step starts from masses
-at least 2**_LOG2_FLOOR, so it can move every input, and holds the first
-input it would drive below 0 at a small mass, at least that floor.  One
-LAPACK call solves the KKT systems of all rows; a singular one (see
-`_kkt_step`) gives its row a non-finite step, which is rejected.
-`converged` means gap <= convergence_eps, and `iterations` counts BA passes
-(a polish is part of the pass it runs in).
+`_gaps`).  Where BA crawls (an optimum on or near a face of the simplex,
+where it converges sublinearly), trust-region Newton steps on the KKT
+system of J finish the row: `_polish` runs at passes 4, 8, 16, ... and
+keeps a pmf only when it carries its own certificate; no step moves any
+ln p(x) by more than the row's radius.  `converged` means gap <=
+convergence_eps, and `iterations` counts BA passes (a polish is part of
+the pass it runs in).
 
 `_BaWork` holds one (X, S, Y) law and state pmf.  Its `rates` evaluates
 I(X;Y|S) = sum_x P_X(x) a(x) - sum_{s,y} P_S(s) P(y|s) log2 P(y|s) for every
@@ -98,8 +94,9 @@ _MAX_DUAL_ROUNDS = 4096     # cap on lambda evaluations of one dual solve.  Unti
                             # quartered E[b] - budget (<= ~1,050 times in the float
                             # range), so a row still without one is infeasible
 _THETA = 2.0                # over-relaxation of the input update (1 = plain BA)
-_POLISH_FIRST = 8           # first pass that polishes; then every doubled pass
+_POLISH_FIRST = 4           # first pass that polishes; then every doubled pass
 _POLISH_STEPS = 6           # Newton steps of one polish
+_RADIUS = 2.0               # first trust region of a polish: |ln p'(x) - ln p(x)| <= 2
 _RIDGE = 1e-9               # relative ridge on the curvature diagonal of a Newton step
 _LOG2_FLOOR = -600.0        # log2 of the least mass a Newton step starts from or leaves
 _CHECK_TOL = 1e-9           # deviation the exact no-tradeoff and degradedness checks pass
@@ -407,10 +404,9 @@ def _dual_rows(base_g, b, budget, lam0):
 def _kkt_step(m, grad, p, held, free, bind, b, slack):
     """The step d of `_newton_step`'s model on the free inputs of each row
     (0 on the held ones, which move from p to `held`), with the budget row
-    on the rows in `bind`: one LAPACK call solves every row's KKT system.
-    A row whose system is singular in exact arithmetic (no free input, or a
-    binding row whose free inputs all cost the same) or not finite is set
-    aside before the call with a NaN step, so no row changes another's."""
+    on the rows in `bind`: one LAPACK call solves every row's KKT system.  A
+    `_singular` or non-finite row is set aside with a NaN step first, so no
+    row changes another's."""
     n, nx = p.shape
     diag = np.arange(nx)
     scale = b.max() if b.max() > 0.0 else 1.0
@@ -425,105 +421,108 @@ def _kkt_step(m, grad, p, held, free, bind, b, slack):
     rhs[:, :nx, 0] = np.where(free, grad - (shift[:, None, :] @ m)[:, 0], 0.0)
     rhs[:, nx, 0] = -shift.sum(axis=1)
     rhs[:, nx + 1, 0] = np.where(bind, (slack - (shift * b).sum(axis=1)) / scale, 0.0)
-    spread = np.where(free, b, -np.inf).max(axis=1) > np.where(free, b, np.inf).min(axis=1)
-    fine = (np.where(bind, spread, free.any(axis=1)) & np.isfinite(kkt).all(axis=(1, 2))
+    fine = (~_singular(free, bind, b) & np.isfinite(kkt).all(axis=(1, 2))
             & np.isfinite(rhs).all(axis=(1, 2)))
     d = np.full((n, nx), np.nan)
     d[fine] = np.linalg.solve(kkt[fine], rhs[fine])[:, :nx, 0]
     return d
 
 
-def _newton_step(work, p, w, bind, b, budget):
-    """One Newton step from each row of p, whose masses must all be at least
-    2**_LOG2_FLOOR (see `_BaWork.curvature`), on the KKT system of J: the
-    stepped pmfs, not yet renormalized.
+def _singular(free, bind, b):
+    """Rows with no free input, or binding with free inputs that all cost
+    the same: their budget row is a multiple of their sum row."""
+    spread = np.where(free, b, -np.inf).max(axis=1) > np.where(free, b, np.inf).min(axis=1)
+    return ~np.where(bind, spread, free.any(axis=1))
 
-    The step maximizes the quadratic model of J, w.d - d.M.d/2 (M from
-    `_BaWork.curvature`, its diagonal raised by _RIDGE, as M is singular
-    where the optimum is not unique), subject to sum d = 0 and, on the rows
-    in `bind` or whose step would overspend the budget, b.d = B - b.p
-    (`_kkt_step`: one LAPACK solve per stack of systems; a binding row whose
-    free inputs all cost the same gets a non-finite step, which `_polish`
-    rejects).  The first input along the step that it drives to or below 0
-    is frozen at p * exp(d/p), at least 2**_LOG2_FLOOR, and the model is
-    solved again for the others, until none crosses 0 (so an input that
-    crossed only because another one did stays free).  An input whose own mass dominates its
-    outputs, by at least half of M(x, x), grows by p * exp(d/p): there J
-    behaves like -p ln p, whose step in ln p is exact, while p + d would
-    barely move it off the floor.  So every input stays positive: one that
-    belongs on a face of the simplex is left at the floor, where its share
-    of J is negligible, not at 0, where an input whose outputs no other
-    input reaches has an infinite divergence and no gap could be certified.
-    """
-    diag = np.arange(p.shape[1])
-    m, own = work.curvature(p)
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _newton_step(m, own, p, w, b, budget, radius):
+    """One Newton step from each row of p, whose w = a - t - mu*c and
+    `_BaWork.curvature` (M, own) are given, in the trust region of radius r:
+    the stepped pmfs, not yet renormalized.  The step maximizes the model
+    w.d - d.M.d/2 of J (M's diagonal raised by _RIDGE: M is singular where
+    the optimum is not unique) subject to sum d = 0, b.d <= B - b.p and
+    exp(-r) p <= p + d <= exp(r) p, by a primal active-set search, one
+    `_kkt_step` per round: the first bound along the step, the budget or an
+    input's edge, becomes active (b.d = B - b.p, or the input held at its
+    edge).  Where that would leave a `_singular` system, the row drops its
+    budget row if the held inputs already meet the budget, and else keeps
+    its last step, clipped.  An input that dominates its outputs, by half
+    of M(x, x) or more, grows by p * exp(min(d/p, r)): there J is like
+    -p ln p, whose step in ln p is exact, while p + d would barely move a
+    tiny mass.  No mass ends below 2**_LOG2_FLOOR (`_BaWork.curvature`)."""
     grad = w - (p * w).sum(axis=1, keepdims=True)
     # aim at the middle of the dual's stopping window, as `_dual_rows` does
-    with np.errstate(invalid="ignore"):
-        slack = budget * (1.0 - 2.0 * _EPS) - (p * b).sum(axis=1)
-    free, held = np.ones(p.shape, dtype=bool), p
+    slack = budget * (1.0 - 2.0 * _EPS) - (p * b).sum(axis=1)
+    lo, hi = np.expm1(-radius)[:, None] * p, np.expm1(radius)[:, None] * p
+    free, held, bind = np.ones(p.shape, dtype=bool), p, np.zeros(len(p), dtype=bool)
     d = _kkt_step(m, grad, p, held, free, bind, b, slack)
     for _ in range(p.shape[1] + 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reach = np.where(free & (p + d <= 0.0), p / -d, np.inf)   # step to 0
-        cross = np.isfinite(reach) & (reach == reach.min(axis=1, keepdims=True))
-        # the budget binds once a step that frees no input would overspend it
-        spend = ~bind & ~cross.any(axis=1) & (
-            (np.where(free, p + d, held) * b).sum(axis=1) > budget)
+        reach = np.where(free & (d < lo), lo / d, np.where(free & (d > hi), hi / d, np.inf))
+        first = reach.min(axis=1)
+        room = budget - (np.where(free, p, held) * b).sum(axis=1)
+        used = (np.where(free, d, 0.0) * b).sum(axis=1)
+        spend = ~bind & (used > room) & (room < used * first)
+        cross = np.isfinite(reach) & (reach == first[:, None]) & ~spend[:, None]
         if not (cross.any() or spend.any()):
             break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            shrunk = np.maximum(p * np.exp2(d / (p * _LN2)), 2.0 ** _LOG2_FLOOR)
-        held, free = np.where(cross, shrunk, held), free & ~cross
-        bind = bind | spend
+        left = free & ~cross
+        stuck = _singular(left, bind | spend, b)
+        if stuck.any():         # E[b] once the free inputs, all at one cost, take the rest
+            kept = np.where(cross, p + np.clip(d, lo, hi), np.where(free, 0.0, held))
+            cost = np.where(left, b, -np.inf).max(axis=1)
+            meets = left.any(axis=1) & (
+                (kept * b).sum(axis=1) + (1.0 - kept.sum(axis=1)) * cost <= budget)
+            cross &= (meets | ~stuck)[:, None]
+            spend, bind = spend & ~stuck, bind & ~(stuck & meets)
+        held, free, bind = np.where(cross, p + np.clip(d, lo, hi), held), free & ~cross, bind | spend
         d = _kkt_step(m, grad, p, held, free, bind, b, slack)
-    # an input that dominates its outputs behaves like -p ln p, whose step
-    # in ln p is exact: from a tiny mass, p + d would barely move it
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        grown = np.where((d > 0.0) & (2.0 * own >= m[:, diag, diag]),
-                         p * np.exp2(d / (p * _LN2)), p + d)
-    return np.where(free, grown, held)
+    grown = np.where((d > 0.0) & (2.0 * own >= np.diagonal(m, axis1=1, axis2=2)),
+                     p * np.exp(np.minimum(d / p, radius[:, None])), p + np.clip(d, lo, hi))
+    return np.maximum(np.where(free, grown, held), 2.0 ** _LOG2_FLOOR)
 
 
-def _polish(work, cost, p, w, j, mu, bind, b, budget, tol):
-    """Up to _POLISH_STEPS Newton steps (`_newton_step`) from each row of p,
-    whose w = a - t - mu*c and J are given, each renormalized and made to
-    meet the budget by `_dual_rows`: (pmfs, J, gaps, accepted).  Before each
-    step, masses below 2**_LOG2_FLOOR (BA's update can underflow one to 0,
-    and a step cannot move an input with no mass) are raised to it, and w
-    is taken again on the rows that changed.  A row is accepted at the
-    first step whose pmf is finite, meets the budget as summed, has J at
-    least the given J (to the rounding of a sum of p*w) and a gap at most
-    tol; the other rows come back unchanged."""
+def _polish(work, cost, p, w, j, mu, b, budget, tol):
+    """Up to _POLISH_STEPS trust-region Newton steps (`_newton_step`) from each
+    row of p, whose w = a - t - mu*c and J are given, each renormalized and
+    made to meet the budget by `_dual_rows`: (pmfs, J, gaps, accepted).  Masses
+    below 2**_LOG2_FLOOR (BA can underflow one to 0, which no step moves) are
+    first raised to it.  The radius starts at _RADIUS.  A step to a gap <= tol
+    is accepted; one to a finite gap and a J no lower (to the rounding of a sum
+    of p*w) is taken and quadruples the radius; any other is rejected and
+    quarters it.  Rows not accepted come back unchanged."""
     out_p, out_j, out_gap = p.copy(), j.copy(), np.full(len(p), np.inf)
-    accepted = np.zeros(len(p), dtype=bool)
-    live, q, wq = np.arange(len(p)), p, w
-    floor = 2.0 ** _LOG2_FLOOR
+    q, w, j = np.maximum(p, 2.0 ** _LOG2_FLOOR), w.copy(), j.copy()
+    low = (p < 2.0 ** _LOG2_FLOOR).any(axis=1)
+    if low.any():
+        w[low] = work.per_x(q[low]) - mu[low] * cost
+        j[low] = (q[low] * w[low]).sum(axis=1)
+    live, radius, up = np.arange(len(p)), np.full(len(p), _RADIUS), np.ones(len(p), dtype=bool)
+    m, own = np.empty(p.shape + p.shape[1:]), np.empty(p.shape)
     for _ in range(_POLISH_STEPS):
-        low = (q < floor).any(axis=1)
-        if low.any():
-            q, wq = np.maximum(q, floor), wq.copy()
-            wq[low] = work.per_x(q[low]) - mu[live[low]] * cost
-        q = _newton_step(work, q, wq, bind[live], b, budget)
+        if up.any():                        # the curvature where the row moved
+            m[up], own[up] = work.curvature(q[up])
+        s = _newton_step(m, own, q, w, b, budget, radius)
         if isinstance(work, _MirrorWork):   # BA's passes keep the symmetry; LAPACK need not
-            q = 0.5 * (q + q[:, ::-1])
-        fine = np.isfinite(q).all(axis=1) & (q >= 0.0).all(axis=1)
-        q[~fine] = 1.0 / q.shape[1]         # placeholders, so the batch stays whole
+            s = 0.5 * (s + s[:, ::-1])
+        fine = np.isfinite(s).all(axis=1)
+        s[~fine] = 1.0 / s.shape[1]         # placeholders, so the batch stays whole
         # a stepped pmf misses the budget by rounding only: start lambda small
-        with np.errstate(divide="ignore"):
-            q = _dual_rows(np.log2(q), b, budget, np.full(len(q), _EPS))[0]
-        wq = work.per_x(q) - mu[live] * cost
-        jq = (q * wq).sum(axis=1)
-        gq = np.where(fine, _gaps(work, q, wq, jq, b, budget), np.inf)
-        good = (jq >= j[live] - 16.0 * _EPS * np.abs(wq).max(axis=1)) & (gq <= tol)
+        s = _dual_rows(np.log2(s), b, budget, np.full(len(s), _EPS))[0]
+        ws = work.per_x(s) - mu[live] * cost
+        js = (s * ws).sum(axis=1)
+        gs = np.where(fine, _gaps(work, s, ws, js, b, budget), np.inf)
+        good, up = gs <= tol, np.isfinite(gs) & (js >= j - 16.0 * _EPS * np.abs(ws).max(axis=1))
         done = live[good]
-        out_p[done], out_j[done], out_gap[done], accepted[done] = (
-            q[good], jq[good], gq[good], True)
-        keep = ~good & np.isfinite(gq)
-        live, q, wq = live[keep], q[keep], wq[keep]
-        if live.size == 0:
+        out_p[done], out_j[done], out_gap[done] = s[good], js[good], gs[good]
+        if good.all():
             break
-    return out_p, out_j, out_gap, accepted
+        if good.any():
+            live, s, ws, js, q, w, j, radius, m, own, up = (
+                v[~good] for v in (live, s, ws, js, q, w, j, radius, m, own, up))
+        q[up], w[up], j[up] = s[up], ws[up], js[up]
+        radius = np.where(up, 4.0 * radius, 0.25 * radius)
+    return out_p, out_j, out_gap, out_gap <= tol
 
 
 def _solve_rows(work, cost, b, mus, budget, cfg, start=None):
@@ -533,9 +532,9 @@ def _solve_rows(work, cost, b, mus, budget, cfg, start=None):
     Row i starts at `start` (a pmf, or one per row; uniform if None).  Each
     pass evaluates w = a - t - mu*c and J at every active row's pmf and the
     row's duality gap (`_gaps`); a row whose gap is at most convergence_eps
-    (bits) stops there, certified.  At passes _POLISH_FIRST, 2*_POLISH_FIRST,
-    4*_POLISH_FIRST, ... every other active row tries `_polish`, and stops
-    with the polished pmf if that is accepted.  The rest take the
+    (bits) stops there, certified.  At passes 4, 8, 16, ... (_POLISH_FIRST
+    and its doublings) every other active row tries the trust-region
+    `_polish`, and stops with its pmf if that is accepted.  The rest take the
     over-relaxed step p * 2**(theta*w - lambda*b), theta = _THETA.  A row
     whose relaxed step lowered J returns to its last accepted pmf, steps
     plainly (theta = 1) from the w it holds for that pmf, and stays at
@@ -584,7 +583,7 @@ def _solve_rows(work, cost, b, mus, budget, cfg, start=None):
         if k >= _POLISH_FIRST and k & (k - 1) == 0 and not done.all():
             todo = np.flatnonzero(~done)
             pp, jp, gp, ok = _polish(work, cost, pa[todo], w[todo], j[todo],
-                                     mu[todo], lam[todo] > 0, b, budget, tol)
+                                     mu[todo], b, budget, tol)
             tries, polished = tries + todo.size, polished + int(ok.sum())
             rows = todo[ok]
             pa[rows], gap[rows], done[rows] = pp[ok], gp[ok], True

@@ -9,8 +9,9 @@ per spec `sizes = rng.integers(2, 5, size=4)` (|X|, |S|, |Y|, |Z| from 2 to
 at the 0.3 and 0.7 quantiles of its cost vector.  The script prints the
 finite-mu rows, their summed passes, a histogram of the pass counts, the
 largest count (with its spec, budget and mu), the uncertified rows and the
-wall time of the sweeps, and exits 1 if any row is uncertified.  pytest
-does not collect it: it is a measurement, not a test.
+wall time of the sweeps, and exits 1 if any row is uncertified or takes
+more than MAX_PASSES = 64 passes (a stalled row).  pytest does not collect
+it: it is a measurement, not a test.
 """
 
 import argparse
@@ -24,6 +25,7 @@ from capdist import cli, solver
 from random_specs import random_spec
 
 QUANTILES = (0.3, 0.7)
+MAX_PASSES = 64     # a row above it stalled: the polish runs at passes 4, 8, ..., 64
 
 
 def stress_specs(n):
@@ -51,8 +53,10 @@ def main(argv=None):
                 if p.iterations > largest[0]:
                     largest = (p.iterations, (i, budget, p.mu))
     wall = time.perf_counter() - started
+    stalled = sum(n > MAX_PASSES for n in passes)
     print(f"specs {args.specs}, rows {len(passes)}, passes {sum(passes)}, "
-          f"uncertified {len(uncertified)}, wall {wall:.2f} s")
+          f"uncertified {len(uncertified)}, above {MAX_PASSES} passes {stalled}, "
+          f"wall {wall:.2f} s")
     if largest[1] is not None:
         i, budget, mu = largest[1]
         print(f"largest {largest[0]} passes: spec {i}, budget {budget:.6g}, mu {mu:.6g}")
@@ -64,7 +68,7 @@ def main(argv=None):
         print(f"{str(hi) if lo == hi else f'{lo}-{hi}':>11} {bins[k]:>6}")
     for i, budget, mu, gap in uncertified:
         print(f"uncertified: spec {i}, budget {budget:.6g}, mu {mu:.6g}, gap {gap:.3g}")
-    return 1 if uncertified else 0
+    return 1 if uncertified or stalled else 0
 
 
 if __name__ == "__main__":

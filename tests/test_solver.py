@@ -865,7 +865,7 @@ def test_face_bound_row_converges():
               if np.isfinite(p.mu)]
     row, = [p for p in points if p.mu == pytest.approx(10 ** (-4 / 3))]
     assert all(p.converged and p.gap <= 1e-10 for p in points)
-    assert row.iterations <= 16               # one Newton polish at pass 8 or 16
+    assert row.iterations <= 4                # the first Newton polish, at pass 4
 
 
 def test_polish_lifts_massless_inputs_of_gaussian_rows():
@@ -896,9 +896,62 @@ def test_polish_from_zero_and_subnormal_masses_is_warning_free():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         q, _, gap, ok = solver._polish(work, est.cost, p, w, (p * w).sum(axis=1), mu,
-                                       np.zeros(1, dtype=bool), spec.cost, np.inf, 1e-10)
+                                       spec.cost, np.inf, 1e-10)
     assert ok[0] and gap[0] <= 1e-10
     assert q[0] == pytest.approx(np.full(3, 1.0 / 3.0), abs=1e-9)
+
+
+_AUTO = cli._parse_mu_grid("auto")
+
+
+@pytest.mark.parametrize("budget, mu", [(np.inf, _AUTO[29])] + [
+    (0.5, mu) for mu in _AUTO[1:10] + [_AUTO[14]]])
+def test_stalled_gaussian_reduced_rows_certify_within_64_passes(budget, mu):
+    # mu = 20.31 at B = inf took 256 passes: the step in ln p of an input
+    # that dominates its outputs grew masses near 1e-25 to 1e135 or inf.
+    # The budget-0.5 rows mu = 0.001 to 0.017 and 0.1 took 128 to 512: every
+    # polish stalled at one gap and then stepped to gap inf
+    spec = cli.BUILTINS["gaussian-reduced"]()
+    row, = [p for p in sweep_frontier(spec, budget, [mu]) if p.mu == mu]
+    assert row.converged and row.gap <= 1e-10 and row.iterations <= 64
+
+
+def test_stress_spec_34_row_certifies_within_64_passes():
+    # spec 34 of the stress set (sizes 4, 4, 2, 2) at its 0.7 cost quantile
+    # took 1,408 passes at mu = 1.70: each polish froze a crossing input far
+    # down, and the budget row then forced two inputs of near-equal cost
+    # apart along a flat direction of J
+    from stress_passes import stress_specs
+    spec = list(stress_specs(35))[34]
+    assert spec.law_y.shape == (4, 4, 2)
+    mu = _AUTO[22]
+    row, = [p for p in sweep_frontier(spec, float(np.quantile(spec.cost, 0.7)), [mu])
+            if p.mu == mu]
+    assert row.converged and row.gap <= 1e-10 and row.iterations <= 64
+
+
+def test_newton_step_keeps_rows_left_with_one_free_input_under_the_budget(monkeypatch):
+    # random models in which the active-set search binds the budget and then
+    # holds all inputs but one at the edge of the trust region; the KKT
+    # system of such a row is singular, and its step used to be NaN
+    singular, seen = solver._singular, []
+
+    def spy(free, bind, b):
+        out = singular(free, bind, b)
+        seen.append(bool((out & bind & (free.sum(axis=1) == 1)).any()))
+        return out
+
+    monkeypatch.setattr(solver, "_singular", spy)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        law = rng.random((1, 3, 4))
+        p, b = rng.dirichlet(np.ones(3), size=1), rng.random(3)
+        budget = float(p[0] @ b) + 0.05 * rng.random()
+        q = solver._newton_step(law @ law.transpose(0, 2, 1), np.zeros((1, 3)), p,
+                                rng.normal(size=(1, 3)), b, budget,
+                                np.array([0.5 * rng.random()]))
+        assert np.isfinite(q).all() and (q > 0.0).all()
+    assert any(seen)
 
 
 def _elimination(a, r):
