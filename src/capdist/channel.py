@@ -98,8 +98,9 @@ class BandedLaw:
     once (rows share an index exactly where their windows' bytes agree); one
     window per row is given as (X*S, W) windows with arange indices.
 
-    It offers what the law's readers need: `shape`, `law[x]` (the dense
-    (S, Y) rows of one input), `law[x, :, y]` (one output's column, read
+    It offers what the law's readers need: `shape`, iteration over the
+    inputs' dense (S, Y) rows (in one reused buffer), `law[inputs]` (the law
+    of an index array of inputs), `law[x, :, y]` (one output's column, read
     through the windows) and `np.asarray(law)`, the dense law, which only
     `spec_to_dict` and the oracles of `verify` take.
     Its arrays are frozen when it is built; the spec that holds it checks
@@ -126,10 +127,8 @@ class BandedLaw:
         return tuple(int(n) for n in self.offset.shape) + (self.size,)
 
     def __getitem__(self, key):
-        if not isinstance(key, tuple):              # law[x]
-            rows = np.zeros(self.shape[1:])
-            self._fill(key, rows)
-            return rows
+        if isinstance(key, np.ndarray):             # law[inputs]
+            return BandedLaw(self.offset[key], self.index[key], self.windows, self.size)
         x, states, y = key                          # law[x, :, y]
         if not (isinstance(states, slice) and states == slice(None)):
             raise TypeError("a banded law reads one column as law[x, :, y]")
@@ -137,18 +136,35 @@ class BandedLaw:
         inside = (k >= 0) & (k < self.windows.shape[1])
         return np.where(inside, self.windows[self.index[x], np.where(inside, k, 0)], 0.0)
 
-    def _fill(self, x, rows):
-        """Write input x's windows into its zeroed dense (S, Y) rows."""
-        windows = np.lib.stride_tricks.sliding_window_view(      # (S, Y - W + 1, W)
-            rows, self.windows.shape[1], axis=1, writeable=True)
-        windows[np.arange(len(rows)), self.offset[x]] = self.windows[self.index[x]]
+    def __iter__(self):
+        """Each input's dense (S, Y) rows, in one buffer that every step
+        reuses: the previous input's windows are zeroed, then this one's
+        written.  Read the rows before the next step."""
+        rows = np.zeros(self.shape[1:])
+        windows, states = self._windows(rows), np.arange(len(rows))
+        for x in range(len(self.offset)):
+            windows[states, self.offset[x - 1]] = 0.0   # x = 0: the last input's, all zero
+            self._fill(windows, self.offset[x], self.index[x])
+            yield rows
+
+    def _windows(self, rows):
+        """The writeable (..., Y - W + 1, W) windows of dense rows."""
+        return np.lib.stride_tricks.sliding_window_view(
+            rows, self.windows.shape[1], axis=-1, writeable=True)
+
+    def _fill(self, windows, offset, index):
+        """Write the rows' windows into the `_windows` of their zeroed dense
+        rows, one distinct window at a time, broadcast over the rows that
+        have it."""
+        for k, window in enumerate(self.windows):
+            at = np.nonzero(index == k)
+            windows[at + (offset[at],)] = window
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("a banded law is made dense only by a copy")
         law = np.zeros(self.shape)
-        for x in range(len(law)):
-            self._fill(x, law[x])
+        self._fill(self._windows(law), self.offset, self.index)
         return law if dtype is None else law.astype(dtype, copy=False)
 
 

@@ -14,7 +14,8 @@ paired with a `<out>.manifest.json` that records the command, its
 configuration, the capdist, Python and NumPy versions, the wall time of
 each stage (`stages_s`) and a sha256 digest of the input spec.  The digest of `--spec FILE` is taken
 over the file's raw bytes; that of `--builtin` over the built spec's
-field-wise binary form (see `_spec_digest`), so no law is encoded as text.
+field-wise binary form (see `_spec_digest`), each single-receiver law in
+its canonical banded form, so no law is encoded as text or made dense.
 """
 
 from __future__ import annotations
@@ -146,6 +147,27 @@ def _parse_builtin(text):
     return name, params
 
 
+def _banded_form(law):
+    """The canonical banded form of an (X, S, ·) law, banded or dense: each
+    (x, s) row's first nonzero output, its index into the table of the rows'
+    distinct windows, and that table.  A window runs from its row's first
+    nonzero entry to its last, padded with zeros to the widest; the table is
+    sorted by the windows' bytes."""
+    if not isinstance(law, channel.BandedLaw):      # each row its own window, at output 0
+        nx, ns, ny = law.shape
+        law = channel.BandedLaw(np.zeros((nx, ns)), np.arange(nx * ns).reshape(nx, ns),
+                                law.reshape(-1, ny), ny)
+    nonzero = law.windows != 0
+    lead, end = nonzero.argmax(axis=1), nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1)
+    trimmed = np.zeros((len(lead), (end - lead).max()))
+    for row, window, a, b in zip(trimmed, law.windows, lead, end):
+        row[:b - a] = window[a:b]
+    width = trimmed.shape[1]
+    table, rank = np.unique(trimmed.view(np.dtype((np.void, 8 * width)))[:, 0], return_inverse=True)
+    index = rank.reshape(-1)[law.index].astype(np.int64, copy=False)
+    return law.offset + lead[law.index], index, table.view(float).reshape(-1, width)
+
+
 def _spec_digest(spec):
     """sha256 of a spec's canonical binary form, as hex.
 
@@ -153,25 +175,27 @@ def _spec_digest(spec):
     value is named by its path from the spec's class, e.g. `SdmcSpec.law_y`
     or `SdmcSpec.distortion.state_values`, and fed as
       a dataclass  the line `<path> <class name>`, then its own fields;
+      a law (x, s, ·), a BandedLaw or 3-D array, the line `<path> banded
+                   <shape> <table shape>`, then its canonical banded form
+                   (`_banded_form`): the int64 first outputs and window
+                   indices, then the table, however the law is stored;
       an array     the line `<path> <dtype.str> <shape>`, then its bytes in
                    C order;
-      a BandedLaw  the same line and bytes as its dense law, fed one input's
-                   dense rows at a time, so a spec has one digest however
-                   its laws are stored;
       other values the line `<path> json <n>`, then the n UTF-8 bytes of
                    `json.dumps(value, sort_keys=True)` (None and labels),
     each line ending in a newline.  Every line fixes the length of what
-    follows it, so different specs feed different bytes.  Spec arrays are
-    float64 and C-contiguous, so hashing them copies nothing, and a banded
-    law costs one input's dense rows.
+    follows it, so different specs feed different bytes.  A banded law is
+    read from its offsets, indices and windows, never as dense rows; other
+    spec arrays are float64 and C-contiguous, so hashing them copies nothing.
     """
     h = hashlib.sha256()
 
     def feed(path, value):
-        if isinstance(value, channel.BandedLaw):
-            h.update(f"{path} {np.dtype(float).str} {value.shape}\n".encode())
-            for x in range(value.shape[0]):
-                h.update(value[x])
+        if isinstance(value, channel.BandedLaw) or getattr(value, "ndim", 0) == 3:
+            first, index, table = _banded_form(value)
+            h.update(f"{path} banded {value.shape} {table.shape}\n".encode())
+            for a in (first, index, table):                # int64, int64, float64
+                h.update(a)
         elif dataclasses.is_dataclass(value):
             h.update(f"{path} {type(value).__name__}\n".encode())
             for f in dataclasses.fields(value):

@@ -58,13 +58,13 @@ def build_estimator(spec):
         # quadratic distortion: the posterior-risk minimizer over a sorted
         # grid is one of the two grid points around the posterior mean.  Work
         # with (X,Z)-sized moments only, taken one input's (S,Z) rows at a
-        # time; the (X,S,Z) weight tensor is never materialized (it is
-        # ~0.6 GB for the quantized Gaussian example).
+        # time (a banded law's in one reused buffer); the (X,S,Z) weight
+        # tensor is never materialized (it is ~0.6 GB for the quantized
+        # Gaussian example).
         ps, sv = spec.state_pmf, d.state_values
         weights = (ps, ps * sv, ps * sv * sv)
         m0, m1, m2 = (np.empty((spec.input_size, spec.feedback_size)) for _ in weights)
-        for x in range(spec.input_size):
-            rows = spec.law_z[x]
+        for x, rows in enumerate(spec.law_z):
             for m, w in zip((m0, m1, m2), weights):     # P(z|x) and two moments
                 m[x] = np.einsum("sz,s->z", rows, w)
         norm = np.where(m0 > 0, m0, 1.0)

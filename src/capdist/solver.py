@@ -122,8 +122,7 @@ def conditional_mutual_information(spec, p_x):
     inputs with mass: the others add nothing to it."""
     p_x = channel._check_pmf(p_x, spec.input_size, "p_x")
     support = np.flatnonzero(p_x > 0)
-    law = np.stack([spec.law_y[x] for x in support])
-    return float(_BaWork(law, spec.state_pmf).rates(p_x[None, support])[0])
+    return float(_BaWork(spec.law_y[support], spec.state_pmf).rates(p_x[None, support])[0])
 
 
 def _pmfs(g):
@@ -154,8 +153,10 @@ class TradeoffPoint:
     input_pmf: np.ndarray
     iterations: int
     converged: bool
-    gap: float                         # bits: Blahut's bound minus J, exact to
-                                       # rounding, floored at 0 (inf: no bound)
+    gap: float                         # bits: Blahut's bound minus J = rate - mu*D,
+                                       # exact to rounding, floored at 0 (inf: no
+                                       # bound); at mu > 0 rate and D alone can move
+                                       # along the frontier by more than the gap
     objective_trace: Optional[list] = field(default=None, repr=False)
 
 
@@ -166,22 +167,23 @@ class _BaWork:
     Only the (s, y) columns that some input reaches are kept, in order, as
     the (X, reached) `law_flat` and its P_S weights `ps_rep`: a column where
     every P(y|x,s) is 0 adds exactly 0 to every kernel.  The law (a dense
-    array or a BandedLaw) is read one input's rows, s < len(state_pmf), at a
-    time; a whole dense law whose every column is reached is used as it is."""
+    array or a BandedLaw, whose inputs' rows come in one reused buffer) is
+    read one input's rows, s < len(state_pmf), at a time; a whole dense law
+    whose every column is reached is used as it is."""
 
     def __init__(self, law, state_pmf):
         nx, ns, ny = law.shape[0], state_pmf.size, law.shape[2]
         reached = np.zeros(ns * ny, dtype=bool)
-        for x in range(nx):
-            reached |= law[x][:ns].reshape(-1) > 0
-        self.ps_rep = np.repeat(state_pmf, ny)
+        for rows in law:
+            reached |= rows[:ns].reshape(-1) > 0
+        del rows                                    # a banded law's buffer, before the next
         if isinstance(law, np.ndarray) and ns == law.shape[1] and reached.all():
             self.law_flat = np.ascontiguousarray(law.reshape(nx, -1))
         else:
             self.law_flat = np.empty((nx, np.count_nonzero(reached)))
-            for x in range(nx):
-                self.law_flat[x] = law[x][:ns].reshape(-1)[reached]
-            self.ps_rep = self.ps_rep[reached]
+            for x, rows in enumerate(law):
+                self.law_flat[x] = rows[:ns].reshape(-1)[reached]
+        self.ps_rep = np.repeat(state_pmf, reached.reshape(ns, ny).sum(axis=1))  # no S*Y temporary
         self.a = np.empty(nx)
         for rows in _row_blocks(nx, self.law_flat.shape[1], _BLOCK_ELEMENTS):
             self.a[rows] = (_xlog2x(self.law_flat[rows]) * self.ps_rep).sum(axis=1)
@@ -719,8 +721,7 @@ def _posterior_classes(spec):
     ps = spec.state_pmf
     v = np.random.default_rng(0).random(ns)
     p_z, key = np.empty((nx, nz)), np.empty((nx, nz))
-    for x in range(nx):
-        rows = spec.law_z[x]
+    for x, rows in enumerate(spec.law_z):
         p_z[x], key[x] = np.einsum("s,sz->z", ps, rows), np.einsum("s,sz->z", ps * v, rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         key = np.where(p_z > 0, key / p_z, np.inf).ravel()
@@ -770,8 +771,8 @@ def no_tradeoff_check(spec):
     hi = np.full((shared.size, ns), -np.inf)
     lo = -hi
     worst1 = worst2 = 0.0
-    for x in range(nx):
-        w = spec.state_pmf[:, None] * spec.law_z[x]                   # (S, Z)
+    for x, rows in enumerate(spec.law_z):
+        w = spec.state_pmf[:, None] * rows                            # (S, Z)
         labels, inv = np.unique(table[x], return_inverse=True)
         order = np.argsort(inv, kind="stable")
         w_t = np.add.reduceat(w[:, order], np.searchsorted(inv[order], np.arange(labels.size)),

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -269,10 +271,70 @@ def _builtin(text):
     return cli.BUILTINS[name](**params)
 
 
-@pytest.mark.parametrize("text", _BANDED_BUILTINS)
+def _dense_digest(spec):
+    """The spec digest that fed each law as its dense rows: a reference that
+    pins the Gaussian laws' values as first built, however `cli._spec_digest`
+    encodes them."""
+    h = hashlib.sha256()
+
+    def feed(path, value):
+        if isinstance(value, channel.BandedLaw):
+            h.update(f"{path} {np.dtype(float).str} {value.shape}\n".encode())
+            for rows in value:
+                h.update(rows)
+        elif dataclasses.is_dataclass(value):
+            h.update(f"{path} {type(value).__name__}\n".encode())
+            for f in dataclasses.fields(value):
+                feed(f"{path}.{f.name}", getattr(value, f.name))
+        elif isinstance(value, np.ndarray):
+            h.update(f"{path} {value.dtype.str} {value.shape}\n".encode())
+            h.update(value)
+        else:
+            text = json.dumps(value, sort_keys=True).encode("utf-8")
+            h.update(f"{path} json {len(text)}\n".encode())
+            h.update(text)
+
+    feed(type(spec).__name__, spec)
+    return h.hexdigest()
+
+
+# Gaussian builtins: the dense-row digest of their laws as first built (one
+# noise atom snapped per (x, s) row at a time), and `cli._spec_digest`, that
+# of their canonical banded form.  The last two have more than two distinct
+# windows per law, and windows moved back from the last output
+_GAUSSIAN_DIGESTS = {
+    "gaussian,state_points=100": (
+        "068995895040988a0ef40bb1931ea2481e503bcbabf1bb8bffdb9525c115ad53",
+        "73abe2e8e380e096ab5172e15d1e5b26822b33f2f6e4ffaabad22dcd1d7bff8f"),
+    "gaussian,state_points=500": (
+        "a9bd46e374af8ca815418c80a8717a37e43f0fbfaad17c86e1994a5a0d7e6b2d",
+        "94f6e42321332bec11dee843effe06b648bb8219fe7103ba0a79140e03c20317"),
+    "gaussian-reduced,state_points=100": (
+        "8f389d12c4f3baa9c36c23eb63a829365f245d8e7e385b2be3602c1c613605f4",
+        "744a63357b5e625519e8dae507f0ae278b41ceb0a6909da180b0ca1632fada47"),
+    "gaussian-reduced,state_points=500": (
+        "f852f90cab3552beb92d5f7b5ea46babd9ca459482e24773174a8ef74e3d5332",
+        "b3731bab1ef69499c4578828eeeb594fcb84af88a0260a92214a6efccef55deb"),
+    "gaussian,state_points=100,feedback_variance=0": (
+        "c76fbec38a281c9ee1493ffe3c0ef6848845d532df50a4b60031024aed825216",
+        "0097ec75753465a4189995930deeb2be6ab5312661941147350a49bbfdab5a96"),
+    "gaussian,pam_points=7,state_points=20,output_spacing_factor=3.0": (
+        "45ce39b2fe7bfafcb5159795d3249007007e57158a35891d368c924c358bcf03",
+        "e5d36dcf38e58c64955b56e83d2e839b25e2907607a47ac5aefa8f29893f6a4e"),
+    "gaussian,pam_points=5,state_points=100,output_spacing_factor=1.3": (
+        "963189bd34ecc374ba14a59e94d6af819828653f68590f4885e4b696e88c92ef",
+        "70a6cf40a2abaf95c1605acf87f593848fecb0a314f835bb3189218ce22fe41b"),
+}
+
+
+@pytest.mark.parametrize("text", _BANDED_BUILTINS + [t for t in _GAUSSIAN_DIGESTS
+                                                      if t not in _BANDED_BUILTINS])
 def test_banded_storage_changes_no_result(text):
     # the same spec with dense np.asarray copies of its laws must give the
-    # same bits everywhere a banded law is read one input at a time
+    # same bits everywhere a banded law is read: the rows it iterates and
+    # its columns, the solver's precompute on all states and on the mirror
+    # half, the frontier, the estimator, the 2-PAM point's I(X;Y|S), the
+    # no-tradeoff check and the digest
     spec = _builtin(text)
     assert isinstance(spec.law_y, channel.BandedLaw) and isinstance(spec.law_z, channel.BandedLaw)
     assert (spec.law_z is spec.law_y) == text.endswith("feedback_variance=0")
@@ -281,10 +343,16 @@ def test_banded_storage_changes_no_result(text):
     dense = dataclasses.replace(spec, law_y=law_y, law_z=law_z)
     for banded, full in ((spec.law_y, law_y), (spec.law_z, law_z)):
         assert banded.shape == full.shape
-        for x in range(full.shape[0]):
-            assert banded[x].tobytes() == full[x].tobytes()
+        for x, rows in enumerate(banded):
+            assert rows.tobytes() == full[x].tobytes()
             for z in range(full.shape[2]):
                 assert banded[x, :, z].tobytes() == full[x, :, z].tobytes()
+    for got, want in ((solver._BaWork(spec.law_y, spec.state_pmf),
+                       solver._BaWork(law_y, spec.state_pmf)),
+                      (solver._MirrorWork(spec.law_y, spec.state_pmf).half,
+                       solver._MirrorWork(law_y, spec.state_pmf).half)):
+        for name in ("law_flat", "ps_rep", "a"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def frontier(s):                      # the median cost binds on the 8-PAM
         return [(p.mu, p.rate, p.distortion, p.input_pmf.tobytes())
@@ -294,6 +362,10 @@ def test_banded_storage_changes_no_result(text):
     got, want = estimator.build_estimator(spec), estimator.build_estimator(dense)
     assert got.table.tobytes() == want.table.tobytes()
     assert got.cost.tobytes() == want.cost.tobytes()
+    m = spec.input_size
+    for p in (np.full(m, 1.0 / m), examples.gaussian_two_pam_point(spec, np.inf)[2]):
+        assert (solver.conditional_mutual_information(spec, p)
+                == solver.conditional_mutual_information(dense, p))
     assert vars(solver.no_tradeoff_check(spec)) == vars(solver.no_tradeoff_check(dense))
     assert cli._spec_digest(spec) == cli._spec_digest(dense)
 
@@ -366,32 +438,10 @@ def test_banded_law_keeps_each_distinct_window_once():
             channel.BandedLaw([[0, 1, 2, 0, 1]], index, windows, 4)
 
 
-# cli._spec_digest of Gaussian builtins, pinned at the values of their laws as
-# first built: one noise atom snapped per (x, s) row at a time.  The last two
-# have more than two distinct windows per law, and windows moved back from
-# the last output
-_GAUSSIAN_DIGESTS = {
-    "gaussian,state_points=100":
-        "068995895040988a0ef40bb1931ea2481e503bcbabf1bb8bffdb9525c115ad53",
-    "gaussian,state_points=500":
-        "a9bd46e374af8ca815418c80a8717a37e43f0fbfaad17c86e1994a5a0d7e6b2d",
-    "gaussian-reduced,state_points=100":
-        "8f389d12c4f3baa9c36c23eb63a829365f245d8e7e385b2be3602c1c613605f4",
-    "gaussian-reduced,state_points=500":
-        "f852f90cab3552beb92d5f7b5ea46babd9ca459482e24773174a8ef74e3d5332",
-    "gaussian,state_points=100,feedback_variance=0":
-        "c76fbec38a281c9ee1493ffe3c0ef6848845d532df50a4b60031024aed825216",
-    "gaussian,pam_points=7,state_points=20,output_spacing_factor=3.0":
-        "45ce39b2fe7bfafcb5159795d3249007007e57158a35891d368c924c358bcf03",
-    "gaussian,pam_points=5,state_points=100,output_spacing_factor=1.3":
-        "963189bd34ecc374ba14a59e94d6af819828653f68590f4885e4b696e88c92ef",
-}
-
-
 @pytest.mark.parametrize("text", list(_GAUSSIAN_DIGESTS))
 def test_gaussian_spec_digests_are_pinned(text):
     spec = _builtin(text)
-    assert cli._spec_digest(spec) == _GAUSSIAN_DIGESTS[text]
+    assert (_dense_digest(spec), cli._spec_digest(spec)) == _GAUSSIAN_DIGESTS[text]
     if "output_spacing_factor" in text:
         for law in (spec.law_y, spec.law_z):
             assert len(law.windows) > 2
@@ -419,16 +469,61 @@ def test_gaussian_build_working_set_is_banded():
     assert _traced_peak(gaussian_quantized_spec, GaussianQuantConfig(state_points=500)) < 3e6
 
 
-@pytest.mark.parametrize("read", [
-    estimator.build_estimator,
-    lambda spec: examples.gaussian_two_pam_point(spec, 10.0),
-    cli._spec_digest,
-    solver.no_tradeoff_check,
+@pytest.mark.parametrize("read, bound", [
+    (estimator.build_estimator, 2.0e6),
+    (lambda spec: examples.gaussian_two_pam_point(spec, 10.0), 3.0e6),
+    (cli._spec_digest, 0.75e6),
+    (solver.no_tradeoff_check, 10.5e6),
 ], ids=["build_estimator", "two_pam_point", "spec_digest", "no_tradeoff_check"])
-def test_banded_readers_never_build_a_dense_law(spec_500, read):
-    # each reads the laws one input's (S, Y) rows at a time: a dense law_z
-    # alone would be 19.7 MB
-    assert _traced_peak(read, spec_500) < 12e6
+def test_banded_readers_never_build_a_dense_law(spec_500, read, bound):
+    # a dense law_z alone would be 19.7 MB.  The digest reads the offsets,
+    # indices and windows (0.52 MB traced); the others read one input's
+    # (S, Z) rows at a time in one reused buffer, 1.2 MB, filled one
+    # distinct window at a time (traced: estimator 1.56 MB, 2-PAM point
+    # 2.42 MB, no-tradeoff check 9.29 MB)
+    assert _traced_peak(read, spec_500) < bound
+
+
+def test_spec_digest_never_fills_dense_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("BandedLaw._fill called")
+
+    spec = _builtin("gaussian,pam_points=5,state_points=100,output_spacing_factor=1.3")
+    monkeypatch.setattr(channel.BandedLaw, "_fill", refuse)
+    assert cli._spec_digest(spec) == _GAUSSIAN_DIGESTS[
+        "gaussian,pam_points=5,state_points=100,output_spacing_factor=1.3"][1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sizes=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5), st.integers(0, 3)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_spec_digest_is_one_for_banded_and_dense_laws(sizes, seed, data):
+    # random windows with zeros at their edges and inside, many of them
+    # duplicates, at random offsets: the banded law and its dense form give
+    # one digest, and changing any one entry of the law, or moving one row
+    # by an output, changes it
+    nx, ns, width, spare = sizes
+    rng = np.random.default_rng(seed)
+    windows = rng.random((3, width)) * (rng.random((3, width)) < 0.6)
+    windows[np.arange(3), rng.integers(0, width, 3)] += 1.0       # every window has mass
+    windows /= windows.sum(axis=1, keepdims=True)
+    rows = windows[rng.integers(0, 3, nx * ns)]                   # one window per row
+    law = channel.BandedLaw(rng.integers(0, spare + 1, (nx, ns)), np.arange(nx * ns).reshape(nx, ns),
+                            rows, width + spare)
+    spec = channel.SdmcSpec(state_pmf=np.full(ns, 1.0 / ns), law_y=law, law_z=law,
+                            distortion=np.zeros((ns, 2)))
+    dense = np.asarray(law)
+    digest = cli._spec_digest(spec)
+    assert cli._spec_digest(dataclasses.replace(spec, law_y=dense, law_z=dense)) == digest
+    changed = dense.copy()
+    at = tuple(data.draw(st.integers(0, n - 1)) for n in dense.shape)
+    changed[at] += 1e-12                                          # within the pmf tolerance
+    assert cli._spec_digest(dataclasses.replace(spec, law_y=changed, law_z=dense)) != digest
+    assert cli._spec_digest(dataclasses.replace(spec, law_y=dense, law_z=changed)) != digest
+    moved = dense.copy()
+    moved[at[:2]] = np.roll(moved[at[:2]], 1)
+    if not np.array_equal(moved, dense):
+        assert cli._spec_digest(dataclasses.replace(spec, law_y=moved)) != digest
 
 
 def test_snap_ties_to_lower_index():
